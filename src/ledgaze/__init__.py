@@ -18,9 +18,9 @@ from .core import (
     angular_error,
 )
 from .kernels import MeasureSpec, canberra, cosine, manhattan, minkowski, rbf
-from .regress import GprModel, SvrModel, augment, grid_search_sigma, similarity_vector
+from .regress import GprModel, SvrModel, grid_search_sigma
 from .calib import CalibrationGridSpec, DwellConfig, aggregate_point, run_calibration, schedule_targets
-from .sigproc import CaptureSchedule, ExposureState, IirFilter, adapt_exposure, iir_step, next_capture
+from .sigproc import CaptureSchedule, ExposureState, IirFilter, adapt_exposure
 from .eyesim import (
     EyeSimulator,
     GazeScript,
@@ -43,7 +43,6 @@ from .session import (
 )
 from .evaluate import (
     AccuracyReport,
-    TaskSpec,
     compare_estimators,
     evaluate_accuracy,
     run_scenarios,

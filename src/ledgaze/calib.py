@@ -46,9 +46,6 @@ class CalibrationGridSpec:
     def point_count(self) -> int:
         return self.rows * self.cols
 
-    def to_dict(self) -> dict:
-        return {"rows": self.rows, "cols": self.cols, "margin": self.margin}
-
 
 @dataclass(frozen=True)
 class DwellConfig:
@@ -63,13 +60,6 @@ class DwellConfig:
             raise ConfigError("dwell must cover at least two samples")
         if self.variance_threshold <= 0:
             raise ConfigError("variance threshold must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "fix_duration_ms": self.fix_duration_ms,
-            "sample_interval_ms": self.sample_interval_ms,
-            "variance_threshold": self.variance_threshold,
-        }
 
 
 def schedule_targets(grid: CalibrationGridSpec, geom: DisplayGeometry,

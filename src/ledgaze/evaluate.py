@@ -9,7 +9,7 @@ filter's settling tail so transients never leak into the statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -19,12 +19,14 @@ from .core import (
     DisplayGeometry,
     InsufficientDataError,
     ScreenPoint,
+    angular_error_px,
 )
 from .eyesim import EyeSimulator, HeadsetShift, SessionLog, SubjectProfile, apply_shift
 from .kernels import MeasureSpec
 from .regress import GprModel, SvrModel, grid_search_sigma
 from .session import (
     SessionConfig,
+    SimulatorDwellSource,
     calibration_phase,
     evaluation_phase,
     derive_seed,
@@ -87,20 +89,7 @@ class AccuracyReport:
     per_target: list[dict]
 
     def to_dict(self, config: SessionConfig | None = None, seed: int | None = None) -> dict:
-        d = {
-            "method": self.method,
-            "mean_deg": self.mean_deg,
-            "median_deg": self.median_deg,
-            "std_deg": self.std_deg,
-            "n_frames": self.n_frames,
-            "n_excluded": self.n_excluded,
-            "n_excluded_blink": self.n_excluded_blink,
-            "n_excluded_move": self.n_excluded_move,
-            "n_used": self.n_used,
-            "hist_edges_deg": self.hist_edges_deg,
-            "hist_mass": self.hist_mass,
-            "per_target": self.per_target,
-        }
+        d = asdict(self)
         if config is not None:
             d["config"] = config.to_dict()
         if seed is not None:
@@ -127,9 +116,7 @@ def evaluate_accuracy(log: SessionLog, estimator, geom: DisplayGeometry,
         raise InsufficientDataError("every frame fell inside an excluded interval")
     X = log.proc[mask]
     targets = log.target[mask]
-    est = np.asarray(estimator.estimate_batch(X), dtype=float)
-    err = geom.degrees_per_pixel * np.hypot(est[:, 0] - targets[:, 0],
-                                            est[:, 1] - targets[:, 1])
+    err = angular_error_px(estimator.estimate_batch(X), targets, geom)
     edges, hist_mass = _error_histogram(err)
     per_target = []
     uniq, inverse = np.unique(targets, axis=0, return_inverse=True)
@@ -278,24 +265,6 @@ def _sweep_stats(rep: AccuracyReport) -> dict:
 # -- selection-task scenarios ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TaskSpec:
-    """Dwell-to-select task parameters for one session."""
-
-    candidates_min: int = 3
-    candidates_max: int = 8
-    dwell_to_select_ms: float = 3000.0
-    tasks_per_session: int = 50
-    target_radius_px: float = 12.5
-    window_threshold: float = 0.95
-
-    @classmethod
-    def from_config(cls, config: SessionConfig) -> "TaskSpec":
-        return cls(config.task_candidates_min, config.task_candidates_max,
-                   config.task_dwell_ms, config.task_count,
-                   config.target_radius_px(), config.task_window_threshold)
-
-
 @dataclass
 class TaskSessionResult:
     successes: list[bool]
@@ -317,42 +286,36 @@ def run_task_session(config: SessionConfig, calibration: CalibrationSet | None,
                      shift: HeadsetShift | None = None) -> TaskSessionResult:
     """One session of dwell-to-select tasks with online augmentation.
 
-    A task succeeds when at least ``window_threshold`` of the dwell-window
+    A task succeeds when at least ``task_window_threshold`` of the dwell-window
     estimates stay inside the target's disc; a failure feeds the measured
     dwell mean plus the true target back into the calibration.
     """
     if calibration is None:
         raise ConfigError("task sessions need a starting calibration set")
-    spec = TaskSpec.from_config(config)
     geom = config.geometry()
     layout = config.layout()
     if shift is not None:
         layout = apply_shift(layout, shift)
     engine = EyeSimulator(layout, subject, config.sim_config(), derive_seed(seed, 61))
+    source = SimulatorDwellSource(engine, config.task_dwell_ms)
     task_rng = np.random.default_rng(np.random.SeedSequence([derive_seed(seed, 62)]))
     model = config.build_estimator(calibration)
-    settle_us = (int((subject.srt_mean_ms + 4 * subject.srt_std_ms) * 1000.0)
-                 + iir_settle_frames(config.iir_alpha, 1e-3) * engine.cycle_us
-                 + 2 * engine.cycle_us)
+    radius_px = config.target_radius_px()
     m = config.grid_margin
     successes: list[bool] = []
     tasks: list[dict] = []
-    for i in range(spec.tasks_per_session):
-        n_cand = int(task_rng.integers(spec.candidates_min, spec.candidates_max + 1))
+    for i in range(config.task_count):
+        n_cand = int(task_rng.integers(config.task_candidates_min, config.task_candidates_max + 1))
         cand = np.column_stack([
             task_rng.uniform(m, geom.width - m, n_cand),
             task_rng.uniform(m, geom.height - m, n_cand),
         ])
         target = ScreenPoint(float(cand[0, 0]), float(cand[0, 1]))
-        engine.move_target(target)
-        engine.run(settle_us)
-        engine.take_frames()  # reaction + transient, not judged
-        engine.run(int(spec.dwell_to_select_ms * 1000.0))
-        _, _, proc, _, _ = engine.take_frames()
+        proc = source.acquire(target)  # reaction + transient are not judged
         est = np.asarray(model.estimate_batch(proc), dtype=float)
         dist = np.hypot(est[:, 0] - target.x, est[:, 1] - target.y)
-        inside = float(np.mean(dist <= spec.target_radius_px))
-        success = inside >= spec.window_threshold
+        inside = float(np.mean(dist <= radius_px))
+        success = inside >= config.task_window_threshold
         if not success:
             # The subject keeps gazing and presses the feedback button; the
             # dwell mean becomes online training data.

@@ -17,11 +17,11 @@ signal-processing chain and logs everything needed for evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .core import ADC_MAX, ConfigError, DisplayGeometry, ScreenPoint, SensorFrame
+from .core import ADC_MAX, ConfigError, DisplayGeometry, ScreenPoint
 from .sigproc import SATURATION_HIGH, SATURATION_LOW, CaptureSchedule, ExposureState, IirFilter
 
 # Seed-stream discriminators so subsystems never share a generator.
@@ -40,13 +40,7 @@ class OpticsModel:
     blink_ramp_ms: float = 50.0       # eyelid close/open ramp duration
 
     def as_dict(self) -> dict:
-        return {
-            "lobe_sharpness": self.lobe_sharpness,
-            "signal_scale": self.signal_scale,
-            "eyelid_level": self.eyelid_level,
-            "reference_exposure_us": self.reference_exposure_us,
-            "blink_ramp_ms": self.blink_ramp_ms,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -199,17 +193,7 @@ class SubjectProfile:
         return -ox + ax, oy + ay
 
     def as_dict(self) -> dict:
-        return {
-            "eye_center_offset_mm": list(self.eye_center_offset_mm),
-            "second_eye_asym_mm": list(self.second_eye_asym_mm),
-            "eye_radius_mm": self.eye_radius_mm,
-            "corneal_gain": list(self.corneal_gain),
-            "noise_std": self.noise_std,
-            "srt_mean_ms": self.srt_mean_ms,
-            "srt_std_ms": self.srt_std_ms,
-            "blink_rate_per_min": self.blink_rate_per_min,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -310,10 +294,6 @@ class SessionLog:
     def channel_count(self) -> int:
         return self.raw.shape[1]
 
-    def sensor_frames(self):
-        for t, row in zip(self.t_us, self.raw):
-            yield SensorFrame(int(t), tuple(int(v) for v in row))
-
     def subset(self, mask: np.ndarray) -> "SessionLog":
         """Log restricted to the masked frames (events kept verbatim)."""
         return SessionLog(
@@ -400,10 +380,6 @@ class EyeSimulator:
 
     # -- optics core --------------------------------------------------------
 
-    def _clean_signal(self, gaze_xy: np.ndarray) -> np.ndarray:
-        return clean_signal(self.layout, self.subject, self.geom,
-                            self.config.optics, self.schedule, gaze_xy)
-
     def _sense_block(self, gaze_xy: np.ndarray, blink_blend: np.ndarray):
         """Quantized ADC readings plus per-frame exposure scales, (n, M).
 
@@ -415,7 +391,7 @@ class EyeSimulator:
         """
         optics = self.config.optics
         n = gaze_xy.shape[0]
-        clean = self._clean_signal(gaze_xy)
+        clean = clean_signal(self.layout, self.subject, self.geom, optics, self.schedule, gaze_xy)
         if self.subject.noise_std > 0:
             noise = self._noise_rng.normal(0.0, self.subject.noise_std, clean.shape)
         else:

@@ -1,9 +1,9 @@
 """Distance measures and kernel functions for comparing sensor vectors.
 
 All measures operate on real-valued vectors (normalized channel readings),
-never on raw ADC integers. Scalar pair functions define the contract; the
-``pairwise`` helper evaluates the same measure over batches of vectors and
-is what the regression code uses.
+never on raw ADC integers. ``pairwise`` is the one implementation of every
+measure, over batches of vectors; the scalar pair functions evaluate it on a
+single pair.
 """
 
 from __future__ import annotations
@@ -46,15 +46,8 @@ class MeasureSpec:
 
     def distance(self, a, b) -> float:
         """Evaluate this measure on one pair of vectors."""
-        if self.kind == "minkowski":
-            return minkowski(a, b, self.m, self.weights)
-        if self.kind == "rbf":
-            return rbf(a, b, self.sigma, squared=self.rbf_squared)
-        if self.kind == "cosine":
-            return cosine(a, b)
-        if self.kind == "manhattan":
-            return manhattan(a, b)
-        return canberra(a, b)
+        a, b = _pair(a, b)
+        return float(pairwise(self, a[None, :], b[None, :])[0, 0])
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind}
@@ -89,16 +82,7 @@ def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 def minkowski(a, b, m: float = 2.0, w: Sequence[float] | None = None) -> float:
     """Weighted l_m norm of the coordinate differences."""
-    a, b = _pair(a, b)
-    if m < 1:
-        raise ConfigError("norm degree m must be >= 1")
-    if w is None:
-        w = np.ones_like(a)
-    else:
-        w = np.asarray(w, dtype=float)
-        if w.shape != a.shape:
-            raise DimensionError("weights must match vector length")
-    return float(np.sum(w * np.abs(a - b) ** m) ** (1.0 / m))
+    return MeasureSpec("minkowski", m=m, weights=None if w is None else tuple(w)).distance(a, b)
 
 
 def rbf(a, b, sigma: float, squared: bool = False) -> float:
@@ -107,44 +91,29 @@ def rbf(a, b, sigma: float, squared: bool = False) -> float:
     ``squared=True`` uses the squared Euclidean norm in the exponent instead
     of the plain norm.
     """
-    a, b = _pair(a, b)
-    if sigma <= 0:
-        raise ConfigError("sigma must be positive")
-    d = float(np.linalg.norm(a - b))
-    if squared:
-        d = d * d
-    return float(np.exp(-d / (2.0 * sigma * sigma)))
+    return MeasureSpec("rbf", sigma=sigma, rbf_squared=squared).distance(a, b)
 
 
 def cosine(a, b) -> float:
     """Cosine distance 1 - a.b / (|a||b|); requires non-zero vectors."""
-    a, b = _pair(a, b)
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise DegenerateInputError("cosine distance is undefined for zero vectors")
-    return float(1.0 - np.dot(a, b) / (na * nb))
+    return MeasureSpec("cosine").distance(a, b)
 
 
 def manhattan(a, b) -> float:
     """Sum of absolute coordinate differences."""
-    a, b = _pair(a, b)
-    return float(np.sum(np.abs(a - b)))
+    return MeasureSpec("manhattan").distance(a, b)
 
 
 def canberra(a, b) -> float:
     """Sum of |a_i - b_i| / (|a_i| + |b_i|); 0/0 terms contribute 0."""
-    a, b = _pair(a, b)
-    num = np.abs(a - b)
-    den = np.abs(a) + np.abs(b)
-    terms = np.divide(num, den, out=np.zeros_like(num), where=den != 0)
-    return float(np.sum(terms))
+    return MeasureSpec("canberra").distance(a, b)
 
 
 def pairwise(spec: MeasureSpec, A, B) -> np.ndarray:
     """Measure evaluated between every row of A (n, M) and of B (P, M).
 
-    Returns an (n, P) array; row i column p is spec.distance(A[i], B[p]).
+    Returns an (n, P) array whose row i, column p is the measure between
+    A[i] and B[p].
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))

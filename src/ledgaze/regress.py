@@ -1,6 +1,6 @@
 """Gaze estimation by kernel regression over a calibration matrix.
 
-Two estimators share the same similarity-vector machinery:
+Two estimators share the same kernel machinery (``kernels.pairwise``):
 
   - GPR: solve (C + eps*I) z = k and return e = z . U, where C holds the
     pairwise measure values between stored calibration vectors and k holds
@@ -20,7 +20,6 @@ from scipy.linalg import lu_factor, lu_solve
 from .core import (
     CalibrationSet,
     ConfigError,
-    DimensionError,
     EstimationError,
     GazeEstimate,
     ScreenPoint,
@@ -31,23 +30,15 @@ JITTER_CAP = 1e-2
 _SUM_EPS = 1e-300  # below this, normalized SVR weights are considered vanished
 
 
-def similarity_vector(frame_vector, calibration: CalibrationSet, measure: MeasureSpec) -> np.ndarray:
-    """Measure values between one frame vector and every calibration entry."""
-    vec = np.asarray(frame_vector, dtype=float).reshape(-1)
-    if vec.shape[0] != calibration.channel_count:
-        raise DimensionError(
-            f"frame has {vec.shape[0]} channels, calibration has {calibration.channel_count}"
-        )
-    return pairwise(measure, vec[None, :], calibration.means)[0]
+def _require_finite(X: np.ndarray, E: np.ndarray) -> None:
+    """Raise instead of returning a number for a non-finite frame or estimate.
 
-
-def augment(calibration: CalibrationSet, frame_vector, true_target: ScreenPoint) -> CalibrationSet:
-    """Calibration set with one appended (measurement, target) entry.
-
-    Model objects caching a factorization of C must be rebuilt from the
-    returned set.
+    Checking the frames as well as the estimates matters: an infinite reading
+    drives every RBF similarity to zero, which yields a finite but meaningless
+    estimate.
     """
-    return calibration.append(frame_vector, true_target)
+    if not (np.isfinite(X).all() and np.isfinite(E).all()):
+        raise EstimationError("frame or gaze estimate is not finite")
 
 
 class GprModel:
@@ -100,8 +91,7 @@ class GprModel:
         K = pairwise(self.measure, X, self.calibration.means)  # (n, P)
         Z = lu_solve(self._lu, K.T, check_finite=False)  # (P, n)
         E = Z.T @ self.calibration.targets  # (n, 2)
-        if not np.all(np.isfinite(E)):
-            raise EstimationError("gaze estimate is not finite")
+        _require_finite(X, E)
         return E
 
     def estimate(self, frame_vector, timestamp_us: int = 0) -> GazeEstimate:
@@ -110,7 +100,7 @@ class GprModel:
 
     def augmented(self, frame_vector, true_target: ScreenPoint) -> "GprModel":
         """New model over the augmented calibration set (refactorized)."""
-        return GprModel(augment(self.calibration, frame_vector, true_target),
+        return GprModel(self.calibration.append(frame_vector, true_target),
                         self.measure, self.jitter)
 
 
@@ -143,6 +133,7 @@ class SvrModel:
                     "all similarity weights vanished; sigma too small for this frame"
                 )
             E = E / s[:, None]
+        _require_finite(X, E)
         return E
 
     def estimate(self, frame_vector, timestamp_us: int = 0) -> GazeEstimate:
@@ -150,7 +141,7 @@ class SvrModel:
         return GazeEstimate(timestamp_us, ScreenPoint(float(e[0]), float(e[1])), self.name)
 
     def augmented(self, frame_vector, true_target: ScreenPoint) -> "SvrModel":
-        return SvrModel(augment(self.calibration, frame_vector, true_target),
+        return SvrModel(self.calibration.append(frame_vector, true_target),
                         self.sigma, self.normalize, self.measure.rbf_squared)
 
 

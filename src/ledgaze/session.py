@@ -9,6 +9,7 @@ session seed, so every artifact is replayable bit for bit.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, fields
@@ -28,9 +29,10 @@ from .eyesim import (
     SimConfig,
     SubjectProfile,
     apply_shift,
+    run_script,
 )
 from .kernels import MeasureSpec
-from .regress import GprModel, SvrModel, augment
+from .regress import GprModel, SvrModel
 
 CONFIG_VERSION = 1
 LOG_VERSION = 1
@@ -42,6 +44,12 @@ def derive_seed(*parts: int) -> int:
     """Stable child seed for a subsystem, derived from integer labels."""
     ss = np.random.SeedSequence([int(p) for p in parts])
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+def _check_version(name: str, found, supported: int) -> None:
+    """Reject files written by a newer format than this code reads."""
+    if not isinstance(found, int) or found > supported:
+        raise ConfigError(f"{name} {found!r} is not readable here (newest supported: {supported})")
 
 
 def iir_settle_frames(alpha: float, attenuation: float) -> int:
@@ -189,6 +197,7 @@ class SessionConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SessionConfig":
+        _check_version("config_version", d.get("config_version", CONFIG_VERSION), CONFIG_VERSION)
         known = {f.name for f in fields(cls)}
         kwargs = {k: v for k, v in d.items() if k in known}
         if "sigma_grid" in kwargs:
@@ -204,9 +213,7 @@ class SessionConfig:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
 
     def replace(self, **kw) -> "SessionConfig":
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d.update(kw)
-        return SessionConfig(**d)
+        return dataclasses.replace(self, **kw)
 
 
 @dataclass
@@ -260,7 +267,7 @@ def augmentation_phase(config: SessionConfig, subject: SubjectProfile,
         target = ScreenPoint(float(rng.uniform(m, geom.width - m)),
                              float(rng.uniform(m, geom.height - m)))
         samples = source.acquire(target)
-        calibration = augment(calibration, samples.mean(axis=0), target)
+        calibration = calibration.append(samples.mean(axis=0), target)
     return calibration
 
 
@@ -274,14 +281,9 @@ def evaluation_phase(config: SessionConfig, subject: SubjectProfile,
         (int(config.eval_fixation_min_ms * 1000), int(config.eval_fixation_max_ms * 1000)),
         subject.blink_rate_per_min,
     )
-    sim_cfg = config.sim_config()
-    if script.duration_us < sim_cfg.cycle_us(layout):
-        raise ConfigError("evaluation script shorter than one capture cycle")
-    first = next(ev.target for ev in script.events if ev.target is not None)
-    engine = EyeSimulator(layout, subject, sim_cfg, derive_seed(seed, 42), start_target=first)
-    for ev in script.events:
-        engine.run_event(ev)
-    return engine.snapshot(extra_meta={"phase": "evaluation", "config": config.to_dict()})
+    log = run_script(layout, subject, script, config.sim_config(), derive_seed(seed, 42))
+    log.meta.update({"phase": "evaluation", "config": config.to_dict()})
+    return log
 
 
 def run_benchmark_session(config: SessionConfig,
@@ -341,7 +343,7 @@ def read_session_log(path):
             rec = json.loads(line)
             kind = rec.pop("type")
             if kind == "meta":
-                rec.pop("log_version", None)
+                _check_version("log_version", rec.pop("log_version", LOG_VERSION), LOG_VERSION)
                 meta = rec
             elif kind == "calibration":
                 cal = CalibrationSet.from_dict(rec)

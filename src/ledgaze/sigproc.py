@@ -68,11 +68,6 @@ class CaptureSchedule:
         return cls(steps, "prototype2")
 
 
-def next_capture(schedule: CaptureSchedule, step_index: int) -> tuple[int, frozenset[int]]:
-    """Sensing channel and illuminator set for a global step counter."""
-    return schedule.steps[step_index % schedule.cycle_length]
-
-
 @dataclass(frozen=True)
 class ExposureState:
     """Per-channel exposure times in microseconds, bounded to [lo, hi]."""
@@ -165,14 +160,3 @@ class IirFilter:
         self.state = out[-1].copy()
         return out
 
-
-def iir_step(filt: IirFilter, frame) -> np.ndarray:
-    """Functional wrapper over IirFilter.step."""
-    return filt.step(frame)
-
-
-def full_frame_rate_hz(step_duration_us: float, channels_per_chain: int) -> float:
-    """Complete-vector rate for one time-multiplexed chain."""
-    if step_duration_us <= 0 or channels_per_chain < 1:
-        raise ConfigError("step duration and channel count must be positive")
-    return 1e6 / (step_duration_us * channels_per_chain)

@@ -18,13 +18,21 @@ frames but never produces a mis-decoded one.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .core import ADC_MAX, SensorFrame, WireError
 
 SYNC = 0xAA
 HEADER_LEN = 6  # sync + count + timestamp
 TIMESTAMP_MOD = 1 << 32
+
+
+def _checksum(data) -> int:
+    """XOR of every byte."""
+    checksum = 0
+    for b in data:
+        checksum ^= b
+    return checksum
 
 
 def encode(frame: SensorFrame) -> bytes:
@@ -38,10 +46,7 @@ def encode(frame: SensorFrame) -> bytes:
     body = struct.pack(
         f"<BBI{m}H", SYNC, m, frame.timestamp_us % TIMESTAMP_MOD, *frame.channels
     )
-    checksum = 0
-    for b in body:
-        checksum ^= b
-    return body + bytes([checksum])
+    return body + bytes([_checksum(body)])
 
 
 def frame_length(channel_count: int) -> int:
@@ -57,13 +62,7 @@ class DecodeStats:
     resyncs: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "frames_decoded": self.frames_decoded,
-            "bytes_skipped": self.bytes_skipped,
-            "checksum_failures": self.checksum_failures,
-            "invalid_fields": self.invalid_fields,
-            "resyncs": self.resyncs,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -98,7 +97,7 @@ class StreamDecoder:
             frame = self._scan_one()
             if frame is not None:
                 frames.append(frame)
-            else:
+            elif self._buf:  # a header that claims more bytes than are left
                 self._skip(1, resync=True)
         if self._buf:
             self._skip(len(self._buf))
@@ -132,10 +131,7 @@ class StreamDecoder:
             if len(buf) < need:
                 return None  # wait for more data
             candidate = bytes(buf[:need])
-            checksum = 0
-            for b in candidate[:-1]:
-                checksum ^= b
-            if checksum != candidate[-1]:
+            if _checksum(candidate[:-1]) != candidate[-1]:
                 self.stats.checksum_failures += 1
                 self._skip(1, resync=True)
                 continue

@@ -1,9 +1,10 @@
 """Independent brute-force oracles, deliberately free of numpy.linalg.
 
-The regression oracle rebuilds the whole estimate path in plain Python:
-scalar weighted-norm distances, dense matrix assembly, Gaussian elimination
-with partial pivoting, and the final weighted target sums. It shares no code
-with the production path it checks.
+The distance oracles evaluate each of the five measures one pair at a time
+in plain Python. The regression oracle rebuilds the whole estimate path the
+same way: scalar weighted-norm distances, dense matrix assembly, Gaussian
+elimination with partial pivoting, and the final weighted target sums. None
+of it shares code with the production path it checks.
 """
 
 import math
@@ -16,6 +17,33 @@ def minkowski_scalar(a, b, m=2.0, w=None):
     for ai, bi, wi in zip(a, b, w):
         total += wi * abs(ai - bi) ** m
     return total ** (1.0 / m)
+
+
+def rbf_scalar(a, b, sigma, squared=False):
+    d = math.sqrt(sum((ai - bi) ** 2 for ai, bi in zip(a, b)))
+    if squared:
+        d = d * d
+    return math.exp(-d / (2.0 * sigma * sigma))
+
+
+def cosine_scalar(a, b):
+    dot = sum(ai * bi for ai, bi in zip(a, b))
+    na = math.sqrt(sum(ai * ai for ai in a))
+    nb = math.sqrt(sum(bi * bi for bi in b))
+    return 1.0 - dot / (na * nb)
+
+
+def manhattan_scalar(a, b):
+    return sum(abs(ai - bi) for ai, bi in zip(a, b))
+
+
+def canberra_scalar(a, b):
+    total = 0.0
+    for ai, bi in zip(a, b):
+        den = abs(ai) + abs(bi)
+        if den != 0.0:
+            total += abs(ai - bi) / den
+    return total
 
 
 def gauss_solve(A, b):

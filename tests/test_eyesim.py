@@ -21,6 +21,7 @@ from ledgaze.eyesim import (
 )
 from ledgaze.kernels import MeasureSpec
 from ledgaze.regress import GprModel
+from ledgaze.sigproc import ExposureState, adapt_exposure
 
 GEOM = DisplayGeometry(800, 600)
 OPTICS = OpticsModel()
@@ -351,6 +352,39 @@ def test_exposure_compensation_keeps_processed_scale():
                             np.array([[150.0, 300.0]]))[0]
     assert expected.max() > 1.0  # would clip without adaptation
     assert np.allclose(log.proc[-1], expected, atol=0.01)
+
+
+@pytest.mark.parametrize("make_layout,exposure_us", [
+    (LedLayout.prototype1, 400.0),
+    (LedLayout.prototype2, 1600.0),  # saturates: exposures halve
+    (LedLayout.prototype1, 25.0),    # starved: exposures double
+], ids=["prototype1-400us", "prototype2-1600us", "prototype1-25us"])
+def test_engine_block_path_matches_sense_and_adapt_exposure(make_layout, exposure_us):
+    # Differential check of the engine's block exposure/optics path against
+    # the one-channel reference: sense() at the current exposure, then
+    # adapt_exposure(), frame by frame and channel by channel.
+    lay = make_layout()
+    subj = quiet_subject(seed=3, layout=lay)
+    config = SimConfig(geom=GEOM, exposure_init_us=exposure_us)
+    points = [ScreenPoint(150, 120), ScreenPoint(650, 480), ScreenPoint(400, 300),
+              ScreenPoint(700, 100)]
+    log = run_script(lay, subj, GazeScript.fixations(points, 200_000), config, seed=8)
+    assert log.n_frames == 80
+    state = ExposureState.uniform(lay.total_channels, exposure_us,
+                                  config.exposure_min_us, config.exposure_max_us)
+    steps = lay.schedule().steps
+    adaptations = 0
+    for i in range(log.n_frames):
+        gaze = ScreenPoint(*log.gaze[i])
+        for ch in range(lay.total_channels):
+            illum = steps[ch % lay.channels_per_eye][1]
+            reading = sense(lay, subj, GEOM, gaze, ch, illum, state.exposures_us[ch],
+                            optics=config.optics)
+            assert log.raw[i, ch] == reading, (i, ch)
+            adapted = adapt_exposure(state, ch, reading)
+            adaptations += adapted is not state
+            state = adapted
+    assert adaptations > 0
 
 
 def test_engine_rejects_gain_count_mismatch():

@@ -14,7 +14,21 @@ from ledgaze.kernels import (
     rbf,
 )
 
-from oracles import minkowski_scalar
+from oracles import (
+    canberra_scalar,
+    cosine_scalar,
+    manhattan_scalar,
+    minkowski_scalar,
+    rbf_scalar,
+)
+
+ORACLES = {
+    "minkowski": lambda a, b, spec: minkowski_scalar(a, b, spec.m, spec.weights),
+    "rbf": lambda a, b, spec: rbf_scalar(a, b, spec.sigma, spec.rbf_squared),
+    "cosine": lambda a, b, spec: cosine_scalar(a, b),
+    "manhattan": lambda a, b, spec: manhattan_scalar(a, b),
+    "canberra": lambda a, b, spec: canberra_scalar(a, b),
+}
 
 
 def test_minkowski_euclidean_345():
@@ -174,7 +188,24 @@ def test_pairwise_matches_scalar(kind, kw):
     assert K.shape == (9, 5)
     for i in range(9):
         for j in range(5):
-            assert K[i, j] == pytest.approx(spec.distance(A[i], B[j]), rel=1e-12, abs=1e-12)
+            expected = ORACLES[kind](list(A[i]), list(B[j]), spec)
+            assert K[i, j] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLES))
+def test_pairwise_matches_oracle_with_zero_coordinates(kind):
+    # Zero coordinates hit canberra's 0/0 convention; rows stay non-zero for cosine.
+    rng = np.random.default_rng(18)
+    A = rng.uniform(0.0, 1, (6, 5)) * (rng.random((6, 5)) < 0.6)
+    B = rng.uniform(0.0, 1, (4, 5)) * (rng.random((4, 5)) < 0.6)
+    A[:, 0] = B[:, 0] = 0.5
+    spec = (MeasureSpec(kind=kind, m=1.5, weights=(1.0, 0.2, 0.0, 2.0, 0.7))
+            if kind == "minkowski" else MeasureSpec(kind=kind))
+    K = pairwise(spec, A, B)
+    for i in range(6):
+        for j in range(4):
+            expected = ORACLES[kind](list(A[i]), list(B[j]), spec)
+            assert K[i, j] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_pairwise_dimension_error():

@@ -10,14 +10,8 @@ from ledgaze.core import (
     EstimationError,
     ScreenPoint,
 )
-from ledgaze.kernels import MeasureSpec
-from ledgaze.regress import (
-    GprModel,
-    SvrModel,
-    augment,
-    grid_search_sigma,
-    similarity_vector,
-)
+from ledgaze.kernels import MeasureSpec, pairwise
+from ledgaze.regress import GprModel, SvrModel, grid_search_sigma
 
 from oracles import gpr_oracle
 
@@ -30,26 +24,30 @@ def _random_calibration(rng, P, M, spread=600.0):
     return CalibrationSet(means, targets)
 
 
-# -- similarity vector ---------------------------------------------------------
+# -- similarity vector: measure values between one frame and every entry ------
+
+
+def _similarity(frame, cal):
+    return pairwise(MINK, np.asarray(frame, dtype=float)[None, :], cal.means)[0]
 
 
 def test_similarity_vector_zero_at_matching_entry():
     rng = np.random.default_rng(21)
     cal = _random_calibration(rng, 6, 4)
-    k = similarity_vector(cal.means[3], cal, MINK)
+    k = _similarity(cal.means[3], cal)
     assert k.shape == (6,)
     assert k[3] == 0.0
 
 
 def test_similarity_vector_single_entry():
     cal = CalibrationSet([[0.5, 0.5]], [[10, 10]])
-    k = similarity_vector([0.1, 0.1], cal, MINK)
+    k = _similarity([0.1, 0.1], cal)
     assert k.shape == (1,)
 
 
 def test_similarity_vector_hand_values():
     cal = CalibrationSet([[0, 0], [3, 4]], [[0, 0], [1, 1]])
-    k = similarity_vector([1.0, 1.0], cal, MINK)
+    k = _similarity([1.0, 1.0], cal)
     assert k[0] == pytest.approx(math.sqrt(2))
     assert k[1] == pytest.approx(math.sqrt(13))
 
@@ -57,7 +55,10 @@ def test_similarity_vector_hand_values():
 def test_similarity_vector_dimension_error():
     cal = CalibrationSet([[0.1, 0.2]], [[0, 0]])
     with pytest.raises(DimensionError):
-        similarity_vector([0.1, 0.2, 0.3], cal, MINK)
+        _similarity([0.1, 0.2, 0.3], cal)
+    for model in (GprModel(cal, MINK), SvrModel(cal, sigma=0.3)):
+        with pytest.raises(DimensionError):
+            model.estimate([0.1, 0.2, 0.3])
 
 
 # -- GPR -----------------------------------------------------------------------
@@ -258,21 +259,44 @@ def test_grid_search_argument_errors():
         grid_search_sigma(cal, [([0.1, 0.1], ScreenPoint(0, 0))], [-1.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("make", [
+    lambda cal: GprModel(cal, MINK),
+    lambda cal: GprModel(cal, MeasureSpec(kind="rbf", sigma=0.3)),
+    lambda cal: SvrModel(cal, sigma=0.3),
+    lambda cal: SvrModel(cal, sigma=0.3, normalize=False),
+], ids=["gpr", "gpr-rbf", "svr", "svr-unnormalized"])
+def test_non_finite_frame_raises(make, bad):
+    rng = np.random.default_rng(36)
+    model = make(_random_calibration(rng, 8, 4))
+    frame = rng.uniform(0, 1, 4)
+    frame[1] = bad
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(EstimationError):
+            model.estimate_batch(frame[None, :])
+
+
 # -- augmentation -----------------------------------------------------------------
 
 
 def test_augment_appends_one_entry():
     rng = np.random.default_rng(33)
     cal = _random_calibration(rng, 16, 4)
-    grown = augment(cal, rng.uniform(0, 1, 4), ScreenPoint(1, 2))
+    vec = rng.uniform(0, 1, 4)
+    grown = cal.append(vec, ScreenPoint(1, 2))
     assert grown.point_count == 17
+    assert cal.point_count == 16
+    assert np.array_equal(grown.means[-1], vec)
+    assert np.array_equal(grown.targets[-1], [1.0, 2.0])
+    with pytest.raises(DimensionError):
+        cal.append(rng.uniform(0, 1, 5), ScreenPoint(1, 2))
 
 
 def test_augment_sixteen_plus_sixtysix_is_eightytwo():
     rng = np.random.default_rng(34)
     cal = _random_calibration(rng, 16, 4)
     for _ in range(66):
-        cal = augment(cal, rng.uniform(0, 1, 4), ScreenPoint(3, 4))
+        cal = cal.append(rng.uniform(0, 1, 4), ScreenPoint(3, 4))
     assert cal.point_count == 82
 
 
@@ -280,6 +304,6 @@ def test_augment_duplicate_entry_barely_perturbs_estimates():
     rng = np.random.default_rng(35)
     cal = _random_calibration(rng, 12, 6)
     m1 = GprModel(cal, MINK)
-    m2 = GprModel(augment(cal, cal.means[3], ScreenPoint(*cal.targets[3])), MINK)
+    m2 = m1.augmented(cal.means[3], ScreenPoint(*cal.targets[3]))
     X = rng.uniform(0, 1, (50, 6))
     assert np.max(np.abs(m1.estimate_batch(X) - m2.estimate_batch(X))) < 1e-4

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from ledgaze.core import ConfigError, ScreenPoint
+from ledgaze.core import ConfigError, ScreenPoint, SensorFrame
 from ledgaze.eyesim import GazeScript, LedLayout, run_script, SimConfig
 from ledgaze.session import (
+    CONFIG_VERSION,
+    LOG_VERSION,
     SessionConfig,
     SimulatorDwellSource,
     augmentation_phase,
@@ -41,6 +43,12 @@ def test_config_roundtrip_json(tmp_path):
 def test_config_from_dict_ignores_unknown_keys():
     cfg = SessionConfig.from_dict({"seed": 3, "future_field": "whatever"})
     assert cfg.seed == 3
+
+
+def test_config_from_dict_rejects_newer_version():
+    assert SessionConfig.from_dict({"config_version": CONFIG_VERSION, "seed": 3}).seed == 3
+    with pytest.raises(ConfigError):
+        SessionConfig.from_dict({"config_version": CONFIG_VERSION + 1, "seed": 3})
 
 
 def test_config_validation():
@@ -149,17 +157,32 @@ def test_read_session_log_requires_frames(tmp_path):
         read_session_log(path)
 
 
+def test_read_session_log_rejects_newer_version(tmp_path):
+    cfg = small_config()
+    log = evaluation_phase(cfg, cfg.subject(), cfg.layout(), cfg.seed)
+    path = tmp_path / "session.jsonl"
+    write_session_log(log, path)
+    lines = path.read_text().splitlines(keepends=True)
+    meta = json.loads(lines[0])
+    assert meta["log_version"] == LOG_VERSION
+    meta["log_version"] = LOG_VERSION + 1
+    path.write_text(json.dumps(meta) + "\n" + "".join(lines[1:]))
+    with pytest.raises(ConfigError):
+        read_session_log(path)
+
+
 def test_timestamps_strictly_increase():
     cfg = small_config()
     log = evaluation_phase(cfg, cfg.subject(), cfg.layout(), cfg.seed)
     assert np.all(np.diff(log.t_us) > 0)
 
 
-def test_log_sensor_frames_iteration():
+def test_log_raw_rows_are_sensor_frames():
     cfg = small_config()
     lay = cfg.layout()
     script = GazeScript.fixations([ScreenPoint(400, 300)], 100_000)
     log = run_script(lay, cfg.subject(), script, cfg.sim_config(), seed=0)
-    frames = list(log.sensor_frames())
+    frames = [SensorFrame(int(t), tuple(int(v) for v in row))
+              for t, row in zip(log.t_us, log.raw)]
     assert len(frames) == log.n_frames
     assert frames[0].channel_count == 12

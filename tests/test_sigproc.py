@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from ledgaze.core import ConfigError
+from ledgaze.core import ConfigError, DisplayGeometry
+from ledgaze.eyesim import LedLayout, SimConfig
 from ledgaze.sigproc import (
     CaptureSchedule,
     ExposureState,
     IirFilter,
     adapt_exposure,
-    full_frame_rate_hz,
-    iir_step,
-    next_capture,
 )
 
 from oracles import iir_reference
@@ -20,7 +18,7 @@ from oracles import iir_reference
 
 def test_prototype2_step_zero_illuminates_all_others():
     sched = CaptureSchedule.prototype2(6)
-    ch, illum = next_capture(sched, 0)
+    ch, illum = sched.steps[0]
     assert ch == 0
     assert illum == frozenset({1, 2, 3, 4, 5})
 
@@ -34,17 +32,19 @@ def test_prototype1_pair_shares_group_illuminator():
 
 
 def test_schedule_periodicity():
-    sched = CaptureSchedule.prototype2(6)
-    for step in range(10):
-        assert next_capture(sched, step) == next_capture(sched, step + sched.cycle_length)
+    # One frame is one full schedule cycle, repeated frame after frame.
+    config = SimConfig(DisplayGeometry(800, 600), step_us=1000)
+    for layout in (LedLayout.prototype1(), LedLayout.prototype2()):
+        sched = layout.schedule()
+        assert sched.cycle_length == layout.channels_per_eye
+        assert config.cycle_us(layout) == 1000 * sched.cycle_length
 
 
 def test_schedule_fairness_over_cycles():
     for sched in (CaptureSchedule.prototype1(), CaptureSchedule.prototype2(6)):
         k = 5
         counts = {}
-        for step in range(k * sched.cycle_length):
-            ch, _ = next_capture(sched, step)
+        for ch, _ in sched.steps * k:
             counts[ch] = counts.get(ch, 0) + 1
         assert all(c == k for c in counts.values())
         assert len(counts) == sched.cycle_length
@@ -192,9 +192,13 @@ def test_iir_matches_reference_filter():
     assert got == pytest.approx(ref, rel=1e-12)
 
 
-def test_iir_step_function_wrapper():
+def test_iir_step_first_frame_passes_through():
     f = IirFilter(0.5)
-    assert np.array_equal(iir_step(f, np.array([2.0])), np.array([2.0]))
+    x = np.array([2.0])
+    y = f.step(x)
+    assert np.array_equal(y, x)
+    y[0] = 5.0  # the returned state is a copy
+    assert np.array_equal(f.step(np.array([4.0])), np.array([3.0]))
 
 
 def test_iir_alpha_validation():
@@ -208,10 +212,15 @@ def test_iir_alpha_validation():
 
 def test_default_frame_rate_meets_100hz():
     # default step of 1666 us across a 6-channel chain
-    assert full_frame_rate_hz(1666, 6) >= 100.0
+    config = SimConfig(DisplayGeometry(800, 600))
+    for layout in (LedLayout.prototype1(), LedLayout.prototype2()):
+        assert 1e6 / config.cycle_us(layout) >= 100.0
 
 
-def test_frame_rate_formula():
-    assert full_frame_rate_hz(1000, 10) == pytest.approx(100.0)
+def test_cycle_time_formula():
+    config = SimConfig(DisplayGeometry(800, 600), step_us=1000)
+    # The two eyes' chains run in parallel, so a second eye adds no time.
+    assert config.cycle_us(LedLayout.prototype1(eyes=1)) == 6000
+    assert config.cycle_us(LedLayout.prototype1(eyes=2)) == 6000
     with pytest.raises(ConfigError):
-        full_frame_rate_hz(0, 6)
+        SimConfig(DisplayGeometry(800, 600), step_us=0)

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ledgaze.core import SensorFrame, WireError
 from ledgaze.wire import (
@@ -167,3 +168,43 @@ def test_unwrap_timestamp_monotonic_reconstruction():
     # raw wrapped around: 2**32 + 3 appears as 3
     assert unwrap_timestamp(3, 2**32 - 10) == 2**32 + 3
     assert unwrap_timestamp(3, 2 * 2**32 - 1) == 2 * 2**32 + 3
+
+
+# -- decoder properties over arbitrary bytes and chunk splits -------------------
+
+_frames = st.builds(
+    SensorFrame,
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(0, 1023), min_size=1, max_size=16).map(tuple),
+)
+
+
+@st.composite
+def _flipped(draw):
+    blob = bytearray(encode(draw(_frames)))
+    bit = draw(st.integers(0, len(blob) * 8 - 1))
+    blob[bit // 8] ^= 1 << (bit % 8)
+    return bytes(blob)
+
+
+# Plain random bytes, or valid and bit-flipped frames mixed with garbage.
+_streams = st.one_of(
+    st.binary(max_size=300),
+    st.lists(st.one_of(st.binary(max_size=6), _frames.map(encode), _flipped()),
+             max_size=12).map(b"".join),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(data=_streams, cuts=st.lists(st.integers(0, 400), max_size=8))
+def test_decoder_chunked_feed_matches_one_shot_and_accounts_every_byte(data, cuts):
+    bounds = [0, *sorted(c for c in cuts if c <= len(data)), len(data)]
+    dec = StreamDecoder()
+    frames = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        frames.extend(dec.feed(data[lo:hi]))
+    frames.extend(dec.finish())
+    whole, stats = decode(data)
+    assert frames == whole
+    assert dec.stats == stats
+    assert stats.bytes_skipped + sum(frame_length(f.channel_count) for f in frames) == len(data)
