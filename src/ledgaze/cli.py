@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ScreenPoint, SensorFrame
+from .core import SensorFrame
 from .evaluate import (
     SCENARIOS,
     compare_estimators,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -263,7 +264,7 @@ class SimConfig:
     exposure_min_us: float = 25.0
     exposure_max_us: float = 1600.0
     optics: OpticsModel = OpticsModel()
-    adapt_block_frames: int = 256  # exposure adaptation granularity
+    adapt_block_frames: int = 256  # frames simulated per batch; exposure still adapts per frame
 
     def __post_init__(self):
         if self.step_us <= 0:
@@ -383,55 +384,23 @@ class EyeSimulator:
     def _sense_block(self, gaze_xy: np.ndarray, blink_blend: np.ndarray):
         """Quantized ADC readings plus per-frame exposure scales, (n, M).
 
-        Exposure adapts after every capture, exactly as the one-channel
-        adapt_exposure rule. Blocks whose readings stay clear of both
-        adaptation thresholds take a vectorized shortcut; anything near the
-        thresholds replays the same signal and noise frame by frame so the
-        exposure recurrence is honored.
+        The block is a simulation batch, not an adaptation granularity: its
+        optics and noise are drawn up front, and ``expose_block`` applies the
+        exposure rule after every capture, exactly as adapt_exposure does
+        frame by frame.
         """
         optics = self.config.optics
-        n = gaze_xy.shape[0]
         clean = clean_signal(self.layout, self.subject, self.geom, optics, self.schedule, gaze_xy)
         if self.subject.noise_std > 0:
             noise = self._noise_rng.normal(0.0, self.subject.noise_std, clean.shape)
         else:
             noise = np.zeros_like(clean)
-        exp = self.exposure.as_array()
         emin, emax = self.exposure.exp_min_us, self.exposure.exp_max_us
-        ref = optics.reference_exposure_us
-
-        def mix(pre_rows, scale, b):
-            if np.any(b > 0):
-                eyelid = optics.eyelid_level * scale
-                pre_rows = (1.0 - b) * pre_rows + b * eyelid
-            return pre_rows
-
-        # Shortcut: with the current exposure held, would any reading touch
-        # an adaptation threshold it could act on?
-        scale0 = exp / ref
-        pre = mix(clean * scale0[None, :], scale0[None, :], blink_blend[:, None])
-        raw = np.rint(np.clip(pre + noise, 0.0, 1.0) * ADC_MAX).astype(np.int64)
-        high = (raw >= SATURATION_HIGH) & (exp > emin)[None, :]
-        low = (raw <= SATURATION_LOW) & (exp < emax)[None, :]
-        if not (high.any() or low.any()):
-            return raw, np.broadcast_to(scale0, raw.shape).copy()
-
-        raws = np.empty_like(raw)
-        scales = np.empty_like(clean)
-        exp = exp.copy()
-        for i in range(n):
-            scale = exp / ref
-            pre_i = mix(clean[i] * scale, scale, blink_blend[i])
-            r = np.rint(np.clip(pre_i + noise[i], 0.0, 1.0) * ADC_MAX).astype(np.int64)
-            raws[i] = r
-            scales[i] = scale
-            hi = r >= SATURATION_HIGH
-            lo = r <= SATURATION_LOW
-            if hi.any() or lo.any():
-                exp = np.where(hi, exp / 2.0, np.where(lo, exp * 2.0, exp))
-                np.clip(exp, emin, emax, out=exp)
+        raw, scales, exp = expose_block(clean, noise, blink_blend, self.exposure.as_array(),
+                                        emin, emax, optics.reference_exposure_us,
+                                        optics.eyelid_level)
         self.exposure = ExposureState(tuple(float(e) for e in exp), emin, emax)
-        return raws, scales
+        return raw, scales
 
     # -- session loop -------------------------------------------------------
 
@@ -554,31 +523,58 @@ def _eye_frame(layout: LedLayout, subject: SubjectProfile, geom: DisplayGeometry
     return dirs, v, vdotn
 
 
-def _lobe_sum(dirs, v, vdotn, sensing_led: int, illuminators, q: float) -> np.ndarray:
-    """Summed cosine-lobe response at one sensing LED, (n,) pre-gain."""
-    acc = np.zeros(dirs.shape[0])
-    v_ch = v[:, sensing_led, :]
-    for j in sorted(illuminators):
-        # Mirror-reflect the ray arriving from LED j about the corneal
-        # normal, then score alignment with the sensing LED direction.
-        r = 2.0 * vdotn[:, j, None] * dirs - v[:, j, :]
-        cos_beta = np.clip(np.einsum("nk,nk->n", r, v_ch), -1.0, 1.0)
-        acc += ((1.0 + cos_beta) / 2.0) ** q
+@lru_cache(maxsize=64)
+def _lobe_pairs(steps: tuple) -> tuple:
+    """Lit (sensing LED, illuminator) pairs of a capture cycle, cached per cycle.
+
+    Returns the pairs' sensing and illuminating ring indices, (P,) each, and
+    for each rank r the pairs that are the r-th illuminator of their step in
+    ascending order, with those steps' indices. All arrays are read-only.
+    """
+    table = np.array([(led, j, step, rank) for step, (led, illum) in enumerate(steps)
+                      for rank, j in enumerate(sorted(illum))], dtype=np.intp).reshape(-1, 4)
+    led, illum, step, rank = table.T
+    ranks = tuple((np.flatnonzero(rank == r), step[rank == r]) for r in range(rank.max(initial=-1) + 1))
+    for arr in (led, illum, *sum(ranks, ())):
+        arr.flags.writeable = False
+    return led, illum, ranks
+
+
+def _lobe_sums(layout: LedLayout, subject: SubjectProfile, geom: DisplayGeometry,
+               gaze_xy: np.ndarray, eye: int, steps: tuple, q: float) -> np.ndarray:
+    """Summed cosine-lobe response of each step's sensing LED, (n, steps) pre-gain."""
+    dirs, v, vdotn = _eye_frame(layout, subject, geom, gaze_xy, eye)
+    led, illum, ranks = _lobe_pairs(steps)
+    # Mirror-reflect the ray arriving from each illuminator about the corneal
+    # normal, then score alignment with the sensing LED direction.
+    r = 2.0 * vdotn[:, illum, None] * dirs[:, None, :] - v[:, illum, :]
+    cos_beta = np.clip(np.einsum("npk,npk->np", r, v[:, led, :]), -1.0, 1.0)
+    lobes = ((1.0 + cos_beta) / 2.0) ** q
+    acc = np.zeros((gaze_xy.shape[0], len(steps)))
+    for pair_idx, step_idx in ranks:  # ascending illuminator order fixes the sum's bits
+        acc[:, step_idx] += lobes[:, pair_idx]
     return acc
 
 
 def clean_signal(layout: LedLayout, subject: SubjectProfile, geom: DisplayGeometry,
                  optics: OpticsModel, schedule: CaptureSchedule,
                  gaze_xy: np.ndarray) -> np.ndarray:
-    """Noise-free pre-exposure channel response for each frame, (n, M)."""
-    out = np.empty((gaze_xy.shape[0], layout.total_channels), dtype=float)
+    """Noise-free pre-exposure channel response for each frame, (n, M).
+
+    Gaze holds still between switches, so the optics run once per run of
+    equal consecutive rows and the result is expanded back to every frame.
+    """
+    new_run = np.ones(gaze_xy.shape[0], dtype=bool)
+    new_run[1:] = np.any(gaze_xy[1:] != gaze_xy[:-1], axis=1)
+    points = gaze_xy[new_run]
+    gain = optics.signal_scale * np.asarray(subject.corneal_gain, dtype=float)
+    per_eye = layout.channels_per_eye
+    out = np.empty((points.shape[0], layout.total_channels), dtype=float)
     for eye in range(layout.eyes):
-        dirs, v, vdotn = _eye_frame(layout, subject, geom, gaze_xy, eye)
-        for step_idx, (ch_led, illum) in enumerate(schedule.steps):
-            ch = eye * layout.channels_per_eye + step_idx
-            acc = _lobe_sum(dirs, v, vdotn, ch_led, illum, optics.lobe_sharpness)
-            out[:, ch] = optics.signal_scale * subject.corneal_gain[ch] * acc
-    return out
+        cols = slice(eye * per_eye, (eye + 1) * per_eye)
+        out[:, cols] = gain[cols] * _lobe_sums(layout, subject, geom, points, eye,
+                                               schedule.steps, optics.lobe_sharpness)
+    return out[np.cumsum(new_run) - 1]
 
 
 def sense(layout: LedLayout, subject: SubjectProfile, geom: DisplayGeometry,
@@ -596,16 +592,54 @@ def sense(layout: LedLayout, subject: SubjectProfile, geom: DisplayGeometry,
     eye, step_idx = divmod(sensing_channel, layout.channels_per_eye)
     if eye >= layout.eyes:
         raise ConfigError(f"channel {sensing_channel} out of range")
-    ch_led = layout.sensing_indices[step_idx]
+    steps = ((layout.sensing_indices[step_idx], tuple(sorted(illuminators_on))),)
     gaze_xy = np.array([[gaze.x, gaze.y]], dtype=float)
-    dirs, v, vdotn = _eye_frame(layout, subject, geom, gaze_xy, eye)
-    acc = _lobe_sum(dirs, v, vdotn, ch_led, illuminators_on, optics.lobe_sharpness)[0]
+    acc = _lobe_sums(layout, subject, geom, gaze_xy, eye, steps, optics.lobe_sharpness)[0, 0]
     pre = optics.signal_scale * subject.corneal_gain[sensing_channel] * acc
     pre *= exposure_us / optics.reference_exposure_us
     if rng is not None and subject.noise_std > 0:
         pre += rng.normal(0.0, subject.noise_std)
     pre = min(max(pre, 0.0), 1.0)
     return int(np.rint(pre * ADC_MAX))
+
+
+def expose_block(clean: np.ndarray, noise: np.ndarray, blend: np.ndarray, exp: np.ndarray,
+                 emin: float, emax: float, ref: float, eyelid: float):
+    """Exposed, noisy, quantized readings of a block under the exposure rule.
+
+    ``clean`` and ``noise`` are (n, M), ``blend`` the (n,) eyelid closure and
+    ``exp`` the (M,) exposures before the first frame. Returns the int64 ADC
+    counts and each frame's exposure scale, both (n, M), and the exposures
+    after the last frame. Each pass reads every remaining frame at the
+    current exposures and keeps them up to the first frame where some
+    channel can adapt: a reading at or above SATURATION_HIGH with room to
+    halve, or at or below SATURATION_LOW with room to double. It applies
+    the rule to that frame's readings and goes on from the next frame, so it
+    loops once per exposure change plus once.
+    """
+    n = clean.shape[0]
+    raw = np.empty(clean.shape, dtype=np.int64)
+    scales = np.empty_like(clean)
+    exp = np.asarray(exp, dtype=float)
+    i = 0
+    while i < n:
+        scale = exp / ref
+        pre = clean[i:] * scale
+        b = blend[i:, None]
+        if np.any(b > 0):
+            pre = (1.0 - b) * pre + b * (eyelid * scale)
+        r = np.rint(np.clip(pre + noise[i:], 0.0, 1.0) * ADC_MAX).astype(np.int64)
+        hi = r >= SATURATION_HIGH
+        lo = r <= SATURATION_LOW
+        trips = np.flatnonzero(((hi & (exp > emin)) | (lo & (exp < emax))).any(axis=1))
+        k = trips[0] + 1 if trips.size else n - i
+        raw[i:i + k] = r[:k]
+        scales[i:i + k] = scale
+        if trips.size:
+            exp = np.clip(np.where(hi[k - 1], exp / 2.0, np.where(lo[k - 1], exp * 2.0, exp)),
+                          emin, emax)
+        i += k
+    return raw, scales, exp
 
 
 def run_script(layout: LedLayout, subject: SubjectProfile, script: GazeScript,

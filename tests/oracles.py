@@ -5,9 +5,21 @@ in plain Python. The regression oracle rebuilds the whole estimate path the
 same way: scalar weighted-norm distances, dense matrix assembly, Gaussian
 elimination with partial pivoting, and the final weighted target sums. None
 of it shares code with the production path it checks.
+
+The simulator oracles replay the optics and the exposure rule one frame,
+channel and illuminator at a time. Three primitives there are numpy's,
+called on single values: the tangent, the 3-term dot product and the power.
+numpy's vectorized kernels for them may fuse multiply-adds or use their own
+routines, so the math module can differ in the last bit, and these oracles
+are compared for exact equality.
 """
 
 import math
+
+import numpy as np
+
+from ledgaze.core import ADC_MAX
+from ledgaze.sigproc import SATURATION_HIGH, SATURATION_LOW
 
 
 def minkowski_scalar(a, b, m=2.0, w=None):
@@ -106,3 +118,78 @@ def mean_median_std(values):
         median = 0.5 * (ordered[n // 2 - 1] + ordered[n // 2])
     var = sum((v - mean) ** 2 for v in values) / n
     return mean, median, math.sqrt(var)
+
+
+def _dot3(a, b):
+    return float(np.einsum("k,k->", np.array(a), np.array(b)))
+
+
+def _unit(x):
+    n = math.sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
+    return [xi / n for xi in x]
+
+
+def clean_signal_oracle(layout, subject, geom, optics, gaze_xy):
+    """Noise-free channel responses, one frame, step and illuminator at a time.
+
+    Per eye, the gaze direction sets the corneal pole; the ray from each
+    illuminating LED is mirrored about the corneal normal and scored against
+    the sensing LED direction with a cosine lobe; lobes add up in ascending
+    illuminator order. Returns a list of rows, one value per channel.
+    """
+    dpp = math.radians(geom.degrees_per_pixel)
+    steps = layout.schedule().steps
+    rows = []
+    for gx, gy in gaze_xy:
+        row = []
+        for eye in range(layout.eyes):
+            mx = 1.0 if eye == 0 else -1.0
+            tx = float(np.tan((gx - geom.width / 2.0) * dpp)) * mx
+            ty = float(np.tan((gy - geom.height / 2.0) * dpp))
+            d = _unit([tx, ty, 1.0])
+            cx, cy = subject.eye_center(eye)
+            cornea = [d[0] * subject.eye_radius_mm + cx, d[1] * subject.eye_radius_mm + cy,
+                      d[2] * subject.eye_radius_mm]
+            to_led = [_unit([p[k] - cornea[k] for k in range(3)])
+                      for p in layout.led_positions(eye).tolist()]
+            for step, (sensing, illum) in enumerate(steps):
+                acc = 0.0
+                for j in sorted(illum):
+                    vn = _dot3(to_led[j], d)
+                    r = [2.0 * vn * d[k] - to_led[j][k] for k in range(3)]
+                    cos_beta = min(max(_dot3(r, to_led[sensing]), -1.0), 1.0)
+                    acc += float(np.power((1.0 + cos_beta) / 2.0, optics.lobe_sharpness))
+                ch = eye * layout.channels_per_eye + step
+                row.append(optics.signal_scale * subject.corneal_gain[ch] * acc)
+        rows.append(row)
+    return rows
+
+
+def exposure_replay(clean, noise, blend, exp, emin, emax, ref, eyelid):
+    """Exposed readings frame by frame, adapting after every frame.
+
+    Each channel's reading is its clean signal scaled by exposure / ref,
+    blended toward the eyelid level during a blink, plus noise, clamped to
+    [0, 1] and quantized; then a reading at or above SATURATION_HIGH halves
+    that channel's exposure and one at or below SATURATION_LOW doubles it,
+    clamped to [emin, emax]. Returns (raw, scales, exp) as nested lists.
+    """
+    exp = [float(e) for e in exp]
+    raw, scales = [], []
+    for c_row, n_row, b in zip(clean, noise, blend):
+        r_row, s_row = [], []
+        for ch, (c, z) in enumerate(zip(c_row, n_row)):
+            scale = exp[ch] / ref
+            pre = c * scale
+            if b > 0:
+                pre = (1.0 - b) * pre + b * (eyelid * scale)
+            r = round(min(max(pre + z, 0.0), 1.0) * ADC_MAX)
+            r_row.append(r)
+            s_row.append(scale)
+            if r >= SATURATION_HIGH:
+                exp[ch] = min(max(exp[ch] / 2.0, emin), emax)
+            elif r <= SATURATION_LOW:
+                exp[ch] = min(max(exp[ch] * 2.0, emin), emax)
+        raw.append(r_row)
+        scales.append(s_row)
+    return raw, scales, exp

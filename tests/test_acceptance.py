@@ -8,11 +8,10 @@ import time
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from ledgaze.cli import main
 from ledgaze.core import CalibrationSet, ScreenPoint, SensorFrame
-from ledgaze.eyesim import GazeScript, LedLayout, ScriptEvent, SubjectProfile, run_script
+from ledgaze.eyesim import GazeScript, ScriptEvent, run_script
 from ledgaze.evaluate import (
     compare_estimators,
     evaluate_accuracy,

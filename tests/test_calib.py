@@ -15,7 +15,6 @@ from ledgaze.core import (
     ConfigError,
     DisplayGeometry,
     InsufficientDataError,
-    ScreenPoint,
     SensorFrame,
 )
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ledgaze.core import ConfigError, InsufficientDataError, ScreenPoint
+from ledgaze.core import ConfigError, InsufficientDataError
 from ledgaze.evaluate import (
     evaluate_accuracy,
     excluded_mask,

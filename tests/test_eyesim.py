@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ledgaze.core import ConfigError, DisplayGeometry, ScreenPoint
 from ledgaze.eyesim import (
@@ -16,12 +17,14 @@ from ledgaze.eyesim import (
     SubjectProfile,
     apply_shift,
     clean_signal,
+    expose_block,
     run_script,
     sense,
 )
 from ledgaze.kernels import MeasureSpec
 from ledgaze.regress import GprModel
 from ledgaze.sigproc import ExposureState, adapt_exposure
+from oracles import clean_signal_oracle, exposure_replay
 
 GEOM = DisplayGeometry(800, 600)
 OPTICS = OpticsModel()
@@ -385,6 +388,86 @@ def test_engine_block_path_matches_sense_and_adapt_exposure(make_layout, exposur
             adaptations += adapted is not state
             state = adapted
     assert adaptations > 0
+
+
+def _gaze_block(kind, n=24, seed=0):
+    rng = np.random.default_rng(seed)
+    g = np.column_stack([rng.uniform(0, GEOM.width, n), rng.uniform(0, GEOM.height, n)])
+    if kind == "equal":
+        g[:] = g[0]
+    elif kind == "switch":
+        g[: n // 2] = g[0]
+        g[n // 2:] = g[-1]
+    return g
+
+
+@pytest.mark.parametrize("kind", ["distinct", "equal", "switch"])
+@pytest.mark.parametrize("eyes", [1, 2])
+@pytest.mark.parametrize("make_layout", [LedLayout.prototype1, LedLayout.prototype2],
+                         ids=["prototype1", "prototype2"])
+def test_clean_signal_matches_oracle(make_layout, eyes, kind):
+    # The batched pair kernel, computed once per run of equal gaze rows,
+    # equals the per-(step, illuminator) lobe sum bit for bit.
+    lay = make_layout(eyes=eyes, shift_mm=(0.7, -0.4))
+    subj = SubjectProfile.generate(11, channels=lay.total_channels)
+    gaze = _gaze_block(kind, seed=eyes)
+    got = clean_signal(lay, subj, GEOM, OPTICS, lay.schedule(), gaze)
+    assert np.array_equal(got, np.array(clean_signal_oracle(lay, subj, GEOM, OPTICS, gaze.tolist())))
+
+
+EMIN, EMAX, REF = 25.0, 1600.0, 400.0
+
+
+@st.composite
+def exposure_blocks(draw):
+    """Blocks for the exposure recurrence, biased toward its edge cases."""
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, 5))
+    exp = np.array(draw(st.lists(st.sampled_from([EMIN, 50.0, 400.0, 800.0, EMAX]),
+                                 min_size=m, max_size=m)))
+    scale0 = exp / REF
+    # Clean levels that read exactly on, or one count inside, each threshold
+    # at the channel's first exposure; plus dark and saturating light.
+    on_edge = [23 / 1023, 24 / 1023, 999 / 1023, 1000 / 1023, 0.0, 100.0]
+    clean = np.empty((n, m))
+    for ch in range(m):
+        kind = draw(st.sampled_from(["edge", "toggle", "free"]))
+        if kind == "edge":
+            clean[:, ch] = np.array(draw(st.lists(st.sampled_from(on_edge), min_size=n,
+                                                  max_size=n))) / scale0[ch]
+        elif kind == "toggle":  # high, low, high, ...: adapts on every frame
+            clean[:, ch] = np.where(np.arange(n) % 2 == 0, 100.0, 0.0)
+        else:
+            clean[:, ch] = draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n))
+    blend = np.zeros(n)
+    if draw(st.booleans()):
+        blend = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                                       min_size=n, max_size=n)))
+    noise_std = draw(st.sampled_from([0.0, 0.01, 0.2]))
+    noise = np.random.default_rng(draw(st.integers(0, 2**16))).normal(0.0, noise_std, (n, m))
+    return clean, noise, blend, exp
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(exposure_blocks(), st.sampled_from([0.85, 0.0]))
+def test_expose_block_matches_per_frame_replay(block, eyelid):
+    clean, noise, blend, exp = block
+    raw, scales, exp_out = expose_block(clean, noise, blend, exp, EMIN, EMAX, REF, eyelid)
+    ref_raw, ref_scales, ref_exp = exposure_replay(clean.tolist(), noise.tolist(), blend.tolist(),
+                                                   exp.tolist(), EMIN, EMAX, REF, eyelid)
+    assert raw.dtype == np.int64
+    assert np.array_equal(raw, np.array(ref_raw, dtype=np.int64))
+    assert np.array_equal(scales, np.array(ref_scales))
+    assert np.array_equal(exp_out, np.array(ref_exp))
+
+
+def test_expose_block_toggling_channel_adapts_every_frame():
+    clean = np.where(np.arange(9) % 2 == 0, 100.0, 0.0)[:, None]
+    raw, scales, exp = expose_block(clean, np.zeros_like(clean), np.zeros(9), np.array([400.0]),
+                                    EMIN, EMAX, REF, 0.85)
+    assert raw[:, 0].tolist() == [1023, 0] * 4 + [1023]
+    assert (scales[:, 0] * REF).tolist() == [400.0, 200.0] * 4 + [400.0]
+    assert exp.tolist() == [200.0]
 
 
 def test_engine_rejects_gain_count_mismatch():

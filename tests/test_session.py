@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ledgaze.core import ConfigError, ScreenPoint, SensorFrame
-from ledgaze.eyesim import GazeScript, LedLayout, run_script, SimConfig
+from ledgaze.eyesim import GazeScript, run_script
 from ledgaze.session import (
     CONFIG_VERSION,
     LOG_VERSION,
