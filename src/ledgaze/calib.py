@@ -22,7 +22,6 @@ from .core import (
     DisplayGeometry,
     InsufficientDataError,
     ScreenPoint,
-    SensorFrame,
 )
 
 log = logging.getLogger(__name__)
@@ -86,19 +85,13 @@ class DwellAggregate:
     bad_channels: tuple[int, ...] = ()
 
 
-def _as_matrix(frames) -> np.ndarray:
-    if len(frames) and isinstance(frames[0], SensorFrame):
-        return np.vstack([f.normalized() for f in frames])
-    return np.atleast_2d(np.asarray(frames, dtype=float))
-
-
 def aggregate_point(frames: Sequence, config: DwellConfig) -> DwellAggregate:
     """Per-channel mean of the dwell samples, gated on per-channel spread.
 
-    Accepts raw SensorFrames (normalized internally) or already-processed
-    real vectors. Spread is the sample standard deviation (n-1 denominator).
+    ``frames`` are processed (n, M) vectors. Spread is the sample standard
+    deviation (n-1 denominator).
     """
-    X = _as_matrix(frames)
+    X = np.atleast_2d(np.asarray(frames, dtype=float))
     if X.shape[0] < 2:
         raise InsufficientDataError("need at least two samples per dwell")
     stds = np.std(X, axis=0, ddof=1)

@@ -81,9 +81,6 @@ class ScreenPoint:
     x: float
     y: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
-
     def distance_to(self, other: "ScreenPoint") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
 

@@ -23,11 +23,14 @@ from functools import lru_cache
 import numpy as np
 
 from .core import ADC_MAX, ConfigError, DisplayGeometry, ScreenPoint
-from .sigproc import SATURATION_HIGH, SATURATION_LOW, CaptureSchedule, ExposureState, IirFilter
+from .sigproc import CaptureSchedule, IirFilter, adapt_exposure
 
 # Seed-stream discriminators so subsystems never share a generator.
 _STREAM_NOISE = 101
 _STREAM_SRT = 102
+
+# Frames one exposure pass reads ahead; keeps a long run linear in its length.
+_EXPOSE_LOOKAHEAD = 256
 
 
 @dataclass(frozen=True)
@@ -264,11 +267,12 @@ class SimConfig:
     exposure_min_us: float = 25.0
     exposure_max_us: float = 1600.0
     optics: OpticsModel = OpticsModel()
-    adapt_block_frames: int = 256  # frames simulated per batch; exposure still adapts per frame
 
     def __post_init__(self):
         if self.step_us <= 0:
             raise ConfigError("step_us must be positive")
+        if not 0 < self.exposure_min_us <= self.exposure_init_us <= self.exposure_max_us:
+            raise ConfigError("exposures must satisfy 0 < min <= init <= max")
 
     def cycle_us(self, layout: LedLayout) -> int:
         # Both eyes' chains run in parallel, one microcontroller each.
@@ -328,10 +332,7 @@ class EyeSimulator:
         self.cycle_us = config.cycle_us(layout)
         self._noise_rng = np.random.default_rng(np.random.SeedSequence([self.seed, _STREAM_NOISE]))
         self._srt_rng = np.random.default_rng(np.random.SeedSequence([self.seed, _STREAM_SRT]))
-        self.exposure = ExposureState.uniform(
-            layout.total_channels, config.exposure_init_us,
-            config.exposure_min_us, config.exposure_max_us,
-        )
+        self.exposure_us = np.full(layout.total_channels, float(config.exposure_init_us))
         self.iir = IirFilter(config.iir_alpha)
         start = start_target if start_target is not None else self.geom.center
         self.stim_target = start
@@ -384,73 +385,53 @@ class EyeSimulator:
     def _sense_block(self, gaze_xy: np.ndarray, blink_blend: np.ndarray):
         """Quantized ADC readings plus per-frame exposure scales, (n, M).
 
-        The block is a simulation batch, not an adaptation granularity: its
-        optics and noise are drawn up front, and ``expose_block`` applies the
-        exposure rule after every capture, exactly as adapt_exposure does
-        frame by frame.
+        The block's optics and noise are drawn up front; ``expose_block``
+        applies the exposure rule after every capture.
         """
-        optics = self.config.optics
+        config, optics = self.config, self.config.optics
         clean = clean_signal(self.layout, self.subject, self.geom, optics, self.schedule, gaze_xy)
         if self.subject.noise_std > 0:
             noise = self._noise_rng.normal(0.0, self.subject.noise_std, clean.shape)
         else:
             noise = np.zeros_like(clean)
-        emin, emax = self.exposure.exp_min_us, self.exposure.exp_max_us
-        raw, scales, exp = expose_block(clean, noise, blink_blend, self.exposure.as_array(),
-                                        emin, emax, optics.reference_exposure_us,
-                                        optics.eyelid_level)
-        self.exposure = ExposureState(tuple(float(e) for e in exp), emin, emax)
+        raw, scales, self.exposure_us = expose_block(
+            clean, noise, blink_blend, self.exposure_us, config.exposure_min_us,
+            config.exposure_max_us, optics.reference_exposure_us, optics.eyelid_level)
         return raw, scales
 
     # -- session loop -------------------------------------------------------
 
     def run(self, duration_us: int, blink: bool = False) -> None:
         """Advance the session by a span of frames at the current stimulus."""
-        n_total = int(round(duration_us / self.cycle_us))
-        if n_total <= 0:
+        n = int(round(duration_us / self.cycle_us))
+        if n <= 0:
             return
-        t_block_start = self.t_us
+        t = (self.frame_index + np.arange(n, dtype=np.int64)) * self.cycle_us
+        t0, t1 = self.t_us, self.t_us + n * self.cycle_us
         if blink:
-            self.events.append({
-                "kind": "blink",
-                "t0_us": t_block_start,
-                "t1_us": t_block_start + n_total * self.cycle_us,
-            })
-        done = 0
-        while done < n_total:
-            n = min(n_total - done, self.config.adapt_block_frames)
-            t = (self.frame_index + np.arange(n, dtype=np.int64)) * self.cycle_us
-            gaze_xy = np.empty((n, 2))
-            # Resolve the reaction-time lag: frames before the switch keep
-            # looking wherever the eye currently rests.
-            if self._pending_move is not None:
-                switch = self._pending_move["switch_us"]
+            self.events.append({"kind": "blink", "t0_us": t0, "t1_us": t1})
+            ramp_us = self.config.optics.blink_ramp_ms * 1000.0
+            blend = np.clip(np.minimum((t - t0) / ramp_us, (t1 - t) / ramp_us), 0.0, 1.0)
+        else:
+            blend = np.zeros(n)
+        gaze_xy = np.empty((n, 2))
+        gaze_xy[:] = [self.gaze_target.x, self.gaze_target.y]
+        # Resolve the reaction-time lag: frames before the switch keep
+        # looking wherever the eye currently rests.
+        if self._pending_move is not None:
+            after = t >= self._pending_move["switch_us"]
+            if after.any():
                 to = self._pending_move["to"]
-                before = t < switch
-                gaze_xy[before] = [self.gaze_target.x, self.gaze_target.y]
-                gaze_xy[~before] = [to.x, to.y]
-                if np.any(~before):
-                    settle = int(t[~before][0])
-                    self._pending_move["event"]["t_settle_us"] = settle
-                    self._pending_move = None
-                    self.gaze_target = to
-            else:
-                gaze_xy[:] = [self.gaze_target.x, self.gaze_target.y]
-            if blink:
-                ramp_us = self.config.optics.blink_ramp_ms * 1000.0
-                t0 = t_block_start
-                t1 = t_block_start + n_total * self.cycle_us
-                blend = np.minimum((t - t0) / ramp_us, (t1 - t) / ramp_us)
-                blend = np.clip(blend, 0.0, 1.0)
-            else:
-                blend = np.zeros(n)
-            raw, scales = self._sense_block(gaze_xy, blend)
-            comp = raw / ADC_MAX / scales  # undo each frame's exposure scaling
-            proc = self.iir.filter_block(comp)
-            tgt = np.tile([self.stim_target.x, self.stim_target.y], (n, 1))
-            self._blocks.append((t, raw, proc, gaze_xy, tgt))
-            self.frame_index += n
-            done += n
+                gaze_xy[after] = [to.x, to.y]
+                self._pending_move["event"]["t_settle_us"] = int(t[after][0])
+                self._pending_move = None
+                self.gaze_target = to
+        raw, scales = self._sense_block(gaze_xy, blend)
+        comp = raw / ADC_MAX / scales  # undo each frame's exposure scaling
+        proc = self.iir.filter_block(comp)
+        tgt = np.tile([self.stim_target.x, self.stim_target.y], (n, 1))
+        self._blocks.append((t, raw, proc, gaze_xy, tgt))
+        self.frame_index += n
 
     def run_event(self, ev: ScriptEvent) -> None:
         if ev.kind == "saccade":
@@ -610,12 +591,11 @@ def expose_block(clean: np.ndarray, noise: np.ndarray, blend: np.ndarray, exp: n
     ``clean`` and ``noise`` are (n, M), ``blend`` the (n,) eyelid closure and
     ``exp`` the (M,) exposures before the first frame. Returns the int64 ADC
     counts and each frame's exposure scale, both (n, M), and the exposures
-    after the last frame. Each pass reads every remaining frame at the
-    current exposures and keeps them up to the first frame where some
-    channel can adapt: a reading at or above SATURATION_HIGH with room to
-    halve, or at or below SATURATION_LOW with room to double. It applies
-    the rule to that frame's readings and goes on from the next frame, so it
-    loops once per exposure change plus once.
+    after the last frame. Each pass reads up to ``_EXPOSE_LOOKAHEAD`` frames
+    at the current exposures, applies ``adapt_exposure`` to all of them and
+    keeps them up to the first frame whose readings change an exposure; that
+    frame's result becomes the exposures for the next pass. So it loops once
+    per exposure change plus once per lookahead window.
     """
     n = clean.shape[0]
     raw = np.empty(clean.shape, dtype=np.int64)
@@ -623,21 +603,19 @@ def expose_block(clean: np.ndarray, noise: np.ndarray, blend: np.ndarray, exp: n
     exp = np.asarray(exp, dtype=float)
     i = 0
     while i < n:
+        j = min(n, i + _EXPOSE_LOOKAHEAD)
         scale = exp / ref
-        pre = clean[i:] * scale
-        b = blend[i:, None]
+        pre = clean[i:j] * scale
+        b = blend[i:j, None]
         if np.any(b > 0):
             pre = (1.0 - b) * pre + b * (eyelid * scale)
-        r = np.rint(np.clip(pre + noise[i:], 0.0, 1.0) * ADC_MAX).astype(np.int64)
-        hi = r >= SATURATION_HIGH
-        lo = r <= SATURATION_LOW
-        trips = np.flatnonzero(((hi & (exp > emin)) | (lo & (exp < emax))).any(axis=1))
-        k = trips[0] + 1 if trips.size else n - i
+        r = np.rint(np.clip(pre + noise[i:j], 0.0, 1.0) * ADC_MAX).astype(np.int64)
+        new = adapt_exposure(exp, r, emin, emax)
+        trips = np.flatnonzero((new != exp).any(axis=1))
+        k = trips[0] + 1 if trips.size else j - i
         raw[i:i + k] = r[:k]
         scales[i:i + k] = scale
-        if trips.size:
-            exp = np.clip(np.where(hi[k - 1], exp / 2.0, np.where(lo[k - 1], exp * 2.0, exp)),
-                          emin, emax)
+        exp = new[k - 1]
         i += k
     return raw, scales, exp
 

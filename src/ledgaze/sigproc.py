@@ -39,14 +39,6 @@ class CaptureSchedule:
             if ch in illum:
                 raise ConfigError(f"LED {ch} cannot sense and illuminate in the same step")
 
-    @property
-    def cycle_length(self) -> int:
-        return len(self.steps)
-
-    @property
-    def sensing_leds(self) -> tuple[int, ...]:
-        return tuple(ch for ch, _ in self.steps)
-
     @classmethod
     def prototype1(cls, groups: int = 3) -> "CaptureSchedule":
         """Ring of sense/sense/illuminate triplets; the group's dedicated
@@ -68,51 +60,21 @@ class CaptureSchedule:
         return cls(steps, "prototype2")
 
 
-@dataclass(frozen=True)
-class ExposureState:
-    """Per-channel exposure times in microseconds, bounded to [lo, hi]."""
+def adapt_exposure(exposures_us, readings, exp_min_us: float, exp_max_us: float) -> np.ndarray:
+    """Exposures after each reading: halve a near-saturated channel's, double a starved one's.
 
-    exposures_us: tuple[float, ...]
-    exp_min_us: float
-    exp_max_us: float
-
-    def __post_init__(self):
-        if not 0 < self.exp_min_us <= self.exp_max_us:
-            raise ConfigError("exposure bounds must satisfy 0 < min <= max")
-        for e in self.exposures_us:
-            if not self.exp_min_us <= e <= self.exp_max_us:
-                raise ConfigError(f"exposure {e} outside [{self.exp_min_us}, {self.exp_max_us}]")
-
-    @classmethod
-    def uniform(cls, channels: int, exposure_us: float,
-                exp_min_us: float, exp_max_us: float) -> "ExposureState":
-        return cls((float(exposure_us),) * channels, float(exp_min_us), float(exp_max_us))
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.exposures_us, dtype=float)
-
-
-def adapt_exposure(state: ExposureState, channel: int, raw_reading: int) -> ExposureState:
-    """Halve a near-saturated channel's exposure, double a starved one.
-
-    Mid-range readings leave the state untouched; adapted values clamp to
-    the configured bounds.
+    ``readings`` holds one frame's counts, (M,), or a stack of frames, (n, M),
+    each taken at ``exposures_us``; the result has the readings' shape.
+    Mid-range readings keep their channel's exposure; adapted values clamp to
+    [exp_min_us, exp_max_us].
     """
-    if not 0 <= raw_reading <= ADC_MAX:
-        raise ConfigError(f"reading {raw_reading} outside ADC range")
-    cur = state.exposures_us[channel]
-    if raw_reading >= SATURATION_HIGH:
-        new = cur / 2.0
-    elif raw_reading <= SATURATION_LOW:
-        new = cur * 2.0
-    else:
-        return state
-    new = min(max(new, state.exp_min_us), state.exp_max_us)
-    if new == cur:
-        return state
-    exposures = list(state.exposures_us)
-    exposures[channel] = new
-    return ExposureState(tuple(exposures), state.exp_min_us, state.exp_max_us)
+    readings = np.asarray(readings)
+    if np.any((readings < 0) | (readings > ADC_MAX)):
+        raise ConfigError(f"reading outside ADC range [0, {ADC_MAX}]")
+    exp = np.asarray(exposures_us, dtype=float)
+    new = np.where(readings >= SATURATION_HIGH, exp / 2.0,
+                   np.where(readings <= SATURATION_LOW, exp * 2.0, exp))
+    return np.clip(new, exp_min_us, exp_max_us)
 
 
 class IirFilter:

@@ -15,7 +15,6 @@ from ledgaze.core import (
     ConfigError,
     DisplayGeometry,
     InsufficientDataError,
-    SensorFrame,
 )
 
 GEOM = DisplayGeometry(1000, 1000)
@@ -92,13 +91,6 @@ def test_aggregate_alternating_channel_rejected():
     assert not agg.accepted
     assert agg.bad_channels == (0,)
     assert agg.mean is None
-
-
-def test_aggregate_accepts_sensor_frames():
-    frames = [SensorFrame(i, (512, 100)) for i in range(4)]
-    agg = aggregate_point(frames, DWELL)
-    assert agg.accepted
-    assert np.allclose(agg.mean, [512 / 1023, 100 / 1023])
 
 
 def test_aggregate_needs_two_frames():

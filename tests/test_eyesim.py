@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ledgaze.core import ConfigError, DisplayGeometry, ScreenPoint
 from ledgaze.eyesim import (
+    _EXPOSE_LOOKAHEAD,
     EyeSimulator,
     GazeScript,
     HeadsetShift,
@@ -23,7 +24,7 @@ from ledgaze.eyesim import (
 )
 from ledgaze.kernels import MeasureSpec
 from ledgaze.regress import GprModel
-from ledgaze.sigproc import ExposureState, adapt_exposure
+from ledgaze.sigproc import adapt_exposure
 from oracles import clean_signal_oracle, exposure_replay
 
 GEOM = DisplayGeometry(800, 600)
@@ -373,21 +374,47 @@ def test_engine_block_path_matches_sense_and_adapt_exposure(make_layout, exposur
               ScreenPoint(700, 100)]
     log = run_script(lay, subj, GazeScript.fixations(points, 200_000), config, seed=8)
     assert log.n_frames == 80
-    state = ExposureState.uniform(lay.total_channels, exposure_us,
-                                  config.exposure_min_us, config.exposure_max_us)
+    state = np.full(lay.total_channels, exposure_us)
     steps = lay.schedule().steps
     adaptations = 0
     for i in range(log.n_frames):
         gaze = ScreenPoint(*log.gaze[i])
         for ch in range(lay.total_channels):
             illum = steps[ch % lay.channels_per_eye][1]
-            reading = sense(lay, subj, GEOM, gaze, ch, illum, state.exposures_us[ch],
+            reading = sense(lay, subj, GEOM, gaze, ch, illum, state[ch],
                             optics=config.optics)
             assert log.raw[i, ch] == reading, (i, ch)
-            adapted = adapt_exposure(state, ch, reading)
-            adaptations += adapted is not state
-            state = adapted
+            adapted = adapt_exposure(state[ch], reading, config.exposure_min_us,
+                                     config.exposure_max_us)
+            adaptations += adapted != state[ch]
+            state[ch] = adapted
     assert adaptations > 0
+
+
+def test_run_output_does_not_depend_on_how_a_span_is_split():
+    # One 3 s run() call and three 1 s calls give the same frames and events:
+    # noise is drawn in sequence, the IIR carries its state and the exposure
+    # rule carries its exposures across calls.
+    lay = LedLayout.prototype1()
+    subj = replace(quiet_subject(noise=0.05), srt_mean_ms=1500.0, srt_std_ms=0.0)
+    config = SimConfig(geom=GEOM, optics=OpticsModel(signal_scale=3.0))
+
+    def simulate(pieces_us):
+        sim = EyeSimulator(lay, subj, config, seed=12, start_target=ScreenPoint(150, 150))
+        sim.move_target(ScreenPoint(650, 450))
+        for us in pieces_us:
+            sim.run(us)
+        return sim.snapshot()
+
+    whole = simulate([3_000_000])
+    split = simulate([1_000_000] * 3)
+    assert whole.n_frames == 300
+    # the reaction time lands in the second piece and the exposures adapt
+    assert 1_000_000 <= whole.events[0]["t_settle_us"] < 2_000_000
+    assert whole.raw[:3].max() >= 1000 and whole.raw[-1].max() < 1000
+    for col in ("t_us", "raw", "proc", "gaze", "target"):
+        assert np.array_equal(getattr(whole, col), getattr(split, col)), col
+    assert whole.events == split.events
 
 
 def _gaze_block(kind, n=24, seed=0):
@@ -420,9 +447,20 @@ EMIN, EMAX, REF = 25.0, 1600.0, 400.0
 
 @st.composite
 def exposure_blocks(draw):
-    """Blocks for the exposure recurrence, biased toward its edge cases."""
-    n = draw(st.integers(1, 40))
+    """Blocks for the exposure recurrence, biased toward its edge cases.
+
+    Some blocks run past the exposure lookahead, up to 2.5 windows, so that
+    passes meet window boundaries; their drawn columns repeat with a period
+    of at most 40 frames.
+    """
+    long_n = st.integers(_EXPOSE_LOOKAHEAD - 2, 5 * _EXPOSE_LOOKAHEAD // 2)
+    n = draw(st.integers(1, 40) | long_n)
     m = draw(st.integers(1, 5))
+
+    def column(elements):
+        period = min(n, 40)
+        return np.resize(np.array(draw(st.lists(elements, min_size=period, max_size=period))), n)
+
     exp = np.array(draw(st.lists(st.sampled_from([EMIN, 50.0, 400.0, 800.0, EMAX]),
                                  min_size=m, max_size=m)))
     scale0 = exp / REF
@@ -431,18 +469,20 @@ def exposure_blocks(draw):
     on_edge = [23 / 1023, 24 / 1023, 999 / 1023, 1000 / 1023, 0.0, 100.0]
     clean = np.empty((n, m))
     for ch in range(m):
-        kind = draw(st.sampled_from(["edge", "toggle", "free"]))
+        kind = draw(st.sampled_from(["edge", "toggle", "free", "step"]))
         if kind == "edge":
-            clean[:, ch] = np.array(draw(st.lists(st.sampled_from(on_edge), min_size=n,
-                                                  max_size=n))) / scale0[ch]
+            clean[:, ch] = column(st.sampled_from(on_edge)) / scale0[ch]
         elif kind == "toggle":  # high, low, high, ...: adapts on every frame
             clean[:, ch] = np.where(np.arange(n) % 2 == 0, 100.0, 0.0)
-        else:
-            clean[:, ch] = draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n))
+        elif kind == "free":
+            clean[:, ch] = column(st.floats(0.0, 3.0))
+        else:  # dead band, then saturating light from one frame on, often a window edge
+            edges = [w * _EXPOSE_LOOKAHEAD + d for w in (1, 2) for d in (-1, 0, 1)]
+            at = draw(st.sampled_from(edges) | st.integers(0, n))
+            clean[:, ch] = np.where(np.arange(n) < at, 512 / 1023 / scale0[ch], 100.0)
     blend = np.zeros(n)
     if draw(st.booleans()):
-        blend = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0),
-                                       min_size=n, max_size=n)))
+        blend = column(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0))
     noise_std = draw(st.sampled_from([0.0, 0.01, 0.2]))
     noise = np.random.default_rng(draw(st.integers(0, 2**16))).normal(0.0, noise_std, (n, m))
     return clean, noise, blend, exp

@@ -1,4 +1,8 @@
-"""Source hygiene checks that need no linter: every imported name is used."""
+"""Source hygiene checks that need no linter.
+
+Every imported name is used, and every function, method and class defined
+in ``src/`` is read somewhere in ``src/``, ``tests/`` or ``bench/``.
+"""
 
 import ast
 from pathlib import Path
@@ -6,7 +10,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+SOURCES = sorted((ROOT / "src").rglob("*.py"))
+MODULES = SOURCES + sorted((ROOT / "tests").rglob("*.py"))
+READERS = MODULES + sorted((ROOT / "bench").rglob("*.py"))
 
 
 def _imported(tree):
@@ -54,3 +60,34 @@ def test_no_unused_imports(path):
     used = _used(tree)
     unused = [f"{name} (line {line})" for name, line in _imported(tree) if name not in used]
     assert not unused, f"unused imports in {path.relative_to(ROOT)}: {', '.join(unused)}"
+
+
+def _reads(tree):
+    """Names a module reads: bare names, attributes and identifier strings.
+
+    Import statements bind names without reading them, so a package's
+    re-export alone does not count as a use.
+    """
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            names.add(node.value)
+    return names
+
+
+def test_no_dead_definitions():
+    read = set()
+    for path in READERS:
+        read |= _reads(ast.parse(path.read_text(), filename=str(path)))
+    dead = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = node.name
+                if not (name.startswith("__") and name.endswith("__")) and name not in read:
+                    dead.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    assert not dead, "defined in src/ but never read: " + ", ".join(dead)

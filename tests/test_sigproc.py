@@ -3,12 +3,7 @@ import pytest
 
 from ledgaze.core import ConfigError, DisplayGeometry
 from ledgaze.eyesim import LedLayout, SimConfig
-from ledgaze.sigproc import (
-    CaptureSchedule,
-    ExposureState,
-    IirFilter,
-    adapt_exposure,
-)
+from ledgaze.sigproc import CaptureSchedule, IirFilter, adapt_exposure
 
 from oracles import iir_reference
 
@@ -28,7 +23,7 @@ def test_prototype1_pair_shares_group_illuminator():
     assert sched.steps[0] == (0, frozenset({2}))
     assert sched.steps[1] == (1, frozenset({2}))
     assert sched.steps[2] == (3, frozenset({5}))
-    assert sched.sensing_leds == (0, 1, 3, 4, 6, 7)
+    assert tuple(ch for ch, _ in sched.steps) == (0, 1, 3, 4, 6, 7)
 
 
 def test_schedule_periodicity():
@@ -36,8 +31,8 @@ def test_schedule_periodicity():
     config = SimConfig(DisplayGeometry(800, 600), step_us=1000)
     for layout in (LedLayout.prototype1(), LedLayout.prototype2()):
         sched = layout.schedule()
-        assert sched.cycle_length == layout.channels_per_eye
-        assert config.cycle_us(layout) == 1000 * sched.cycle_length
+        assert len(sched.steps) == layout.channels_per_eye
+        assert config.cycle_us(layout) == 1000 * len(sched.steps)
 
 
 def test_schedule_fairness_over_cycles():
@@ -47,7 +42,7 @@ def test_schedule_fairness_over_cycles():
         for ch, _ in sched.steps * k:
             counts[ch] = counts.get(ch, 0) + 1
         assert all(c == k for c in counts.values())
-        assert len(counts) == sched.cycle_length
+        assert len(counts) == len(sched.steps)
 
 
 def test_schedule_rejects_sensing_while_illuminating():
@@ -63,56 +58,68 @@ def test_schedule_rejects_duplicate_sensing_channel():
 # -- adaptive exposure -------------------------------------------------------------
 
 
-def _state(exp=400.0):
-    return ExposureState.uniform(4, exp, 25.0, 1600.0)
+EMIN, EMAX = 25.0, 1600.0
+
+
+def _adapt(readings, exp=400.0):
+    return adapt_exposure(np.full(len(readings), exp), readings, EMIN, EMAX)
 
 
 def test_saturated_reading_halves_exposure():
-    out = adapt_exposure(_state(400.0), 1, 1023)
-    assert out.exposures_us[1] == 200.0
-    assert out.exposures_us[0] == 400.0  # others untouched
+    out = _adapt([512, 1023, 512, 512])
+    assert out[1] == 200.0
+    assert out.tolist() == [400.0, 200.0, 400.0, 400.0]  # others untouched
 
 
 def test_midrange_reading_is_dead_band():
-    s = _state()
-    assert adapt_exposure(s, 0, 512) is s
+    exp = np.full(4, 400.0)
+    once = adapt_exposure(exp, [512, 24, 999, 500], EMIN, EMAX)
+    assert np.array_equal(once, exp)
+    twice = adapt_exposure(once, [512, 24, 999, 500], EMIN, EMAX)  # idempotent
+    assert np.array_equal(twice, exp)
 
 
 def test_starved_reading_doubles_exposure():
-    out = adapt_exposure(_state(400.0), 2, 10)
-    assert out.exposures_us[2] == 800.0
+    out = _adapt([512, 512, 10, 512])
+    assert out[2] == 800.0
 
 
 def test_exposure_clamps_at_bounds():
-    low = ExposureState.uniform(2, 25.0, 25.0, 1600.0)
-    assert adapt_exposure(low, 0, 1023).exposures_us[0] == 25.0
-    high = ExposureState.uniform(2, 1600.0, 25.0, 1600.0)
-    assert adapt_exposure(high, 0, 3).exposures_us[0] == 1600.0
+    assert _adapt([1023, 1000], exp=EMIN).tolist() == [EMIN, EMIN]
+    assert _adapt([3, 23], exp=EMAX).tolist() == [EMAX, EMAX]
+    assert _adapt([1023, 0], exp=40.0).tolist() == [EMIN, 80.0]
 
 
 def test_exposure_never_leaves_bounds_under_random_readings():
     rng = np.random.default_rng(41)
-    state = _state()
+    exp = np.full(4, 400.0)
     for _ in range(500):
         ch = int(rng.integers(0, 4))
-        state = adapt_exposure(state, ch, int(rng.integers(0, 1024)))
-        assert all(25.0 <= e <= 1600.0 for e in state.exposures_us)
+        readings = np.full(4, 512)
+        readings[ch] = rng.integers(0, 1024)
+        exp = adapt_exposure(exp, readings, EMIN, EMAX)
+        assert np.all((EMIN <= exp) & (exp <= EMAX))
 
 
-def test_exposure_idempotent_for_midrange():
-    state = _state()
-    once = adapt_exposure(state, 0, 500)
-    twice = adapt_exposure(once, 0, 500)
-    assert once is twice is state
+def test_adapt_exposure_applies_to_each_frame_of_a_stack():
+    exp = np.array([400.0, 25.0, 1600.0])
+    readings = np.array([[1023, 1023, 0], [0, 512, 1023], [512, 0, 512]])
+    out = adapt_exposure(exp, readings, EMIN, EMAX)
+    assert out.shape == readings.shape
+    for frame, row in zip(readings, out):
+        assert np.array_equal(row, adapt_exposure(exp, frame, EMIN, EMAX))
 
 
 def test_exposure_validation():
+    geom = DisplayGeometry(800, 600)
+    with pytest.raises(ConfigError):  # init below min
+        SimConfig(geom, exposure_init_us=10.0, exposure_min_us=25.0)
+    with pytest.raises(ConfigError):  # min above max
+        SimConfig(geom, exposure_init_us=100.0, exposure_min_us=200.0, exposure_max_us=100.0)
     with pytest.raises(ConfigError):
-        ExposureState((10.0,), 25.0, 1600.0)
+        _adapt([512, 2000])
     with pytest.raises(ConfigError):
-        ExposureState((100.0,), 200.0, 100.0)
-    with pytest.raises(ConfigError):
-        adapt_exposure(_state(), 0, 2000)
+        _adapt([-1, 512])
 
 
 # -- IIR low-pass -------------------------------------------------------------------
