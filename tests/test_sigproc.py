@@ -75,7 +75,13 @@ def test_midrange_reading_is_dead_band():
     exp = np.full(4, 400.0)
     once = adapt_exposure(exp, [512, 24, 999, 500], EMIN, EMAX)
     assert np.array_equal(once, exp)
-    twice = adapt_exposure(once, [512, 24, 999, 500], EMIN, EMAX)  # idempotent
+
+
+def test_exposure_idempotent_for_midrange():
+    exp = np.full(4, 400.0)
+    once = adapt_exposure(exp, [512, 24, 999, 500], EMIN, EMAX)
+    twice = adapt_exposure(once, [512, 24, 999, 500], EMIN, EMAX)
+    assert np.array_equal(twice, once)
     assert np.array_equal(twice, exp)
 
 
