@@ -489,10 +489,18 @@ def gaze_directions(geom: DisplayGeometry, gaze_xy: np.ndarray, eye: int) -> np.
     return d / np.linalg.norm(d, axis=1, keepdims=True)
 
 
+@lru_cache(maxsize=64)
+def _led_positions(layout: LedLayout, eye: int) -> np.ndarray:
+    """``layout.led_positions(eye)``, computed once per layout and eye; read-only."""
+    leds = layout.led_positions(eye)
+    leds.flags.writeable = False
+    return leds
+
+
 def _eye_frame(layout: LedLayout, subject: SubjectProfile, geom: DisplayGeometry,
                gaze_xy: np.ndarray, eye: int):
     """Shared per-eye geometry: gaze normals and cornea->LED unit vectors."""
-    leds = layout.led_positions(eye)
+    leds = _led_positions(layout, eye)
     cx, cy = subject.eye_center(eye)
     dirs = gaze_directions(geom, gaze_xy, eye)
     cornea = dirs * subject.eye_radius_mm

@@ -2,8 +2,9 @@
 
 All measures operate on real-valued vectors (normalized channel readings),
 never on raw ADC integers. ``pairwise`` is the one implementation of every
-measure, over batches of vectors; the scalar pair functions evaluate it on a
-single pair.
+measure, over batches of vectors: one ``scipy.spatial.distance.cdist`` call
+per measure, behind this module's own error contract. The scalar pair
+functions evaluate it on a single pair.
 """
 
 from __future__ import annotations
@@ -12,10 +13,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .core import ConfigError, DegenerateInputError, DimensionError
 
 MEASURE_KINDS = ("minkowski", "rbf", "cosine", "manhattan", "canberra")
+_CDIST_METRIC = {"cosine": "cosine", "manhattan": "cityblock", "canberra": "canberra"}
 
 
 @dataclass(frozen=True)
@@ -113,7 +116,9 @@ def pairwise(spec: MeasureSpec, A, B) -> np.ndarray:
     """Measure evaluated between every row of A (n, M) and of B (P, M).
 
     Returns an (n, P) array whose row i, column p is the measure between
-    A[i] and B[p].
+    A[i] and B[p]. Mismatched channel or weight counts raise
+    ``DimensionError`` and a zero row under cosine ``DegenerateInputError``,
+    where ``cdist`` would raise ``ValueError`` or return NaN.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -121,25 +126,16 @@ def pairwise(spec: MeasureSpec, A, B) -> np.ndarray:
         raise DimensionError(
             f"channel counts differ: {A.shape[1]} vs {B.shape[1]}"
         )
-    diff = np.abs(A[:, None, :] - B[None, :, :])
     if spec.kind == "minkowski":
-        w = np.ones(A.shape[1]) if spec.weights is None else np.asarray(spec.weights, dtype=float)
-        if w.shape[0] != A.shape[1]:
+        if spec.weights is None:
+            return cdist(A, B, "minkowski", p=spec.m)
+        if len(spec.weights) != A.shape[1]:
             raise DimensionError("weights must match channel count")
-        return np.sum(w * diff**spec.m, axis=2) ** (1.0 / spec.m)
+        return cdist(A, B, "minkowski", p=spec.m, w=np.asarray(spec.weights, dtype=float))
     if spec.kind == "rbf":
-        d = np.sqrt(np.sum(diff * diff, axis=2))
-        if spec.rbf_squared:
-            d = d * d
+        d = cdist(A, B, "sqeuclidean" if spec.rbf_squared else "euclidean")
         return np.exp(-d / (2.0 * spec.sigma * spec.sigma))
     if spec.kind == "cosine":
-        na = np.linalg.norm(A, axis=1)
-        nb = np.linalg.norm(B, axis=1)
-        if np.any(na == 0) or np.any(nb == 0):
+        if not (np.linalg.norm(A, axis=1).all() and np.linalg.norm(B, axis=1).all()):
             raise DegenerateInputError("cosine distance is undefined for zero vectors")
-        return 1.0 - (A @ B.T) / np.outer(na, nb)
-    if spec.kind == "manhattan":
-        return np.sum(diff, axis=2)
-    den = np.abs(A)[:, None, :] + np.abs(B)[None, :, :]
-    terms = np.divide(diff, den, out=np.zeros_like(diff), where=den != 0)
-    return np.sum(terms, axis=2)
+    return cdist(A, B, _CDIST_METRIC[spec.kind])

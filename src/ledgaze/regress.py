@@ -7,7 +7,8 @@ Two estimators share the same kernel machinery (``kernels.pairwise``):
     the measure values between the incoming frame and each stored vector.
     C built from a distance measure is generally not positive definite, so
     a small diagonal jitter keeps the solve honest; it escalates tenfold on
-    failure up to a hard cap before giving up.
+    failure up to a hard cap before giving up. The factors are computed once
+    per model and every estimate is one LAPACK ``dgetrs`` call on them.
   - SVR: e = k . U with RBF similarities, optionally normalized by sum(k)
     so the output is a convex combination of stored targets.
 """
@@ -15,7 +16,8 @@ Two estimators share the same kernel machinery (``kernels.pairwise``):
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor
+from scipy.linalg.lapack import dgecon, dgetrs
 
 from .core import (
     CalibrationSet,
@@ -28,6 +30,14 @@ from .kernels import MeasureSpec, pairwise
 
 JITTER_CAP = 1e-2
 _SUM_EPS = 1e-300  # below this, normalized SVR weights are considered vanished
+
+
+def _lu_solve(lu: tuple, B: np.ndarray) -> np.ndarray:
+    """Solve with LU factors from ``lu_factor``; B (P,) or (P, n) is overwritten."""
+    x, info = dgetrs(*lu, B, overwrite_b=True)
+    if info != 0:
+        raise EstimationError(f"LAPACK dgetrs rejected argument {-info}")
+    return x
 
 
 def _require_finite(X: np.ndarray, E: np.ndarray) -> None:
@@ -46,6 +56,9 @@ class GprModel:
 
     The factorization of (C + eps*I) is computed once at construction and
     cached; build a new model after augmenting the calibration set.
+    ``effective_jitter`` is the eps accepted and ``rcond`` the reciprocal
+    1-norm condition number of (C + eps*I), from LAPACK ``dgecon`` on the
+    factors: near 0 means the estimates amplify rounding in the kernel values.
     """
 
     def __init__(self, calibration: CalibrationSet, measure: MeasureSpec, jitter: float = 1e-8):
@@ -67,17 +80,18 @@ class GprModel:
         scale = self.jitter
         while True:
             eps = scale * self._jitter_base
+            A = C + eps * np.eye(n)
             try:
-                lu = lu_factor(C + eps * np.eye(n), check_finite=False)
+                lu = lu_factor(A, check_finite=False)
                 ok = np.all(np.isfinite(lu[0]))
             except (ValueError, np.linalg.LinAlgError):
                 ok = False
             if ok:
-                probe = lu_solve(lu, np.ones(n), check_finite=False)
-                ok = bool(np.all(np.isfinite(probe)))
+                ok = bool(np.all(np.isfinite(_lu_solve(lu, np.ones(n)))))
             if ok:
                 self._lu = lu
                 self.effective_jitter = eps
+                self.rcond = float(dgecon(lu[0], np.linalg.norm(A, 1))[0])
                 return
             scale *= 10.0
             if scale > JITTER_CAP:
@@ -89,7 +103,7 @@ class GprModel:
         """Estimated screen positions, one row per row of X (n, M)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         K = pairwise(self.measure, X, self.calibration.means)  # (n, P)
-        Z = lu_solve(self._lu, K.T, check_finite=False)  # (P, n)
+        Z = _lu_solve(self._lu, K.T)  # (P, n)
         E = Z.T @ self.calibration.targets  # (n, 2)
         _require_finite(X, E)
         return E

@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import struct
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 
 from .core import ADC_MAX, SensorFrame, WireError
 
 SYNC = 0xAA
 HEADER_LEN = 6  # sync + count + timestamp
 TIMESTAMP_MOD = 1 << 32
+_TIMESTAMP = struct.Struct("<I")
 
 
 def _checksum(data) -> int:
@@ -51,6 +53,12 @@ def encode(frame: SensorFrame) -> bytes:
 
 def frame_length(channel_count: int) -> int:
     return HEADER_LEN + 2 * channel_count + 1
+
+
+@lru_cache(maxsize=256)
+def _readings_struct(channel_count: int) -> struct.Struct:
+    """Compiled reading layout for one channel count (at most 255 of them)."""
+    return struct.Struct(f"<{channel_count}H")
 
 
 @dataclass
@@ -113,7 +121,7 @@ class StreamDecoder:
         buf = self._buf
         while True:
             # Align to the next sync byte.
-            idx = buf.find(bytes([SYNC]))
+            idx = buf.find(SYNC)
             if idx < 0:
                 if buf:
                     self._skip(len(buf))
@@ -130,20 +138,19 @@ class StreamDecoder:
             need = frame_length(m)
             if len(buf) < need:
                 return None  # wait for more data
-            candidate = bytes(buf[:need])
-            if _checksum(candidate[:-1]) != candidate[-1]:
+            if _checksum(memoryview(buf)[:need - 1]) != buf[need - 1]:
                 self.stats.checksum_failures += 1
                 self._skip(1, resync=True)
                 continue
-            ts, = struct.unpack_from("<I", candidate, 2)
-            readings = struct.unpack_from(f"<{m}H", candidate, HEADER_LEN)
-            if any(r > ADC_MAX for r in readings):
+            readings = _readings_struct(m).unpack_from(buf, HEADER_LEN)
+            if max(readings) > ADC_MAX:
                 self.stats.invalid_fields += 1
                 self._skip(1, resync=True)
                 continue
+            ts, = _TIMESTAMP.unpack_from(buf, 2)
             del buf[:need]
             self.stats.frames_decoded += 1
-            return SensorFrame(timestamp_us=ts, channels=tuple(int(r) for r in readings))
+            return SensorFrame(timestamp_us=ts, channels=readings)
 
 
 def decode(stream: bytes) -> tuple[list[SensorFrame], DecodeStats]:

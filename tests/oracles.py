@@ -1,10 +1,12 @@
-"""Independent brute-force oracles, deliberately free of numpy.linalg.
+"""Independent brute-force oracles.
 
 The distance oracles evaluate each of the five measures one pair at a time
-in plain Python. The regression oracle rebuilds the whole estimate path the
-same way: scalar weighted-norm distances, dense matrix assembly, Gaussian
-elimination with partial pivoting, and the final weighted target sums. None
-of it shares code with the production path it checks.
+in plain Python; ``pairwise_oracle`` evaluates them over whole batches by
+reducing an (n, P, M) broadcast difference tensor, the reference for the
+``cdist`` path at benchmark shapes. The regression oracle rebuilds the whole
+estimate path in plain Python: scalar weighted-norm distances, dense matrix
+assembly, Gaussian elimination with partial pivoting, and the final weighted
+target sums. None of it shares code with the production path it checks.
 
 The simulator oracles replay the optics and the exposure rule one frame,
 channel and illuminator at a time. Three primitives there are numpy's,
@@ -18,7 +20,7 @@ import math
 
 import numpy as np
 
-from ledgaze.core import ADC_MAX
+from ledgaze.core import ADC_MAX, DegenerateInputError, DimensionError
 from ledgaze.sigproc import SATURATION_HIGH, SATURATION_LOW
 
 
@@ -56,6 +58,41 @@ def canberra_scalar(a, b):
         if den != 0.0:
             total += abs(ai - bi) / den
     return total
+
+
+def pairwise_oracle(spec, A, B):
+    """Every measure between the rows of A (n, M) and B (P, M) by broadcasting.
+
+    Builds the (n, P, M) coordinate-difference tensor and reduces it.
+    """
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    if A.shape[1] != B.shape[1]:
+        raise DimensionError(
+            f"channel counts differ: {A.shape[1]} vs {B.shape[1]}"
+        )
+    diff = np.abs(A[:, None, :] - B[None, :, :])
+    if spec.kind == "minkowski":
+        w = np.ones(A.shape[1]) if spec.weights is None else np.asarray(spec.weights, dtype=float)
+        if w.shape[0] != A.shape[1]:
+            raise DimensionError("weights must match channel count")
+        return np.sum(w * diff**spec.m, axis=2) ** (1.0 / spec.m)
+    if spec.kind == "rbf":
+        d = np.sqrt(np.sum(diff * diff, axis=2))
+        if spec.rbf_squared:
+            d = d * d
+        return np.exp(-d / (2.0 * spec.sigma * spec.sigma))
+    if spec.kind == "cosine":
+        na = np.linalg.norm(A, axis=1)
+        nb = np.linalg.norm(B, axis=1)
+        if np.any(na == 0) or np.any(nb == 0):
+            raise DegenerateInputError("cosine distance is undefined for zero vectors")
+        return 1.0 - (A @ B.T) / np.outer(na, nb)
+    if spec.kind == "manhattan":
+        return np.sum(diff, axis=2)
+    den = np.abs(A)[:, None, :] + np.abs(B)[None, :, :]
+    terms = np.divide(diff, den, out=np.zeros_like(diff), where=den != 0)
+    return np.sum(terms, axis=2)
 
 
 def gauss_solve(A, b):

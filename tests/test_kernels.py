@@ -13,12 +13,14 @@ from ledgaze.kernels import (
     pairwise,
     rbf,
 )
+from ledgaze.session import SessionConfig, run_benchmark_session
 
 from oracles import (
     canberra_scalar,
     cosine_scalar,
     manhattan_scalar,
     minkowski_scalar,
+    pairwise_oracle,
     rbf_scalar,
 )
 
@@ -209,5 +211,54 @@ def test_pairwise_matches_oracle_with_zero_coordinates(kind):
 
 
 def test_pairwise_dimension_error():
+    # DimensionError, not the bare ValueError cdist raises for either case
     with pytest.raises(DimensionError):
         pairwise(MeasureSpec(), np.ones((2, 3)), np.ones((2, 4)))
+    with pytest.raises(DimensionError):
+        pairwise(MeasureSpec(m=1.5, weights=(1.0,) * 11), np.ones((3, 12)), np.ones((2, 12)))
+
+
+# -- cdist path against the broadcast oracle at benchmark shapes ----------------
+
+_WEIGHTS = tuple(np.linspace(0.2, 2.0, 12))
+_BENCH_SPECS = [MeasureSpec("minkowski", m=m, weights=w)
+                for m in (1.0, 1.5, 2.0, 3.0) for w in (None, _WEIGHTS)] + [
+    MeasureSpec("rbf", sigma=0.3),
+    MeasureSpec("rbf", sigma=0.3, rbf_squared=True),
+    MeasureSpec("cosine"),
+    MeasureSpec("manhattan"),
+    MeasureSpec("canberra"),
+]
+
+
+@pytest.fixture(scope="module")
+def session_readings():
+    """Evaluation-run readings (~4.4k x 12) and the 82 augmented calibration means."""
+    log, cal = run_benchmark_session(SessionConfig(seed=1))
+    assert log.proc.shape[1] == cal.means.shape[1] == 12 and cal.point_count == 82
+    return log.proc, cal.means
+
+
+@pytest.mark.parametrize("spec", _BENCH_SPECS, ids=lambda s: (
+    f"{s.kind}-m{s.m}-{'w' if s.weights else 'unw'}" if s.kind == "minkowski"
+    else f"rbf-{'sq' if s.rbf_squared else 'plain'}" if s.kind == "rbf" else s.kind))
+def test_pairwise_matches_broadcast_oracle_at_benchmark_shapes(spec, session_readings):
+    X, B = session_readings
+    # Cosine is 1 minus a ratio, so its rounding is absolute: a few ulps of 1.
+    atol = 8 * np.finfo(float).eps if spec.kind == "cosine" else 0.0
+    K = pairwise(spec, X, B)
+    assert K.shape == (X.shape[0], 82)
+    np.testing.assert_allclose(K, pairwise_oracle(spec, X, B), rtol=1e-12, atol=atol)
+    for i in (0, X.shape[0] // 2, X.shape[0] - 1):
+        one = pairwise(spec, X[i], B)
+        np.testing.assert_allclose(one, pairwise_oracle(spec, X[i], B), rtol=1e-12, atol=atol)
+        assert np.array_equal(one, K[i:i + 1])  # one frame is one row of the batch
+
+
+def test_pairwise_cosine_zero_row_inside_batch_raises():
+    A = np.random.default_rng(19).uniform(0.05, 1, (50, 12))
+    A[25] = 0.0
+    with pytest.raises(DegenerateInputError):
+        pairwise(MeasureSpec("cosine"), A, np.ones((4, 12)))
+    with pytest.raises(DegenerateInputError):
+        pairwise(MeasureSpec("cosine"), np.ones((4, 12)), A)

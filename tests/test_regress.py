@@ -112,6 +112,55 @@ def test_gpr_solver_residual_on_random_spd_perturbed_systems():
         assert resid <= 1e-9 * max(np.max(np.abs(k)), 1.0)
 
 
+def _with_near_duplicates(cal, rng, spread=1e-7):
+    """``cal`` with its last five rows replaced by rows within ``spread`` of one another."""
+    means = cal.means.copy()
+    means[-5:] = means[-5] + rng.uniform(-spread, spread, (5, means.shape[1]))
+    return CalibrationSet(means, cal.targets)
+
+
+@pytest.mark.parametrize("measure", [MINK, MeasureSpec(kind="cosine")], ids=["minkowski", "cosine"])
+@pytest.mark.parametrize("kind", ["random", "near-singular"])
+def test_gpr_estimates_equal_lu_solve_reference_bit_for_bit(kind, measure):
+    from scipy.linalg import lu_factor, lu_solve
+    rng = np.random.default_rng(37)
+    cal = _random_calibration(rng, 40, 12)
+    if kind == "near-singular":
+        cal = _with_near_duplicates(cal, rng)
+    model = GprModel(cal, measure)
+    C = pairwise(measure, cal.means, cal.means)
+    lu = lu_factor(C + model.effective_jitter * np.eye(cal.point_count), check_finite=False)
+
+    def reference(X):
+        K = pairwise(measure, X, cal.means)
+        return lu_solve(lu, K.T, check_finite=False).T @ cal.targets
+
+    X = rng.uniform(0.05, 1, (300, 12))
+    assert np.array_equal(model.estimate_batch(X), reference(X))
+    for i in (0, 299):  # the one-frame call against a one-row reference
+        e = model.estimate(X[i])
+        assert (e.position.x, e.position.y) == tuple(reference(X[i:i + 1])[0])
+
+
+def test_gpr_solve_failure_raises_estimation_error(monkeypatch):
+    import ledgaze.regress as regress
+    rng = np.random.default_rng(38)
+    model = GprModel(_random_calibration(rng, 6, 4), MINK)
+    monkeypatch.setattr(regress, "dgetrs", lambda lu, piv, b, overwrite_b: (b, -3))
+    with pytest.raises(EstimationError, match="argument 3"):
+        model.estimate_batch(rng.uniform(0, 1, (2, 4)))
+    with pytest.raises(EstimationError):
+        GprModel(model.calibration, MINK)
+
+
+def test_gpr_rcond_small_for_near_duplicate_rows():
+    rng = np.random.default_rng(39)
+    cal = _random_calibration(rng, 20, 12)
+    spread = GprModel(cal, MINK)
+    tight = GprModel(_with_near_duplicates(cal, rng), MINK)
+    assert 0.0 < tight.rcond < 1e-4 * spread.rcond
+
+
 def test_gpr_permutation_equivariance():
     rng = np.random.default_rng(25)
     cal = _random_calibration(rng, 10, 6)
