@@ -3,8 +3,9 @@
 Targets are highlighted in seeded-random order; while the subject dwells on
 one, sampled vectors are aggregated to a per-channel mean, with the whole
 location rejected when any channel's spread exceeds the variance gate.
-Rejected locations are re-queued once at the end of the schedule and then
-dropped with a warning.
+Calibration runs in two rounds: the whole schedule, then the rejected
+locations once more in the same order; a location rejected twice is dropped
+with a warning.
 """
 
 from __future__ import annotations
@@ -102,10 +103,10 @@ def aggregate_point(frames: Sequence, config: DwellConfig) -> DwellAggregate:
 
 
 class DwellSource(Protocol):
-    """Delivers the sampled vectors for one highlighted target."""
+    """Delivers the sampled vectors for a sequence of highlighted targets."""
 
-    def acquire(self, target: ScreenPoint) -> np.ndarray:
-        """Sampled (n, M) vectors collected while dwelling on the target."""
+    def acquire(self, targets: Sequence[ScreenPoint]) -> list[np.ndarray]:
+        """Sampled (n, M) vectors per target, dwelt on in the given order."""
         ...
 
 
@@ -114,27 +115,28 @@ def run_calibration(source: DwellSource, grid: CalibrationGridSpec,
                     seed: int) -> CalibrationSet:
     """Build a calibration set by dwelling on every scheduled target.
 
-    Targets failing the variance gate are re-queued once at the end of the
-    schedule; a second failure drops them with a logged warning.
+    Targets failing the variance gate are dwelt on again in a second round
+    after the schedule; a second failure drops them with a logged warning.
     """
-    queue = [(t, 0) for t in schedule_targets(grid, geom, seed)]
-    retry: list[tuple[ScreenPoint, int]] = []
     entries: list[tuple[np.ndarray, ScreenPoint]] = []
-    while queue or retry:
-        if not queue:
-            queue, retry = retry, []
-        target, attempt = queue.pop(0)
-        agg = aggregate_point(source.acquire(target), config)
-        if agg.accepted:
-            entries.append((agg.mean, target))
-        elif attempt == 0:
-            retry.append((target, 1))
-        else:
-            log.warning(
-                "calibration target (%.0f, %.0f) rejected twice "
-                "(channels %s over threshold); dropping it",
-                target.x, target.y, list(agg.bad_channels),
-            )
+    targets = schedule_targets(grid, geom, seed)
+    for retry in (False, True):
+        if not targets:
+            break
+        rejected = []
+        for target, frames in zip(targets, source.acquire(targets)):
+            agg = aggregate_point(frames, config)
+            if agg.accepted:
+                entries.append((agg.mean, target))
+            elif not retry:
+                rejected.append(target)
+            else:
+                log.warning(
+                    "calibration target (%.0f, %.0f) rejected twice "
+                    "(channels %s over threshold); dropping it",
+                    target.x, target.y, list(agg.bad_channels),
+                )
+        targets = rejected
     if not entries:
         raise CalibrationError("every calibration target was rejected")
     return CalibrationSet.from_entries(entries)

@@ -302,16 +302,19 @@ def run_task_session(config: SessionConfig, calibration: CalibrationSet | None,
     model = config.build_estimator(calibration)
     radius_px = config.target_radius_px()
     m = config.grid_margin
-    successes: list[bool] = []
-    tasks: list[dict] = []
-    for i in range(config.task_count):
+    draws = []
+    for _ in range(config.task_count):
         n_cand = int(task_rng.integers(config.task_candidates_min, config.task_candidates_max + 1))
         cand = np.column_stack([
             task_rng.uniform(m, geom.width - m, n_cand),
             task_rng.uniform(m, geom.height - m, n_cand),
         ])
-        target = ScreenPoint(float(cand[0, 0]), float(cand[0, 1]))
-        proc = source.acquire(target)  # reaction + transient are not judged
+        draws.append((n_cand, ScreenPoint(float(cand[0, 0]), float(cand[0, 1]))))
+    # Reaction + transient are not judged; every task's window comes from one run.
+    windows = source.acquire([target for _, target in draws])
+    successes: list[bool] = []
+    tasks: list[dict] = []
+    for i, ((n_cand, target), proc) in enumerate(zip(draws, windows)):
         est = np.asarray(model.estimate_batch(proc), dtype=float)
         dist = np.hypot(est[:, 0] - target.x, est[:, 1] - target.y)
         inside = float(np.mean(dist <= radius_px))

@@ -10,8 +10,9 @@ honest to regress against. All magnitudes are simulator parameters, recorded
 in output metadata, not claims about hardware.
 
 Also provides gaze-behavior scripting (fixations, saccades with reaction-time
-lag, blinks), headset-shift injection, and the session loop that feeds the
-signal-processing chain and logs everything needed for evaluation.
+lag, blinks), the remount shift, and the session engine that simulates a
+timeline of script events in one pass through the signal-processing chain
+and logs everything needed for evaluation.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -134,7 +136,6 @@ class HeadsetShift:
     """Rigid translation of the whole LED assembly relative to the face."""
 
     translation_mm: tuple[float, float]
-    onset_us: int = 0
 
 
 def apply_shift(layout: LedLayout, shift: HeadsetShift) -> LedLayout:
@@ -309,7 +310,7 @@ class SessionLog:
 
 
 class EyeSimulator:
-    """Stateful session engine: stimulus control, optics, signal chain, log.
+    """Stateful session engine: event timelines, optics, signal chain, log.
 
     One instance is single-threaded; parallel sweeps use one instance per
     worker with distinct seeds. All randomness comes from generators derived
@@ -337,48 +338,11 @@ class EyeSimulator:
         start = start_target if start_target is not None else self.geom.center
         self.stim_target = start
         self.gaze_target = start
-        self._pending_move: dict | None = None  # {"switch_us", "event"}
+        # A move the eye has not followed yet: (switch time, its event, target).
+        self._unsettled: tuple[float, dict, ScreenPoint] | None = None
         self.frame_index = 0
         self._blocks: list[tuple] = []
         self.events: list[dict] = []
-
-    # -- stimulus control ---------------------------------------------------
-
-    @property
-    def t_us(self) -> int:
-        return self.frame_index * self.cycle_us
-
-    def move_target(self, target: ScreenPoint) -> None:
-        """Step the stimulus; the eye follows after a reaction-time lag."""
-        if target == self.stim_target:
-            return
-        if self._pending_move is not None:
-            # Superseded before the eye settled; close its exclusion window
-            # where the new one begins.
-            self._pending_move["event"]["t_settle_us"] = self.t_us
-            self._pending_move = None
-        srt_us = max(0.0, self._srt_rng.normal(self.subject.srt_mean_ms * 1000.0,
-                                               self.subject.srt_std_ms * 1000.0))
-        event = {
-            "kind": "target_move",
-            "t_move_us": self.t_us,
-            "t_settle_us": None,
-            "from": [self.stim_target.x, self.stim_target.y],
-            "to": [target.x, target.y],
-        }
-        self.events.append(event)
-        self._pending_move = {"switch_us": self.t_us + srt_us, "event": event,
-                              "to": target}
-        self.stim_target = target
-
-    def apply_shift(self, shift: HeadsetShift) -> None:
-        """Rigidly shift the LED assembly from now on (headset slip)."""
-        self.layout = apply_shift(self.layout, shift)
-        self.events.append({
-            "kind": "shift",
-            "t_us": self.t_us,
-            "translation_mm": list(shift.translation_mm),
-        })
 
     # -- optics core --------------------------------------------------------
 
@@ -401,56 +365,91 @@ class EyeSimulator:
 
     # -- session loop -------------------------------------------------------
 
-    def run(self, duration_us: int, blink: bool = False) -> None:
-        """Advance the session by a span of frames at the current stimulus."""
-        n = int(round(duration_us / self.cycle_us))
-        if n <= 0:
-            return
-        t = (self.frame_index + np.arange(n, dtype=np.int64)) * self.cycle_us
-        t0, t1 = self.t_us, self.t_us + n * self.cycle_us
-        if blink:
-            self.events.append({"kind": "blink", "t0_us": t0, "t1_us": t1})
-            ramp_us = self.config.optics.blink_ramp_ms * 1000.0
-            blend = np.clip(np.minimum((t - t0) / ramp_us, (t1 - t) / ramp_us), 0.0, 1.0)
-        else:
-            blend = np.zeros(n)
+    def frame_count(self, duration_us: int) -> int:
+        """Frames an event of the given duration spans."""
+        return int(round(duration_us / self.cycle_us))
+
+    def run(self, events: Sequence[ScriptEvent]) -> None:
+        """Simulate a timeline of script events in one pass.
+
+        A fixation or saccade on a new target steps the stimulus at once and
+        draws the subject's reaction time; the eye lands on the target at the
+        first frame past it, unless the next move comes first. A move whose
+        reaction time outlasts the timeline carries over to the next call.
+        The frames are drained with ``take_frames()``.
+        """
+        cycle = self.cycle_us
+        counts = [self.frame_count(ev.duration_us) for ev in events]
+        n = sum(counts)
+        t = (self.frame_index + np.arange(n, dtype=np.int64)) * cycle
         gaze_xy = np.empty((n, 2))
-        gaze_xy[:] = [self.gaze_target.x, self.gaze_target.y]
-        # Resolve the reaction-time lag: frames before the switch keep
-        # looking wherever the eye currently rests.
-        if self._pending_move is not None:
-            after = t >= self._pending_move["switch_us"]
-            if after.any():
-                to = self._pending_move["to"]
-                gaze_xy[after] = [to.x, to.y]
-                self._pending_move["event"]["t_settle_us"] = int(t[after][0])
-                self._pending_move = None
-                self.gaze_target = to
+        tgt = np.empty((n, 2))
+        blend = np.zeros(n)
+        ramp_us = self.config.optics.blink_ramp_ms * 1000.0
+        f = 0
+        for ev, k in zip(events, counts):
+            t0 = (self.frame_index + f) * cycle
+            if ev.kind != "blink" and ev.target != self.stim_target:
+                self._move(ev.target, t0)
+            if k == 0:
+                continue
+            span = slice(f, f + k)
+            if ev.kind == "blink":
+                t1 = t0 + k * cycle
+                self.events.append({"kind": "blink", "t0_us": t0, "t1_us": t1})
+                blend[span] = np.clip(np.minimum((t[span] - t0) / ramp_us,
+                                                 (t1 - t[span]) / ramp_us), 0.0, 1.0)
+            tgt[span] = [self.stim_target.x, self.stim_target.y]
+            gaze_xy[span] = [self.gaze_target.x, self.gaze_target.y]
+            if self._unsettled is not None:
+                switch_us, event, to = self._unsettled
+                after = t[span] >= switch_us
+                if after.any():
+                    switch = f + int(after.argmax())
+                    event["t_settle_us"] = int(t[switch])
+                    gaze_xy[switch:f + k] = [to.x, to.y]
+                    self.gaze_target = to
+                    self._unsettled = None
+            f += k
+        if n == 0:
+            return
         raw, scales = self._sense_block(gaze_xy, blend)
-        comp = raw / ADC_MAX / scales  # undo each frame's exposure scaling
+        # Undo each frame's exposure scaling; the scales are not kept, so
+        # their buffer holds the result and a whole phase needs one less array.
+        comp = np.divide(raw / ADC_MAX, scales, out=scales)
         proc = self.iir.filter_block(comp)
-        tgt = np.tile([self.stim_target.x, self.stim_target.y], (n, 1))
         self._blocks.append((t, raw, proc, gaze_xy, tgt))
         self.frame_index += n
 
-    def run_event(self, ev: ScriptEvent) -> None:
-        if ev.kind == "saccade":
-            self.move_target(ev.target)
-        elif ev.kind == "fixation":
-            self.move_target(ev.target)
-            self.run(ev.duration_us)
-        else:
-            self.run(ev.duration_us, blink=True)
+    def _move(self, target: ScreenPoint, t_us: int) -> None:
+        """Step the stimulus and draw the reaction time after which the eye follows."""
+        if self._unsettled is not None:
+            # Superseded before the eye switched; close its exclusion window
+            # where the new one begins.
+            self._unsettled[1]["t_settle_us"] = t_us
+        srt_us = max(0.0, self._srt_rng.normal(self.subject.srt_mean_ms * 1000.0,
+                                               self.subject.srt_std_ms * 1000.0))
+        event = {
+            "kind": "target_move",
+            "t_move_us": t_us,
+            "t_settle_us": None,
+            "from": [self.stim_target.x, self.stim_target.y],
+            "to": [target.x, target.y],
+        }
+        self.events.append(event)
+        self._unsettled = (t_us + srt_us, event, target)
+        self.stim_target = target
 
     def take_frames(self) -> tuple[np.ndarray, ...]:
         """Drain and return frames logged since the last call."""
-        if not self._blocks:
+        blocks, self._blocks = self._blocks, []
+        if len(blocks) == 1:
+            return blocks[0]
+        if not blocks:
             m = self.layout.total_channels
             return (np.empty(0, dtype=np.int64), np.empty((0, m), dtype=np.int64),
                     np.empty((0, m)), np.empty((0, 2)), np.empty((0, 2)))
-        cols = tuple(np.concatenate([b[i] for b in self._blocks]) for i in range(5))
-        self._blocks = []
-        return cols
+        return tuple(np.concatenate([b[i] for b in blocks]) for i in range(5))
 
     def snapshot(self, extra_meta: dict | None = None) -> SessionLog:
         """Session log of everything simulated so far."""
@@ -629,23 +628,11 @@ def expose_block(clean: np.ndarray, noise: np.ndarray, blend: np.ndarray, exp: n
 
 
 def run_script(layout: LedLayout, subject: SubjectProfile, script: GazeScript,
-               config: SimConfig, seed: int,
-               shift: HeadsetShift | None = None) -> SessionLog:
-    """Simulate a full scripted session and return its log.
-
-    An optional headset shift is applied when the session clock passes its
-    onset (between script events).
-    """
+               config: SimConfig, seed: int) -> SessionLog:
+    """Simulate a full scripted session and return its log."""
     if script.duration_us < config.cycle_us(layout):
         raise ConfigError("script shorter than one capture cycle")
     first = next(ev.target for ev in script.events if ev.target is not None)
     sim = EyeSimulator(layout, subject, config, seed, start_target=first)
-    shifted = False
-    for ev in script.events:
-        if shift is not None and not shifted and sim.t_us >= shift.onset_us:
-            sim.apply_shift(shift)
-            shifted = True
-        sim.run_event(ev)
-    if shift is not None and not shifted:
-        sim.apply_shift(shift)
+    sim.run(script.events)
     return sim.snapshot()

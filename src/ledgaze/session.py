@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -22,13 +23,12 @@ from .core import CalibrationSet, ConfigError, DisplayGeometry, ScreenPoint
 from .eyesim import (
     EyeSimulator,
     GazeScript,
-    HeadsetShift,
     LedLayout,
     OpticsModel,
+    ScriptEvent,
     SessionLog,
     SimConfig,
     SubjectProfile,
-    apply_shift,
     run_script,
 )
 from .kernels import MeasureSpec
@@ -216,6 +216,9 @@ class SessionConfig:
         return dataclasses.replace(self, **kw)
 
 
+SETTLE_ATTENUATION = 1e-3  # IIR transient left when dwell sampling starts
+
+
 @dataclass
 class SimulatorDwellSource:
     """Adapter feeding dwell samples from a live engine to the calibrator.
@@ -227,22 +230,24 @@ class SimulatorDwellSource:
 
     engine: EyeSimulator
     dwell_ms: float
-    settle_attenuation: float = 1e-3
 
     def settle_us(self) -> int:
         subj = self.engine.subject
         cycle = self.engine.cycle_us
-        frames = iir_settle_frames(self.engine.config.iir_alpha, self.settle_attenuation)
+        frames = iir_settle_frames(self.engine.config.iir_alpha, SETTLE_ATTENUATION)
         return int((subj.srt_mean_ms + 4 * subj.srt_std_ms) * 1000.0
                    + frames * cycle + 2 * cycle)
 
-    def acquire(self, target: ScreenPoint) -> np.ndarray:
-        self.engine.move_target(target)
-        self.engine.run(self.settle_us())
-        self.engine.take_frames()  # settle-in frames are not sampled
-        self.engine.run(int(self.dwell_ms * 1000.0))
+    def acquire(self, targets: Sequence[ScreenPoint]) -> list[np.ndarray]:
+        """Dwell on each target in turn, in one engine run; the sampled frames per target."""
+        settle_us, dwell_us = self.settle_us(), int(self.dwell_ms * 1000.0)
+        self.engine.run([ScriptEvent("fixation", us, target)
+                         for target in targets for us in (settle_us, dwell_us)])
         _, _, proc, _, _ = self.engine.take_frames()
-        return proc
+        settle, dwell = self.engine.frame_count(settle_us), self.engine.frame_count(dwell_us)
+        step = settle + dwell
+        # Settle-in frames are not sampled.
+        return [proc[i * step + settle:(i + 1) * step] for i in range(len(targets))]
 
 
 def calibration_phase(config: SessionConfig, subject: SubjectProfile,
@@ -263,10 +268,10 @@ def augmentation_phase(config: SessionConfig, subject: SubjectProfile,
     rng = np.random.default_rng(np.random.SeedSequence([derive_seed(seed, 32)]))
     geom = config.geometry()
     m = config.grid_margin
-    for _ in range(config.augment_points):
-        target = ScreenPoint(float(rng.uniform(m, geom.width - m)),
-                             float(rng.uniform(m, geom.height - m)))
-        samples = source.acquire(target)
+    targets = [ScreenPoint(float(rng.uniform(m, geom.width - m)),
+                           float(rng.uniform(m, geom.height - m)))
+               for _ in range(config.augment_points)]
+    for target, samples in zip(targets, source.acquire(targets)):
         calibration = calibration.append(samples.mean(axis=0), target)
     return calibration
 
@@ -286,18 +291,13 @@ def evaluation_phase(config: SessionConfig, subject: SubjectProfile,
     return log
 
 
-def run_benchmark_session(config: SessionConfig,
-                          subject: SubjectProfile | None = None,
-                          shift: HeadsetShift | None = None):
+def run_benchmark_session(config: SessionConfig):
     """Calibrate, augment online, then record the scripted evaluation run.
 
     Returns (session log, augmented calibration set).
     """
     layout = config.layout()
-    if shift is not None:
-        layout = apply_shift(layout, shift)
-    if subject is None:
-        subject = config.subject()
+    subject = config.subject()
     cal = calibration_phase(config, subject, layout, config.seed)
     cal = augmentation_phase(config, subject, layout, cal, config.seed)
     log = evaluation_phase(config, subject, layout, config.seed)

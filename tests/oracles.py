@@ -14,6 +14,11 @@ called on single values: the tangent, the 3-term dot product and the power.
 numpy's vectorized kernels for them may fuse multiply-adds or use their own
 routines, so the math module can differ in the last bit, and these oracles
 are compared for exact equality.
+
+``StepwiseSimulator`` is the per-event session path that
+``EyeSimulator.run(events)`` replaces: one ``move_target`` and one
+``run(duration)`` span per script event, with the reaction-time switch
+resolved inside each span.
 """
 
 import math
@@ -230,3 +235,86 @@ def exposure_replay(clean, noise, blend, exp, emin, emax, ref, eyelid):
         raw.append(r_row)
         scales.append(s_row)
     return raw, scales, exp
+
+
+class StepwiseSimulator:
+    """Drives an ``EyeSimulator``'s state one script event at a time.
+
+    Uses the engine's generators, exposures, filter and frame buffer, so a
+    fresh engine driven here and an identical one driven by ``run(events)``
+    must produce the same bytes.
+    """
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.pending = None  # {"switch_us", "event", "to"}
+
+    @property
+    def t_us(self):
+        return self.sim.frame_index * self.sim.cycle_us
+
+    def move_target(self, target):
+        sim = self.sim
+        if target == sim.stim_target:
+            return
+        if self.pending is not None:
+            self.pending["event"]["t_settle_us"] = self.t_us
+            self.pending = None
+        srt_us = max(0.0, sim._srt_rng.normal(sim.subject.srt_mean_ms * 1000.0,
+                                              sim.subject.srt_std_ms * 1000.0))
+        event = {
+            "kind": "target_move",
+            "t_move_us": self.t_us,
+            "t_settle_us": None,
+            "from": [sim.stim_target.x, sim.stim_target.y],
+            "to": [target.x, target.y],
+        }
+        sim.events.append(event)
+        self.pending = {"switch_us": self.t_us + srt_us, "event": event, "to": target}
+        sim.stim_target = target
+
+    def run(self, duration_us, blink=False):
+        sim = self.sim
+        n = int(round(duration_us / sim.cycle_us))
+        if n <= 0:
+            return
+        t = (sim.frame_index + np.arange(n, dtype=np.int64)) * sim.cycle_us
+        t0, t1 = self.t_us, self.t_us + n * sim.cycle_us
+        if blink:
+            sim.events.append({"kind": "blink", "t0_us": t0, "t1_us": t1})
+            ramp_us = sim.config.optics.blink_ramp_ms * 1000.0
+            blend = np.clip(np.minimum((t - t0) / ramp_us, (t1 - t) / ramp_us), 0.0, 1.0)
+        else:
+            blend = np.zeros(n)
+        gaze_xy = np.empty((n, 2))
+        gaze_xy[:] = [sim.gaze_target.x, sim.gaze_target.y]
+        if self.pending is not None:
+            after = t >= self.pending["switch_us"]
+            if after.any():
+                to = self.pending["to"]
+                gaze_xy[after] = [to.x, to.y]
+                self.pending["event"]["t_settle_us"] = int(t[after][0])
+                self.pending = None
+                sim.gaze_target = to
+        raw, scales = sim._sense_block(gaze_xy, blend)
+        proc = sim.iir.filter_block(raw / ADC_MAX / scales)
+        tgt = np.tile([sim.stim_target.x, sim.stim_target.y], (n, 1))
+        sim._blocks.append((t, raw, proc, gaze_xy, tgt))
+        sim.frame_index += n
+
+    def run_event(self, ev):
+        if ev.kind == "saccade":
+            self.move_target(ev.target)
+        elif ev.kind == "fixation":
+            self.move_target(ev.target)
+            self.run(ev.duration_us)
+        else:
+            self.run(ev.duration_us, blink=True)
+
+    def acquire(self, target, settle_us, dwell_us):
+        """Sampled frames of one dwell: settle, discard, then sample."""
+        self.move_target(target)
+        self.run(settle_us)
+        self.sim.take_frames()
+        self.run(dwell_us)
+        return self.sim.take_frames()[2]

@@ -129,8 +129,13 @@ class CleanSource:
         self.noisy = {(t.x, t.y) for t in noisy_targets}
         self.fail_always = fail_always
         self.visits = []
+        self.rounds = []
 
-    def acquire(self, target):
+    def acquire(self, targets):
+        self.rounds.append(len(targets))
+        return [self.dwell(t) for t in targets]
+
+    def dwell(self, target):
         self.visits.append((target.x, target.y))
         base = np.array([target.x / 1000.0, target.y / 1000.0, 0.5])
         n = 10
@@ -143,9 +148,12 @@ class CleanSource:
 
 def test_run_calibration_clean_4x4_yields_16_points():
     grid = CalibrationGridSpec(4, 4)
-    cal = run_calibration(CleanSource(), grid, GEOM, DWELL, seed=1)
+    src = CleanSource()
+    cal = run_calibration(src, grid, GEOM, DWELL, seed=1)
     assert cal.point_count == 16
     assert cal.channel_count == 3
+    assert src.rounds == [16]  # nothing rejected, so no retry round
+    assert src.visits == [(t.x, t.y) for t in schedule_targets(grid, GEOM, seed=1)]
 
 
 def test_run_calibration_2x2_minimal():
@@ -160,8 +168,20 @@ def test_run_calibration_retries_transient_rejection():
     cal = run_calibration(src, grid, GEOM, DWELL, seed=3)
     assert cal.point_count == 4  # recovered on the retry
     assert src.visits.count((noisy.x, noisy.y)) == 2
-    # the retried target was re-queued at the end of the schedule
+    # the retried target was dwelt on again after the whole schedule
     assert src.visits[-1] == (noisy.x, noisy.y)
+    assert src.rounds == [4, 1]
+
+
+def test_run_calibration_retry_round_keeps_schedule_order():
+    grid = CalibrationGridSpec(3, 3)
+    schedule = schedule_targets(grid, GEOM, seed=4)
+    noisy = [schedule[1], schedule[4], schedule[7]]
+    src = CleanSource(noisy_targets=noisy)
+    cal = run_calibration(src, grid, GEOM, DWELL, seed=4)
+    assert cal.point_count == 9
+    assert src.rounds == [9, 3]
+    assert src.visits[9:] == [(t.x, t.y) for t in noisy]
 
 
 def test_run_calibration_drops_persistently_noisy_target(caplog):
@@ -170,24 +190,27 @@ def test_run_calibration_drops_persistently_noisy_target(caplog):
             super().__init__()
             self.target = (target.x, target.y)
 
-        def acquire(self, t):
-            X = super().acquire(t)
+        def dwell(self, t):
+            X = super().dwell(t)
             if (t.x, t.y) == self.target:
                 X[::2, 2] = 0.99
             return X
 
     grid = CalibrationGridSpec(4, 4)
     bad = schedule_targets(grid, GEOM, seed=5)[2]
+    src = TwiceNoisy(bad)
     with caplog.at_level(logging.WARNING, logger="ledgaze.calib"):
-        cal = run_calibration(TwiceNoisy(bad), grid, GEOM, DWELL, seed=5)
+        cal = run_calibration(src, grid, GEOM, DWELL, seed=5)
     assert cal.point_count == 15
+    assert src.rounds == [16, 1]
     assert any("rejected twice" in r.message for r in caplog.records)
 
 
 def test_run_calibration_all_rejected_raises():
+    src = CleanSource(fail_always=True)
     with pytest.raises(CalibrationError):
-        run_calibration(CleanSource(fail_always=True), CalibrationGridSpec(2, 2),
-                        GEOM, DWELL, seed=1)
+        run_calibration(src, CalibrationGridSpec(2, 2), GEOM, DWELL, seed=1)
+    assert src.rounds == [4, 4]
 
 
 def test_run_calibration_deterministic():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ledgaze.calib import CalibrationGridSpec, schedule_targets
 from ledgaze.core import ConfigError, DisplayGeometry, ScreenPoint
 from ledgaze.eyesim import (
     _EXPOSE_LOOKAHEAD,
@@ -24,8 +25,9 @@ from ledgaze.eyesim import (
 )
 from ledgaze.kernels import MeasureSpec
 from ledgaze.regress import GprModel
+from ledgaze.session import SimulatorDwellSource
 from ledgaze.sigproc import adapt_exposure
-from oracles import clean_signal_oracle, exposure_replay
+from oracles import StepwiseSimulator, clean_signal_oracle, exposure_replay
 
 GEOM = DisplayGeometry(800, 600)
 OPTICS = OpticsModel()
@@ -392,29 +394,197 @@ def test_engine_block_path_matches_sense_and_adapt_exposure(make_layout, exposur
 
 
 def test_run_output_does_not_depend_on_how_a_span_is_split():
-    # One 3 s run() call and three 1 s calls give the same frames and events:
-    # noise is drawn in sequence, the IIR carries its state and the exposure
-    # rule carries its exposures across calls.
+    # One 3 s fixation and three 1 s fixations on the same target, as one
+    # run() or three, give the same frames and events: noise is drawn in
+    # sequence, the IIR carries its state, the exposure rule its exposures
+    # and the move its reaction time.
     lay = LedLayout.prototype1()
     subj = replace(quiet_subject(noise=0.05), srt_mean_ms=1500.0, srt_std_ms=0.0)
     config = SimConfig(geom=GEOM, optics=OpticsModel(signal_scale=3.0))
+    target = ScreenPoint(650, 450)
 
-    def simulate(pieces_us):
+    def simulate(rounds):
         sim = EyeSimulator(lay, subj, config, seed=12, start_target=ScreenPoint(150, 150))
-        sim.move_target(ScreenPoint(650, 450))
-        for us in pieces_us:
-            sim.run(us)
+        for us in rounds:
+            sim.run([ScriptEvent("fixation", u, target) for u in us])
         return sim.snapshot()
 
-    whole = simulate([3_000_000])
-    split = simulate([1_000_000] * 3)
+    whole = simulate([[3_000_000]])
+    # the reaction time lands in the second second and the exposures adapt
     assert whole.n_frames == 300
-    # the reaction time lands in the second piece and the exposures adapt
     assert 1_000_000 <= whole.events[0]["t_settle_us"] < 2_000_000
     assert whole.raw[:3].max() >= 1000 and whole.raw[-1].max() < 1000
+    for split in (simulate([[1_000_000] * 3]), simulate([[1_000_000]] * 3)):
+        for col in ("t_us", "raw", "proc", "gaze", "target"):
+            assert np.array_equal(getattr(whole, col), getattr(split, col)), col
+        assert whole.events == split.events
+
+
+def _assert_same_log(got, want):
     for col in ("t_us", "raw", "proc", "gaze", "target"):
-        assert np.array_equal(getattr(whole, col), getattr(split, col)), col
-    assert whole.events == split.events
+        assert np.array_equal(getattr(got, col), getattr(want, col)), col
+    assert got.events == want.events
+
+
+def _simulate_rounds(lay, subj, config, rounds, stepwise, start=None):
+    """Engine after the rounds, each simulated as one run() call or by the per-event path."""
+    sim = EyeSimulator(lay, subj, config, seed=21, start_target=start)
+    ref = StepwiseSimulator(sim)
+    for events in rounds:
+        if stepwise:
+            for ev in events:
+                ref.run_event(ev)
+        else:
+            sim.run(events)
+    return sim
+
+
+def _dwell_targets(phase):
+    if phase == "calibration":  # the schedule, then a retry round
+        schedule = schedule_targets(CalibrationGridSpec(4, 4), GEOM, seed=3)
+        return 1500.0, [schedule, [schedule[i] for i in (2, 5, 11)]]
+    rng = np.random.default_rng(4)
+    count, dwell_ms = {"augmentation": (20, 600.0), "task": (8, 3000.0)}[phase]
+    return dwell_ms, [[ScreenPoint(float(x), float(y)) for x, y in
+                       zip(rng.uniform(100, 700, count), rng.uniform(100, 500, count))]]
+
+
+def _random_events(rng, n):
+    """Fixations, saccades and blinks, with repeats of the current target."""
+    pool = [ScreenPoint(float(x), float(y)) for x, y in
+            zip(rng.uniform(0, 800, 3), rng.uniform(0, 600, 3))]
+    events = []
+    for _ in range(n):
+        kind = rng.choice(["fixation", "fixation", "saccade", "blink"])
+        target = pool[rng.integers(3)]
+        if kind == "fixation":
+            events.append(ScriptEvent("fixation", int(rng.integers(1, 500_000)), target))
+        elif kind == "saccade":
+            events.append(ScriptEvent("saccade", 0, target))
+        else:
+            events.append(ScriptEvent("blink", int(rng.integers(1, 300_000))))
+    return pool[0], events
+
+
+SIM_CASES = {
+    "noise0": (0.0, OpticsModel()),
+    "noise0.05-bright": (0.05, OpticsModel(signal_scale=3.0)),  # exposures adapt
+}
+
+
+@pytest.mark.parametrize("case", list(SIM_CASES))
+@pytest.mark.parametrize("make_layout", [LedLayout.prototype1, LedLayout.prototype2],
+                         ids=["prototype1", "prototype2"])
+@pytest.mark.parametrize("phase", ["calibration", "augmentation", "task", "script"])
+def test_run_timeline_matches_stepwise_reference(phase, make_layout, case):
+    noise, optics = SIM_CASES[case]
+    lay = make_layout()
+    subj = quiet_subject(seed=2, noise=noise, layout=lay)
+    config = SimConfig(geom=GEOM, optics=optics)
+    if phase == "script":
+        script = GazeScript.random(np.random.default_rng(5), GEOM, 100, 25,
+                                   (150_000, 900_000), 40.0)
+        events = list(script.events)
+        events.insert(7, ScriptEvent("saccade", 0, ScreenPoint(50, 40)))
+        rounds = [events[:10], events[10:]]
+    else:
+        dwell_ms, target_rounds = _dwell_targets(phase)
+        probe = EyeSimulator(lay, subj, config, seed=0)
+        settle_us = SimulatorDwellSource(probe, dwell_ms).settle_us()
+        rounds = [[ScriptEvent("fixation", us, t) for t in targets
+                   for us in (settle_us, int(dwell_ms * 1000))] for targets in target_rounds]
+    got = _simulate_rounds(lay, subj, config, rounds, stepwise=False)
+    want = _simulate_rounds(lay, subj, config, rounds, stepwise=True)
+    assert got.frame_index == want.frame_index > 0
+    assert np.array_equal(got.exposure_us, want.exposure_us)
+    _assert_same_log(got.snapshot(), want.snapshot())
+    if case == "noise0.05-bright":
+        assert np.any(got.exposure_us != config.exposure_init_us)
+
+
+@pytest.mark.parametrize("phase", ["calibration", "augmentation", "task"])
+def test_dwell_source_windows_match_stepwise_acquire(phase):
+    lay = LedLayout.prototype1()
+    subj = quiet_subject(seed=2, noise=0.05, layout=lay)
+    config = SimConfig(geom=GEOM, optics=OpticsModel(signal_scale=3.0))
+    dwell_ms, target_rounds = _dwell_targets(phase)
+    source = SimulatorDwellSource(EyeSimulator(lay, subj, config, seed=21), dwell_ms)
+    ref = StepwiseSimulator(EyeSimulator(lay, subj, config, seed=21))
+    settle_us, dwell_us = source.settle_us(), int(dwell_ms * 1000)
+    for targets in target_rounds:
+        windows = source.acquire(targets)
+        assert len(windows) == len(targets)
+        for target, got in zip(targets, windows):
+            want = ref.acquire(target, settle_us, dwell_us)
+            assert want.shape[0] == source.engine.frame_count(dwell_us)
+            assert np.array_equal(got, want)
+    assert source.engine.events == ref.sim.events
+
+
+# (mean, std) reaction times in ms: 300 ms is exactly 50 cycles of 6 ms, so
+# the switch falls on a frame time; a 1 ms mean with a 1 s spread is often
+# clipped to 0, a switch on the move's own frame.
+SRT_CASES = [(1.0, 1000.0), (50.0, 12.5), (250.0, 62.5), (900.0, 225.0), (300.0, 0.0)]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(0, 2**16), st.integers(1, 14), st.sampled_from(SRT_CASES),
+       st.lists(st.integers(0, 14), max_size=3))
+def test_random_timelines_match_stepwise_reference(seed, n, srt, cuts):
+    # Moves superseded before the eye switches, zero-frame events, repeats of
+    # the current target and moves still unsettled at the end of a round.
+    rng = np.random.default_rng(seed)
+    start, events = _random_events(rng, n)
+    cuts = sorted({min(c, n) for c in cuts} | {0, n})
+    rounds = [events[a:b] for a, b in zip(cuts, cuts[1:])]
+    lay = LedLayout.prototype1()
+    subj = replace(quiet_subject(noise=0.05), srt_mean_ms=srt[0], srt_std_ms=srt[1])
+    config = SimConfig(geom=GEOM, step_us=1000, optics=OpticsModel(signal_scale=3.0))
+    got = _simulate_rounds(lay, subj, config, rounds, stepwise=False, start=start)
+    want = _simulate_rounds(lay, subj, config, rounds, stepwise=True, start=start)
+    assert got.frame_index == want.frame_index
+    _assert_same_log(got.snapshot(), want.snapshot())
+
+
+def test_move_superseded_before_the_eye_switches():
+    lay = LedLayout.prototype1()
+    subj = replace(quiet_subject(), srt_mean_ms=500.0, srt_std_ms=0.0)
+    a, b, c = ScreenPoint(150, 150), ScreenPoint(650, 450), ScreenPoint(400, 100)
+    sim = EyeSimulator(lay, subj, cfg(), seed=3, start_target=a)
+    # b is shown for 200 ms, shorter than the 500 ms reaction time
+    sim.run([ScriptEvent("fixation", 300_000, a), ScriptEvent("fixation", 200_000, b),
+             ScriptEvent("fixation", 800_000, c)])
+    to_b, to_c = sim.events
+    assert to_b["to"] == [b.x, b.y] and to_c["to"] == [c.x, c.y]
+    # 30 + 20 frames in, before b's switch at 30 frames + 500 ms
+    assert to_b["t_settle_us"] == to_c["t_move_us"] == 50 * sim.cycle_us
+    t, _, _, gaze, target = sim.take_frames()
+    assert not np.any(np.all(gaze == [b.x, b.y], axis=1))
+    assert np.all(gaze[t < to_c["t_settle_us"]] == [a.x, a.y])
+    assert np.all(gaze[t >= to_c["t_settle_us"]] == [c.x, c.y])
+    assert np.any(target == [b.x, b.y])
+    # a fixation on the current stimulus target draws no reaction time and logs nothing
+    state = sim._srt_rng.bit_generator.state
+    sim.run([ScriptEvent("fixation", 100_000, c), ScriptEvent("saccade", 0, c)])
+    assert sim._srt_rng.bit_generator.state == state
+    assert sim.events == [to_b, to_c]
+
+
+def test_run_returns_none_and_counts_its_frames():
+    # Results leave the engine through take_frames(); callers count frames
+    # from frame_index.
+    sim = EyeSimulator(LedLayout.prototype1(), quiet_subject(noise=0.01), cfg(), seed=1)
+    events = [ScriptEvent("fixation", 250_000, ScreenPoint(200, 200)),
+              ScriptEvent("blink", 120_000), ScriptEvent("saccade", 0, ScreenPoint(600, 400)),
+              ScriptEvent("fixation", 1_000, ScreenPoint(600, 400))]
+    expected = sum(sim.frame_count(ev.duration_us) for ev in events)
+    assert expected == 25 + 12
+    for _ in range(2):
+        before = sim.frame_index
+        assert sim.run(events) is None
+        assert sim.frame_index - before == expected
+    assert sim.run([]) is None
+    assert sim.take_frames()[0].shape[0] == sim.frame_index == 2 * expected
 
 
 def _gaze_block(kind, n=24, seed=0):

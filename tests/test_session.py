@@ -91,8 +91,8 @@ def test_dwell_source_collects_after_settling():
     from ledgaze.eyesim import EyeSimulator
     engine = EyeSimulator(cfg.layout(), cfg.subject(), cfg.sim_config(), seed=1)
     src = SimulatorDwellSource(engine, dwell_ms=200.0)
-    x1 = src.acquire(ScreenPoint(200, 200))
-    x2 = src.acquire(ScreenPoint(600, 400))
+    x1, x2 = src.acquire([ScreenPoint(200, 200), ScreenPoint(600, 400)])
+    assert x1.shape == x2.shape == (20, 12)
     # noise-free and settled: only a sub-1e-4 filter-transient remnant is left,
     # far below the 0.05 variance gate
     assert np.allclose(x1.std(axis=0), 0.0, atol=1e-4)
