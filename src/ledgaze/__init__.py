@@ -24,14 +24,12 @@ from .sigproc import CaptureSchedule, IirFilter, adapt_exposure
 from .eyesim import (
     EyeSimulator,
     GazeScript,
-    HeadsetShift,
     LedLayout,
     OpticsModel,
     ScriptEvent,
     SessionLog,
     SimConfig,
     SubjectProfile,
-    apply_shift,
     run_script,
     sense,
 )

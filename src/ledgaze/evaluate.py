@@ -9,7 +9,7 @@ filter's settling tail so transients never leak into the statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .core import (
     ScreenPoint,
     angular_error_px,
 )
-from .eyesim import EyeSimulator, HeadsetShift, SessionLog, SubjectProfile, apply_shift
+from .eyesim import EyeSimulator, LedLayout, SessionLog, SubjectProfile
 from .kernels import MeasureSpec
 from .regress import GprModel, SvrModel, grid_search_sigma
 from .session import (
@@ -283,19 +283,19 @@ class TaskSessionResult:
 
 def run_task_session(config: SessionConfig, calibration: CalibrationSet | None,
                      subject: SubjectProfile, seed: int,
-                     shift: HeadsetShift | None = None) -> TaskSessionResult:
+                     layout: LedLayout | None = None) -> TaskSessionResult:
     """One session of dwell-to-select tasks with online augmentation.
 
     A task succeeds when at least ``task_window_threshold`` of the dwell-window
     estimates stay inside the target's disc; a failure feeds the measured
-    dwell mean plus the true target back into the calibration.
+    dwell mean plus the true target back into the calibration. ``layout``
+    defaults to the configured one.
     """
     if calibration is None:
         raise ConfigError("task sessions need a starting calibration set")
     geom = config.geometry()
-    layout = config.layout()
-    if shift is not None:
-        layout = apply_shift(layout, shift)
+    if layout is None:
+        layout = config.layout()
     engine = EyeSimulator(layout, subject, config.sim_config(), derive_seed(seed, 61))
     source = SimulatorDwellSource(engine, config.task_dwell_ms)
     task_rng = np.random.default_rng(np.random.SeedSequence([derive_seed(seed, 62)]))
@@ -337,9 +337,11 @@ def run_task_session(config: SessionConfig, calibration: CalibrationSet | None,
 SCENARIOS = ("calibrated", "same_user_prior", "cross_user_prior")
 
 
-def _remount_shift(seed: int, std_mm: float) -> HeadsetShift:
+def _remount_shift(config: SessionConfig, seed: int) -> LedLayout:
+    """The configured layout re-worn with a seeded rigid headset shift."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 71]))
-    return HeadsetShift(tuple(rng.normal(0.0, std_mm, 2)))
+    shift = rng.normal(0.0, config.remount_shift_std_mm, 2)
+    return replace(config.layout(), shift_mm=tuple(shift.tolist()))
 
 
 def run_scenario_session(config: SessionConfig, scenario: str, seed: int,
@@ -348,31 +350,26 @@ def run_scenario_session(config: SessionConfig, scenario: str, seed: int,
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}")
     subject = config.subject(config.subject_seed + seed)
-    mount = _remount_shift(derive_seed(config.seed, seed, 81), config.remount_shift_std_mm)
+    mount = _remount_shift(config, derive_seed(config.seed, seed, 81))
     if prior_calibration is not None:
         cal = prior_calibration
     elif scenario == "calibrated":
         # Calibration happens on the same mount the tasks run on.
-        layout = apply_shift(config.layout(), mount)
-        cal = calibration_phase(config, subject, layout,
+        cal = calibration_phase(config, subject, mount,
                                 derive_seed(config.seed, seed, 82))
     elif scenario == "same_user_prior":
         # Same subject, but the headset was re-worn since that calibration.
-        prior_mount = _remount_shift(derive_seed(config.seed, seed, 83),
-                                     config.remount_shift_std_mm)
-        layout = apply_shift(config.layout(), prior_mount)
-        cal = calibration_phase(config, subject, layout,
+        prior_mount = _remount_shift(config, derive_seed(config.seed, seed, 83))
+        cal = calibration_phase(config, subject, prior_mount,
                                 derive_seed(config.seed, seed, 84))
     else:
         # Calibration recorded from an entirely different subject.
         other = config.subject(config.subject_seed + seed + 10_000)
-        prior_mount = _remount_shift(derive_seed(config.seed, seed, 85),
-                                     config.remount_shift_std_mm)
-        layout = apply_shift(config.layout(), prior_mount)
-        cal = calibration_phase(config, other, layout,
+        prior_mount = _remount_shift(config, derive_seed(config.seed, seed, 85))
+        cal = calibration_phase(config, other, prior_mount,
                                 derive_seed(config.seed, seed, 86))
     result = run_task_session(config, cal, subject,
-                              derive_seed(config.seed, seed, 87), shift=mount)
+                              derive_seed(config.seed, seed, 87), layout=mount)
     first, second = result.half_rates()
     return {
         "scenario": scenario,

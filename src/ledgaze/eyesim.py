@@ -10,15 +10,15 @@ honest to regress against. All magnitudes are simulator parameters, recorded
 in output metadata, not claims about hardware.
 
 Also provides gaze-behavior scripting (fixations, saccades with reaction-time
-lag, blinks), the remount shift, and the session engine that simulates a
-timeline of script events in one pass through the signal-processing chain
-and logs everything needed for evaluation.
+lag, blinks) and the session engine that simulates a timeline of script
+events in one pass through the signal-processing chain and logs everything
+needed for evaluation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -55,7 +55,8 @@ class LedLayout:
 
     prototype1 rings hold sense/sense/illuminate triplets (6 sensing and 3
     illuminating LEDs per eye); prototype2 rings hold 6 dual-role LEDs.
-    ``shift_mm`` is a rigid headset translation applied to every LED.
+    ``shift_mm`` is a rigid headset translation applied to every LED; a
+    remount is a layout with it set.
     """
 
     mode: str
@@ -129,19 +130,6 @@ class LedLayout:
             "eyes": self.eyes,
             "shift_mm": list(self.shift_mm),
         }
-
-
-@dataclass(frozen=True)
-class HeadsetShift:
-    """Rigid translation of the whole LED assembly relative to the face."""
-
-    translation_mm: tuple[float, float]
-
-
-def apply_shift(layout: LedLayout, shift: HeadsetShift) -> LedLayout:
-    """Layout with the shift's translation added to the current one."""
-    dx, dy = shift.translation_mm
-    return replace(layout, shift_mm=(layout.shift_mm[0] + dx, layout.shift_mm[1] + dy))
 
 
 @dataclass(frozen=True)

@@ -52,28 +52,6 @@ class MeasureSpec:
         a, b = _pair(a, b)
         return float(pairwise(self, a[None, :], b[None, :])[0, 0])
 
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        if self.kind == "minkowski":
-            d["m"] = self.m
-            if self.weights is not None:
-                d["weights"] = list(self.weights)
-        if self.kind == "rbf":
-            d["sigma"] = self.sigma
-            d["rbf_squared"] = self.rbf_squared
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MeasureSpec":
-        w = d.get("weights")
-        return cls(
-            kind=d.get("kind", "minkowski"),
-            m=float(d.get("m", 2.0)),
-            weights=tuple(float(x) for x in w) if w is not None else None,
-            sigma=float(d.get("sigma", 1.0)),
-            rbf_squared=bool(d.get("rbf_squared", False)),
-        )
-
 
 def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(a, dtype=float)

@@ -163,8 +163,8 @@ def grid_search_sigma(calibration: CalibrationSet, validation, grid,
                       normalize: bool = True, rbf_squared: bool = False) -> float:
     """Grid sigma minimizing mean SVR error over a validation set.
 
-    ``validation`` is a sequence of (frame_vector, target ScreenPoint) pairs
-    or an (X, targets-array) tuple. Ties break toward the smaller sigma.
+    ``validation`` is an (X, targets) pair of arrays: frame vectors (n, M)
+    and their screen targets (n, 2). Ties break toward the smaller sigma.
     The pixel-space mean error is minimized; the fixed degrees-per-pixel
     scale cannot change the argmin.
     """
@@ -173,17 +173,11 @@ def grid_search_sigma(calibration: CalibrationSet, validation, grid,
         raise ConfigError("sigma grid must be non-empty")
     if any(s <= 0 for s in grid):
         raise ConfigError("all sigma candidates must be positive")
-    if isinstance(validation, tuple) and len(validation) == 2:
-        X = np.atleast_2d(np.asarray(validation[0], dtype=float))
-        T = np.atleast_2d(np.asarray(validation[1], dtype=float))
-    else:
-        pairs = list(validation)
-        if not pairs:
-            raise ConfigError("validation set must be non-empty")
-        X = np.vstack([np.asarray(v, dtype=float) for v, _ in pairs])
-        T = np.asarray([[p.x, p.y] for _, p in pairs], dtype=float)
+    X, T = (np.atleast_2d(np.asarray(a, dtype=float)) for a in validation)
     if X.shape[0] == 0:
         raise ConfigError("validation set must be non-empty")
+    if T.shape != (X.shape[0], 2):
+        raise ConfigError(f"validation targets shape {T.shape} does not match {X.shape[0]} frames")
 
     best_sigma = None
     best_err = None

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .calib import CalibrationGridSpec, DwellConfig, run_calibration
-from .core import CalibrationSet, ConfigError, DisplayGeometry, ScreenPoint
+from .core import ADC_MAX, CalibrationSet, ConfigError, DisplayGeometry, ScreenPoint
 from .eyesim import (
     EyeSimulator,
     GazeScript,
@@ -241,10 +241,12 @@ class SimulatorDwellSource:
     def acquire(self, targets: Sequence[ScreenPoint]) -> list[np.ndarray]:
         """Dwell on each target in turn, in one engine run; the sampled frames per target."""
         settle_us, dwell_us = self.settle_us(), int(self.dwell_ms * 1000.0)
+        settle, dwell = self.engine.frame_count(settle_us), self.engine.frame_count(dwell_us)
+        if dwell < 2:  # the fewest samples a dwell mean and spread need
+            raise ConfigError(f"a {self.dwell_ms} ms dwell spans {dwell} frames, fewer than 2")
         self.engine.run([ScriptEvent("fixation", us, target)
                          for target in targets for us in (settle_us, dwell_us)])
         _, _, proc, _, _ = self.engine.take_frames()
-        settle, dwell = self.engine.frame_count(settle_us), self.engine.frame_count(dwell_us)
         step = settle + dwell
         # Settle-in frames are not sampled.
         return [proc[i * step + settle:(i + 1) * step] for i in range(len(targets))]
@@ -306,73 +308,110 @@ def run_benchmark_session(config: SessionConfig):
 
 # -- session log serialization (line-delimited JSON) --------------------------
 
+# The fields of a frame record; the writer and the reader both iterate this tuple.
+_FRAME_FIELDS = ("t_us", "raw", "proc", "gaze", "target")
+_INTEGER_FIELDS = ("t_us", "raw")
+
 
 def write_session_log(log: SessionLog, path, calibration: CalibrationSet | None = None) -> None:
     """One JSON record per line: meta, calibration, events, then frames."""
     with open(path, "w") as fh:
-        meta = {"type": "meta", "log_version": LOG_VERSION}
-        meta.update(_plain(log.meta))
-        fh.write(json.dumps(meta, sort_keys=True) + "\n")
-        if calibration is not None:
-            fh.write(json.dumps({"type": "calibration", **calibration.to_dict()},
-                                sort_keys=True) + "\n")
-        for ev in log.events:
-            fh.write(json.dumps({"type": "event", **_plain(ev)}, sort_keys=True) + "\n")
-        for i in range(log.n_frames):
-            rec = {
-                "type": "frame",
-                "t_us": int(log.t_us[i]),
-                "raw": [int(v) for v in log.raw[i]],
-                "proc": [float(v) for v in log.proc[i]],
-                "gaze": [float(log.gaze[i, 0]), float(log.gaze[i, 1])],
-                "target": [float(log.target[i, 0]), float(log.target[i, 1])],
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        fh.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in _records(log, calibration))
+
+
+def _records(log: SessionLog, calibration: CalibrationSet | None):
+    """The log's records in file order; a frame row converts by one tolist() per field.
+
+    Meta and event values are JSON-native already.
+    """
+    yield {"type": "meta", "log_version": LOG_VERSION, **log.meta}
+    if calibration is not None:
+        yield {"type": "calibration", **calibration.to_dict()}
+    for ev in log.events:
+        yield {"type": "event", **ev}
+    for row in zip(*(getattr(log, f) for f in _FRAME_FIELDS)):
+        yield {"type": "frame", **{f: v.tolist() for f, v in zip(_FRAME_FIELDS, row)}}
 
 
 def read_session_log(path):
-    """Inverse of write_session_log; returns (log, calibration-or-None)."""
+    """Inverse of write_session_log; returns (log, calibration-or-None).
+
+    A malformed log raises ConfigError naming the file and line: invalid
+    JSON (a truncated write), a record with no type, a frame missing a
+    field or holding the wrong number or kind of values, and a raw count
+    outside [0, ADC_MAX]. Records of unknown type are skipped.
+    """
     meta: dict = {}
     events: list[dict] = []
     cal = None
-    t, raw, proc, gaze, target = [], [], [], [], []
+    columns: dict[str, list] = {f: [] for f in _FRAME_FIELDS}
+    lines: list[int] = []  # file line of each frame record
     with open(path) as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
-            kind = rec.pop("type")
-            if kind == "meta":
+            try:
+                rec = json.loads(line)
+            except ValueError as exc:
+                raise _malformed(path, n, f"invalid JSON ({exc})") from None
+            kind = rec.pop("type", None) if isinstance(rec, dict) else None
+            if kind == "frame":
+                try:
+                    for f, column in columns.items():
+                        column.append(rec[f])
+                except KeyError as exc:
+                    raise _malformed(path, n, f"frame has no {exc} field") from None
+                lines.append(n)
+            elif kind == "event":
+                events.append(rec)
+            elif kind == "meta":
                 _check_version("log_version", rec.pop("log_version", LOG_VERSION), LOG_VERSION)
                 meta = rec
             elif kind == "calibration":
-                cal = CalibrationSet.from_dict(rec)
-            elif kind == "event":
-                events.append(rec)
-            elif kind == "frame":
-                t.append(rec["t_us"])
-                raw.append(rec["raw"])
-                proc.append(rec["proc"])
-                gaze.append(rec["gaze"])
-                target.append(rec["target"])
-    if not t:
+                try:
+                    cal = CalibrationSet.from_dict(rec)
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise _malformed(path, n, f"bad calibration ({exc})") from None
+            elif kind is None:
+                raise _malformed(path, n, "record has no type")
+    if not lines:
         raise ConfigError(f"no frames found in session log {path}")
-    log = SessionLog(
-        np.asarray(t, dtype=np.int64), np.asarray(raw, dtype=np.int64),
-        np.asarray(proc, dtype=float), np.asarray(gaze, dtype=float),
-        np.asarray(target, dtype=float), events, meta,
-    )
-    return log, cal
+    if not isinstance(columns["raw"][0], list):
+        raise _malformed(path, lines[0], "frame field 'raw' is not a list")
+    m = len(columns["raw"][0])
+    shapes = {"t_us": (), "raw": (m,), "proc": (m,), "gaze": (2,), "target": (2,)}
+    arrays = {f: _frame_column(path, lines, f, columns.pop(f), shapes[f]) for f in _FRAME_FIELDS}
+    bad = np.flatnonzero(((arrays["raw"] < 0) | (arrays["raw"] > ADC_MAX)).any(axis=1))
+    if bad.size:
+        raise _malformed(path, lines[bad[0]], f"raw count outside [0, {ADC_MAX}]")
+    return SessionLog(**arrays, events=events, meta=meta), cal
 
 
-def _plain(obj):
-    """Recursively convert numpy scalars/arrays for JSON output."""
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    return obj
+def _malformed(path, line: int, problem: str) -> ConfigError:
+    return ConfigError(f"malformed session log {path}, line {line}: {problem}")
+
+
+def _frame_column(path, lines: list[int], name: str, values: list, row_shape: tuple) -> np.ndarray:
+    """One frame field as an array; a row of the wrong shape or kind names its line.
+
+    Integer fields must hold JSON integers: converting a float there to the
+    integer dtype would truncate it rather than reject it.
+    """
+    integer = name in _INTEGER_FIELDS
+    kinds = "i" if integer else "if"
+    arr = _fitting(values, kinds, (len(values), *row_shape))
+    if arr is None:
+        line = next(n for n, v in zip(lines, values) if _fitting(v, kinds, row_shape) is None)
+        noun = "integer" if integer else "number"
+        what = f"a list of {row_shape[0]} {noun}s" if row_shape else f"a single {noun}"
+        raise _malformed(path, line, f"frame field {name!r} is not {what}")
+    return arr.astype(np.int64 if integer else float, copy=False)
+
+
+def _fitting(values, kinds: str, shape: tuple) -> np.ndarray | None:
+    """``values`` as an array if it has this shape and dtype kind, else None."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged nesting
+        return None
+    return arr if arr.dtype.kind in kinds and arr.shape == shape else None

@@ -19,13 +19,21 @@ are compared for exact equality.
 ``EyeSimulator.run(events)`` replaces: one ``move_target`` and one
 ``run(duration)`` span per script event, with the reaction-time switch
 resolved inside each span.
+
+``write_session_log_reference`` and ``read_session_log_reference`` are the
+session-log codec that the column-wise one replaces: a hand-built dict per
+frame with per-element conversion, a recursive ``_plain`` for meta and
+events, and one hand-named accumulator list per frame field.
 """
 
+import json
 import math
 
 import numpy as np
 
-from ledgaze.core import ADC_MAX, DegenerateInputError, DimensionError
+from ledgaze.core import ADC_MAX, CalibrationSet, ConfigError, DegenerateInputError, DimensionError
+from ledgaze.eyesim import SessionLog
+from ledgaze.session import LOG_VERSION, _check_version
 from ledgaze.sigproc import SATURATION_HIGH, SATURATION_LOW
 
 
@@ -318,3 +326,74 @@ class StepwiseSimulator:
         self.sim.take_frames()
         self.run(dwell_us)
         return self.sim.take_frames()[2]
+
+
+def write_session_log_reference(log, path, calibration=None):
+    """One JSON record per line: meta, calibration, events, then frames."""
+    with open(path, "w") as fh:
+        meta = {"type": "meta", "log_version": LOG_VERSION}
+        meta.update(_plain(log.meta))
+        fh.write(json.dumps(meta, sort_keys=True) + "\n")
+        if calibration is not None:
+            fh.write(json.dumps({"type": "calibration", **calibration.to_dict()},
+                                sort_keys=True) + "\n")
+        for ev in log.events:
+            fh.write(json.dumps({"type": "event", **_plain(ev)}, sort_keys=True) + "\n")
+        for i in range(log.n_frames):
+            rec = {
+                "type": "frame",
+                "t_us": int(log.t_us[i]),
+                "raw": [int(v) for v in log.raw[i]],
+                "proc": [float(v) for v in log.proc[i]],
+                "gaze": [float(log.gaze[i, 0]), float(log.gaze[i, 1])],
+                "target": [float(log.target[i, 0]), float(log.target[i, 1])],
+            }
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
+def read_session_log_reference(path):
+    """Inverse of write_session_log; returns (log, calibration-or-None)."""
+    meta: dict = {}
+    events: list[dict] = []
+    cal = None
+    t, raw, proc, gaze, target = [], [], [], [], []
+    with open(path) as fh:
+        for line in fh:
+            if not line.strip():
+                continue
+            rec = json.loads(line)
+            kind = rec.pop("type")
+            if kind == "meta":
+                _check_version("log_version", rec.pop("log_version", LOG_VERSION), LOG_VERSION)
+                meta = rec
+            elif kind == "calibration":
+                cal = CalibrationSet.from_dict(rec)
+            elif kind == "event":
+                events.append(rec)
+            elif kind == "frame":
+                t.append(rec["t_us"])
+                raw.append(rec["raw"])
+                proc.append(rec["proc"])
+                gaze.append(rec["gaze"])
+                target.append(rec["target"])
+    if not t:
+        raise ConfigError(f"no frames found in session log {path}")
+    log = SessionLog(
+        np.asarray(t, dtype=np.int64), np.asarray(raw, dtype=np.int64),
+        np.asarray(proc, dtype=float), np.asarray(gaze, dtype=float),
+        np.asarray(target, dtype=float), events, meta,
+    )
+    return log, cal
+
+
+def _plain(obj):
+    """Recursively convert numpy scalars/arrays for JSON output."""
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if isinstance(obj, np.ndarray):
+        return [_plain(v) for v in obj.tolist()]
+    return obj

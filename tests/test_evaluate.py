@@ -189,6 +189,15 @@ def test_task_session_counts_and_augmentation():
         assert 0.0 <= t["inside_fraction"] <= 1.0
 
 
+def test_task_dwell_too_short_to_sample_rejected():
+    # a zero-length dwell would judge each task on an empty window
+    cfg = small_config(task_dwell_ms=0.0)
+    from ledgaze.session import calibration_phase
+    cal = calibration_phase(cfg, cfg.subject(), cfg.layout(), cfg.seed)
+    with pytest.raises(ConfigError, match="dwell"):
+        run_task_session(cfg, cal, cfg.subject(), seed=0)
+
+
 def test_task_success_never_leaks_truth_without_failure():
     # a session with a perfect-by-construction estimator never augments
     cfg = small_config(task_count=5, noise_std=0.0)

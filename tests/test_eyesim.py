@@ -11,13 +11,11 @@ from ledgaze.eyesim import (
     _EXPOSE_LOOKAHEAD,
     EyeSimulator,
     GazeScript,
-    HeadsetShift,
     LedLayout,
     OpticsModel,
     ScriptEvent,
     SimConfig,
     SubjectProfile,
-    apply_shift,
     clean_signal,
     expose_block,
     run_script,
@@ -80,22 +78,9 @@ def test_led_positions_second_eye_mirrors_x():
 # -- headset shift ------------------------------------------------------------
 
 
-def test_apply_zero_shift_is_identity():
-    lay = LedLayout.prototype1()
-    assert apply_shift(lay, HeadsetShift((0.0, 0.0))) == lay
-
-
-def test_shift_then_inverse_restores_layout():
-    lay = LedLayout.prototype1()
-    out = apply_shift(apply_shift(lay, HeadsetShift((2.0, -1.5))),
-                      HeadsetShift((-2.0, 1.5)))
-    assert np.allclose(out.shift_mm, lay.shift_mm, atol=1e-12)
-    assert np.allclose(out.led_positions(0), lay.led_positions(0), atol=1e-12)
-
-
 def test_shift_translates_all_leds_rigidly():
     lay = LedLayout.prototype1()
-    shifted = apply_shift(lay, HeadsetShift((1.0, 2.0)))
+    shifted = replace(lay, shift_mm=(1.0, 2.0))
     delta = shifted.led_positions(0) - lay.led_positions(0)
     assert np.allclose(delta[:, 0], 1.0)
     assert np.allclose(delta[:, 1], 2.0)
@@ -113,7 +98,7 @@ def test_midsession_shift_degrades_prior_calibration():
     cal = calibration_phase(cfg, subj, lay, cfg.seed)
     model = GprModel(cal, MeasureSpec("minkowski"))
     log_same = evaluation_phase(cfg, subj, lay, cfg.seed)
-    log_shifted = evaluation_phase(cfg, subj, apply_shift(lay, HeadsetShift((2.0, 1.0))), cfg.seed)
+    log_shifted = evaluation_phase(cfg, subj, replace(lay, shift_mm=(2.0, 1.0)), cfg.seed)
     err_same = evaluate_accuracy(log_same, model, cfg.geometry()).mean_deg
     err_shifted = evaluate_accuracy(log_shifted, model, cfg.geometry()).mean_deg
     assert err_shifted > err_same

@@ -165,13 +165,6 @@ def test_measure_spec_validation():
         MeasureSpec(weights=(1.0, -0.5))
 
 
-def test_measure_spec_roundtrip():
-    for spec in (MeasureSpec(), MeasureSpec(kind="rbf", sigma=0.4, rbf_squared=True),
-                 MeasureSpec(kind="minkowski", m=3.0, weights=(1.0, 0.5)),
-                 MeasureSpec(kind="canberra")):
-        assert MeasureSpec.from_dict(spec.to_dict()) == spec
-
-
 @pytest.mark.parametrize("kind,kw", [
     ("minkowski", {"m": 2.0}),
     ("minkowski", {"m": 3.0, "weights": (0.5, 1.0, 2.0, 0.1)}),

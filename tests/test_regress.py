@@ -258,7 +258,7 @@ def test_svr_permutation_equivariance():
 
 def test_grid_search_single_candidate():
     cal = CalibrationSet([[0.1, 0.1], [0.9, 0.9]], [[0, 0], [100, 100]])
-    val = [([0.1, 0.1], ScreenPoint(0, 0))]
+    val = (np.array([[0.1, 0.1]]), np.array([[0.0, 0.0]]))
     assert grid_search_sigma(cal, val, [0.37]) == 0.37
 
 
@@ -286,7 +286,7 @@ def test_grid_search_tie_breaks_to_smaller_sigma():
     # one calibration point: every sigma predicts the stored target exactly,
     # so all errors tie and the smaller sigma must win
     cal = CalibrationSet([[0.5, 0.5]], [[50, 50]])
-    val = [([0.2, 0.2], ScreenPoint(50, 50))]
+    val = (np.array([[0.2, 0.2]]), np.array([[50.0, 50.0]]))
     assert grid_search_sigma(cal, val, [0.9, 0.3, 0.6]) == 0.3
 
 
@@ -300,12 +300,20 @@ def test_grid_search_result_is_grid_member():
 
 def test_grid_search_argument_errors():
     cal = CalibrationSet([[0.5, 0.5]], [[50, 50]])
+    val = (np.array([[0.1, 0.1]]), np.array([[0.0, 0.0]]))
     with pytest.raises(ConfigError):
-        grid_search_sigma(cal, [], [0.1])
+        grid_search_sigma(cal, (np.empty((0, 2)), np.empty((0, 2))), [0.1])
     with pytest.raises(ConfigError):
-        grid_search_sigma(cal, [([0.1, 0.1], ScreenPoint(0, 0))], [])
+        grid_search_sigma(cal, val, [])
     with pytest.raises(ConfigError):
-        grid_search_sigma(cal, [([0.1, 0.1], ScreenPoint(0, 0))], [-1.0])
+        grid_search_sigma(cal, val, [-1.0])
+
+
+def test_grid_search_rejects_mismatched_validation_rows():
+    cal = CalibrationSet([[0.5, 0.5]], [[50, 50]])
+    val = (np.array([[0.1, 0.1], [0.2, 0.2]]), np.array([[0.0, 0.0]]))
+    with pytest.raises(ConfigError):
+        grid_search_sigma(cal, val, [0.1])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])

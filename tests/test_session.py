@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from ledgaze.core import ConfigError, ScreenPoint, SensorFrame
-from ledgaze.eyesim import GazeScript, run_script
+from ledgaze.core import ADC_MAX, ConfigError, ScreenPoint, SensorFrame
+from ledgaze.eyesim import EyeSimulator, GazeScript, ScriptEvent, run_script
 from ledgaze.session import (
     CONFIG_VERSION,
     LOG_VERSION,
@@ -19,6 +19,8 @@ from ledgaze.session import (
     run_benchmark_session,
     write_session_log,
 )
+
+from oracles import read_session_log_reference, write_session_log_reference
 
 
 def small_config(**kw):
@@ -100,6 +102,24 @@ def test_dwell_source_collects_after_settling():
     assert np.linalg.norm(x1.mean(axis=0) - x2.mean(axis=0)) > 0.01
 
 
+def test_dwell_source_needs_two_samples_per_dwell():
+    cfg = small_config()
+    engine = EyeSimulator(cfg.layout(), cfg.subject(), cfg.sim_config(), seed=1)
+    cycle_ms = engine.cycle_us / 1000.0
+    with pytest.raises(ConfigError, match="dwell"):
+        SimulatorDwellSource(engine, dwell_ms=cycle_ms).acquire([ScreenPoint(200, 200)])
+    x, = SimulatorDwellSource(engine, dwell_ms=2 * cycle_ms).acquire([ScreenPoint(200, 200)])
+    assert x.shape == (2, 12)
+
+
+def test_augmentation_dwell_too_short_to_sample_rejected():
+    # a zero-length dwell has no samples, so its mean would be NaN
+    cfg = small_config(augment_dwell_ms=0.0)
+    cal = calibration_phase(cfg, cfg.subject(), cfg.layout(), cfg.seed)
+    with pytest.raises(ConfigError, match="dwell"):
+        augmentation_phase(cfg, cfg.subject(), cfg.layout(), cal, cfg.seed)
+
+
 def test_calibration_phase_counts():
     cfg = small_config()
     cal = calibration_phase(cfg, cfg.subject(), cfg.layout(), cfg.seed)
@@ -169,6 +189,108 @@ def test_read_session_log_rejects_newer_version(tmp_path):
     path.write_text(json.dumps(meta) + "\n" + "".join(lines[1:]))
     with pytest.raises(ConfigError):
         read_session_log(path)
+
+
+# -- codec against the reference writer and reader ------------------------------
+
+
+@pytest.fixture(scope="module")
+def codec_logs():
+    log, cal = run_benchmark_session(SessionConfig(seed=1))
+    cfg = small_config()
+    a, b = ScreenPoint(200, 200), ScreenPoint(600, 400)
+    script = GazeScript((ScriptEvent("fixation", 300_000, a), ScriptEvent("blink", 100_000),
+                         ScriptEvent("fixation", 200_000, a), ScriptEvent("saccade", 0, b),
+                         ScriptEvent("fixation", 20_000, b)))
+    scripted = run_script(cfg.layout(), cfg.subject(), script, cfg.sim_config(), seed=3)
+    assert any(ev["kind"] == "blink" for ev in scripted.events)
+    assert scripted.events[-1]["kind"] == "target_move"
+    assert scripted.events[-1]["t_settle_us"] is None  # still unsettled at the end
+    return {"seed1-with-calibration": (log, cal), "seed1-no-calibration": (log, None),
+            "script-unsettled-move": (scripted, None)}
+
+
+@pytest.mark.parametrize("case", ["seed1-with-calibration", "seed1-no-calibration",
+                                  "script-unsettled-move"])
+def test_session_log_codec_matches_reference(codec_logs, case, tmp_path):
+    log, cal = codec_logs[case]
+    path, ref_path = tmp_path / "new.jsonl", tmp_path / "ref.jsonl"
+    write_session_log(log, path, calibration=cal)
+    write_session_log_reference(log, ref_path, calibration=cal)
+    assert path.read_bytes() == ref_path.read_bytes()
+    got, got_cal = read_session_log(path)
+    want, want_cal = read_session_log_reference(path)
+    for field in ("t_us", "raw", "proc", "gaze", "target"):
+        column, ref_column = getattr(got, field), getattr(want, field)
+        assert column.dtype == ref_column.dtype
+        assert column.shape == ref_column.shape
+        assert np.array_equal(column, ref_column)
+    assert got.events == want.events
+    assert got.meta == want.meta
+    if cal is None:
+        assert got_cal is None and want_cal is None
+    else:
+        assert np.array_equal(got_cal.means, want_cal.means)
+        assert np.array_equal(got_cal.targets, want_cal.targets)
+
+
+@pytest.fixture(scope="module")
+def small_log_lines(tmp_path_factory):
+    cfg = small_config()
+    log = evaluation_phase(cfg, cfg.subject(), cfg.layout(), cfg.seed)
+    cal = calibration_phase(cfg, cfg.subject(), cfg.layout(), cfg.seed)
+    path = tmp_path_factory.mktemp("log") / "session.jsonl"
+    write_session_log(log, path, calibration=cal)
+    return path.read_text().splitlines(keepends=True)
+
+
+_DELETE = object()
+
+# (record type corrupted, field, replacement of the field's value or _DELETE)
+MALFORMED = {
+    "no-type": ("frame", "type", _DELETE),
+    "frame-missing-field": ("frame", "gaze", _DELETE),
+    "ragged-raw": ("frame", "raw", lambda raw: raw[:-1]),
+    "ragged-proc": ("frame", "proc", lambda proc: proc + [0.5]),
+    "gaze-not-a-pair": ("frame", "gaze", lambda gaze: gaze[:1]),
+    "raw-above-adc-max": ("frame", "raw", lambda raw: raw[:-1] + [ADC_MAX + 1]),
+    "raw-negative": ("frame", "raw", lambda raw: [-1] + raw[1:]),
+    "raw-not-an-integer": ("frame", "raw", lambda raw: [raw[0] + 0.5] + raw[1:]),
+    "t-not-an-integer": ("frame", "t_us", float),
+    "calibration-missing-means": ("calibration", "means", _DELETE),
+}
+
+
+@pytest.mark.parametrize("case", ["truncated-write", *MALFORMED])
+def test_read_session_log_rejects_malformed_line(small_log_lines, case, tmp_path):
+    lines = list(small_log_lines)
+    if case == "truncated-write":
+        k = len(lines) - 1
+        lines[k] = lines[k][:len(lines[k]) // 2]
+    else:
+        kind, field, edit = MALFORMED[case]
+        of_kind = [i for i, line in enumerate(lines) if json.loads(line)["type"] == kind]
+        k = of_kind[3 if kind == "frame" else 0]  # a frame inside the log
+        rec = json.loads(lines[k])
+        if edit is _DELETE:
+            del rec[field]
+        else:
+            rec[field] = edit(rec[field])
+        lines[k] = json.dumps(rec) + "\n"
+    path = tmp_path / "bad.jsonl"
+    path.write_text("".join(lines))
+    with pytest.raises(ConfigError, match=rf"line {k + 1}:") as err:
+        read_session_log(path)
+    assert str(path) in str(err.value)
+
+
+def test_read_session_log_skips_unknown_record_types(small_log_lines, tmp_path):
+    path = tmp_path / "extra.jsonl"
+    path.write_text(small_log_lines[0] + '{"type": "annotation", "note": "later format"}\n'
+                    + "".join(small_log_lines[1:]))
+    log, cal = read_session_log(path)
+    assert log.n_frames == sum('"type": "frame"' in line for line in small_log_lines)
+    assert cal is not None
 
 
 def test_timestamps_strictly_increase():

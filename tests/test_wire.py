@@ -187,17 +187,30 @@ def _flipped(draw):
     return bytes(blob)
 
 
+def _joined(parts):
+    """Stream bytes and the offset of each intact encoded frame in them."""
+    data, intact = bytearray(), []
+    for blob, is_frame in parts:
+        if is_frame:
+            intact.append(len(data))
+        data += blob
+    return bytes(data), intact
+
+
 # Plain random bytes, or valid and bit-flipped frames mixed with garbage.
 _streams = st.one_of(
-    st.binary(max_size=300),
-    st.lists(st.one_of(st.binary(max_size=6), _frames.map(encode), _flipped()),
-             max_size=12).map(b"".join),
+    st.binary(max_size=300).map(lambda b: (b, [])),
+    st.lists(st.one_of(st.binary(max_size=6).map(lambda b: (b, False)),
+                       _frames.map(lambda f: (encode(f), True)),
+                       _flipped().map(lambda b: (b, False))),
+             max_size=12).map(_joined),
 )
 
 
 @settings(derandomize=True, deadline=None, max_examples=300, database=None)
-@given(data=_streams, cuts=st.lists(st.integers(0, 400), max_size=8))
-def test_decoder_chunked_feed_matches_one_shot_and_accounts_every_byte(data, cuts):
+@given(stream=_streams, cuts=st.lists(st.integers(0, 400), max_size=8))
+def test_decoder_chunked_feed_matches_one_shot_and_accounts_every_byte(stream, cuts):
+    data, intact = stream
     bounds = [0, *sorted(c for c in cuts if c <= len(data)), len(data)]
     dec = StreamDecoder()
     frames = []
@@ -208,3 +221,17 @@ def test_decoder_chunked_feed_matches_one_shot_and_accounts_every_byte(data, cut
     assert frames == whole
     assert dec.stats == stats
     assert stats.bytes_skipped + sum(frame_length(f.channel_count) for f in frames) == len(data)
+    # No mis-decode: each decoded frame re-encodes to bytes of the stream,
+    # in order and without overlap.
+    spans, pos = [], 0
+    for f in whole:
+        blob = encode(f)
+        at = data.find(blob, pos)
+        assert at >= 0, f"{f} does not occur in the stream after byte {pos}"
+        spans.append((at, at + len(blob)))
+        pos = at + len(blob)
+    # No loss: an intact frame is decoded unless an earlier decoded frame's
+    # bytes overlap it.
+    for at in intact:
+        span = (at, at + frame_length(data[at + 1]))
+        assert span in spans or any(lo < at < hi for lo, hi in spans), f"frame at byte {at} lost"
