@@ -338,8 +338,10 @@ def read_session_log(path):
 
     A malformed log raises ConfigError naming the file and line: invalid
     JSON (a truncated write), a record with no type, a frame missing a
-    field or holding the wrong number or kind of values, and a raw count
-    outside [0, ADC_MAX]. Records of unknown type are skipped.
+    field or holding the wrong number or kind of values, a raw count
+    outside [0, ADC_MAX], a frame whose t_us is not greater than the
+    previous frame's, and an event of unknown kind or without its integer
+    times. Records of unknown type are skipped.
     """
     meta: dict = {}
     events: list[dict] = []
@@ -363,6 +365,9 @@ def read_session_log(path):
                     raise _malformed(path, n, f"frame has no {exc} field") from None
                 lines.append(n)
             elif kind == "event":
+                problem = _event_problem(rec)
+                if problem:
+                    raise _malformed(path, n, problem)
                 events.append(rec)
             elif kind == "meta":
                 _check_version("log_version", rec.pop("log_version", LOG_VERSION), LOG_VERSION)
@@ -384,11 +389,32 @@ def read_session_log(path):
     bad = np.flatnonzero(((arrays["raw"] < 0) | (arrays["raw"] > ADC_MAX)).any(axis=1))
     if bad.size:
         raise _malformed(path, lines[bad[0]], f"raw count outside [0, {ADC_MAX}]")
+    bad = np.flatnonzero(np.diff(arrays["t_us"]) <= 0)
+    if bad.size:
+        raise _malformed(path, lines[bad[0] + 1], "t_us is not greater than the previous frame's")
     return SessionLog(**arrays, events=events, meta=meta), cal
 
 
 def _malformed(path, line: int, problem: str) -> ConfigError:
     return ConfigError(f"malformed session log {path}, line {line}: {problem}")
+
+
+# The integer times each event kind must hold; a target_move also holds
+# t_settle_us, never absent: an integer, or null if not settled when the log ends.
+_EVENT_TIMES = {"blink": ("t0_us", "t1_us"), "target_move": ("t_move_us",)}
+
+
+def _event_problem(ev: dict) -> str | None:
+    """Why an event record cannot be scored, or None if it can."""
+    kind = ev.get("kind")
+    if kind not in _EVENT_TIMES:
+        return f"unknown event kind {kind!r}"
+    missing = [f for f in _EVENT_TIMES[kind] if type(ev.get(f)) is not int]  # rejects bool too
+    if missing:
+        return f"{kind} event has no integer {', '.join(missing)}"
+    if kind == "target_move" and type(ev.get("t_settle_us", "absent")) not in (int, type(None)):
+        return "target_move event t_settle_us is neither an integer nor null"
+    return None
 
 
 def _frame_column(path, lines: list[int], name: str, values: list, row_shape: tuple) -> np.ndarray:

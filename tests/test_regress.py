@@ -12,6 +12,7 @@ from ledgaze.core import (
 )
 from ledgaze.kernels import MeasureSpec, pairwise
 from ledgaze.regress import GprModel, SvrModel, grid_search_sigma
+from ledgaze.session import SessionConfig, run_benchmark_session
 
 from oracles import gpr_oracle
 
@@ -119,10 +120,14 @@ def _with_near_duplicates(cal, rng, spread=1e-7):
     return CalibrationSet(means, cal.targets)
 
 
-@pytest.mark.parametrize("measure", [MINK, MeasureSpec(kind="cosine")], ids=["minkowski", "cosine"])
-@pytest.mark.parametrize("kind", ["random", "near-singular"])
-def test_gpr_estimates_equal_lu_solve_reference_bit_for_bit(kind, measure):
-    from scipy.linalg import lu_factor, lu_solve
+GPR_MEASURES = pytest.mark.parametrize("measure", [MINK, MeasureSpec(kind="cosine")],
+                                       ids=["minkowski", "cosine"])
+GPR_KINDS = pytest.mark.parametrize("kind", ["random", "near-singular"])
+
+
+def _gpr_case(kind, measure):
+    """A 40-point model, its (C + eps*I) LU factors and 300 frames."""
+    from scipy.linalg import lu_factor
     rng = np.random.default_rng(37)
     cal = _random_calibration(rng, 40, 12)
     if kind == "near-singular":
@@ -130,27 +135,67 @@ def test_gpr_estimates_equal_lu_solve_reference_bit_for_bit(kind, measure):
     model = GprModel(cal, measure)
     C = pairwise(measure, cal.means, cal.means)
     lu = lu_factor(C + model.effective_jitter * np.eye(cal.point_count), check_finite=False)
+    return model, lu, rng.uniform(0.05, 1, (300, 12))
+
+
+@GPR_MEASURES
+@GPR_KINDS
+def test_gpr_estimates_equal_lu_solve_reference_bit_for_bit(kind, measure):
+    from scipy.linalg import lu_solve
+    model, lu, X = _gpr_case(kind, measure)
+    cal = model.calibration
 
     def reference(X):
-        K = pairwise(measure, X, cal.means)
-        return lu_solve(lu, K.T, check_finite=False).T @ cal.targets
+        return pairwise(measure, X, cal.means) @ lu_solve(lu, cal.targets, check_finite=False)
 
-    X = rng.uniform(0.05, 1, (300, 12))
     assert np.array_equal(model.estimate_batch(X), reference(X))
     for i in (0, 299):  # the one-frame call against a one-row reference
         e = model.estimate(X[i])
         assert (e.position.x, e.position.y) == tuple(reference(X[i:i + 1])[0])
 
 
+@GPR_MEASURES
+@GPR_KINDS
+def test_gpr_predictive_weights_agree_with_per_frame_solve(kind, measure):
+    # k . ((C + eps*I)^-1 U) against ((C + eps*I)^-1 k) . U: equal for the
+    # symmetric C, apart from rounding amplified by the condition number
+    from scipy.linalg import lu_solve
+    model, lu, X = _gpr_case(kind, measure)
+    targets = model.calibration.targets
+    K = pairwise(measure, X, model.calibration.means)
+    per_frame = lu_solve(lu, K.T, check_finite=False).T @ targets
+    bound = np.finfo(float).eps / model.rcond * np.abs(targets).max()
+    assert np.max(np.abs(model.estimate_batch(X) - per_frame)) <= bound
+
+
+def test_gpr_one_frame_estimate_within_1e9_px_of_batch_row():
+    # BLAS may sum a (1, P) and an (n, P) product in different orders, so the
+    # two paths agree to a stated tolerance, not bit for bit
+    config = SessionConfig(seed=1)
+    log, cal = run_benchmark_session(config)
+    model = config.build_estimator(cal)
+    assert isinstance(model, GprModel) and cal.point_count == 82
+    E = model.estimate_batch(log.proc)
+    one = np.array([(e.position.x, e.position.y) for e in map(model.estimate, log.proc)])
+    assert np.max(np.abs(one - E)) <= 1e-9
+
+
 def test_gpr_solve_failure_raises_estimation_error(monkeypatch):
     import ledgaze.regress as regress
     rng = np.random.default_rng(38)
-    model = GprModel(_random_calibration(rng, 6, 4), MINK)
-    monkeypatch.setattr(regress, "dgetrs", lambda lu, piv, b, overwrite_b: (b, -3))
+    cal = _random_calibration(rng, 6, 4)
+    monkeypatch.setattr(regress, "dgetrs", lambda lu, piv, b: (b, -3))
     with pytest.raises(EstimationError, match="argument 3"):
-        model.estimate_batch(rng.uniform(0, 1, (2, 4)))
+        GprModel(cal, MINK)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_gpr_non_finite_targets_raise_at_construction(bad):
+    rng = np.random.default_rng(40)
+    cal = _random_calibration(rng, 6, 4)
+    cal.targets[2, 1] = bad
     with pytest.raises(EstimationError):
-        GprModel(model.calibration, MINK)
+        GprModel(cal, MINK)
 
 
 def test_gpr_rcond_small_for_near_duplicate_rows():

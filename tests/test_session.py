@@ -246,7 +246,8 @@ def small_log_lines(tmp_path_factory):
 
 _DELETE = object()
 
-# (record type corrupted, field, replacement of the field's value or _DELETE)
+# (record type corrupted, field, replacement of the field's value or _DELETE);
+# with no field, the replacement of the whole record
 MALFORMED = {
     "no-type": ("frame", "type", _DELETE),
     "frame-missing-field": ("frame", "gaze", _DELETE),
@@ -258,21 +259,38 @@ MALFORMED = {
     "raw-not-an-integer": ("frame", "raw", lambda raw: [raw[0] + 0.5] + raw[1:]),
     "t-not-an-integer": ("frame", "t_us", float),
     "calibration-missing-means": ("calibration", "means", _DELETE),
+    "blink-without-t1": ("event", None, lambda ev: {
+        "type": "event", "kind": "blink", "t0_us": ev["t_move_us"]}),
+    "blink-t0-not-an-integer": ("event", None, lambda ev: {
+        "type": "event", "kind": "blink", "t0_us": float(ev["t_move_us"]),
+        "t1_us": ev["t_settle_us"]}),
+    "move-without-t-move": ("event", "t_move_us", _DELETE),
+    "move-t-move-not-an-integer": ("event", "t_move_us", float),
+    "move-t-move-boolean": ("event", "t_move_us", lambda t: True),
+    "move-settle-neither-integer-nor-null": ("event", "t_settle_us", str),
+    "move-without-settle": ("event", "t_settle_us", _DELETE),
+    "event-kind-misspelt": ("event", "kind", lambda kind: "target_mvoe"),
 }
 
 
-@pytest.mark.parametrize("case", ["truncated-write", *MALFORMED])
+@pytest.mark.parametrize("case", ["truncated-write", "duplicated-frame", *MALFORMED])
 def test_read_session_log_rejects_malformed_line(small_log_lines, case, tmp_path):
     lines = list(small_log_lines)
     if case == "truncated-write":
         k = len(lines) - 1
         lines[k] = lines[k][:len(lines[k]) // 2]
+    elif case == "duplicated-frame":  # the copy repeats its original's t_us
+        k = len(lines) // 2 + 1
+        assert json.loads(lines[k - 1])["type"] == "frame"
+        lines.insert(k, lines[k - 1])
     else:
         kind, field, edit = MALFORMED[case]
         of_kind = [i for i, line in enumerate(lines) if json.loads(line)["type"] == kind]
         k = of_kind[3 if kind == "frame" else 0]  # a frame inside the log
         rec = json.loads(lines[k])
-        if edit is _DELETE:
+        if field is None:
+            rec = edit(rec)
+        elif edit is _DELETE:
             del rec[field]
         else:
             rec[field] = edit(rec[field])
