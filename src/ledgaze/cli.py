@@ -60,6 +60,11 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             w.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
+def _write_records(path: Path, header: list[str], records) -> None:
+    """CSV of one row per record, each row the record's values for the header's keys."""
+    _write_csv(path, header, ([r[k] for k in header] for r in records))
+
+
 def cmd_calibrate(args) -> int:
     cfg = _load_config(args)
     out = _outdir(args)
@@ -107,12 +112,10 @@ def cmd_eval(args) -> int:
                [[report.hist_edges_deg[i], report.hist_edges_deg[i + 1], report.hist_mass[i]]
                 for i in range(len(report.hist_mass))])
     if args.trace:
-        _write_csv(out / "trace.csv",
-                   ["t_us", "target_x", "target_y", "gaze_x", "gaze_y",
-                    "estimate_x", "estimate_y", "excluded"],
-                   [[r["t_us"], r["target_x"], r["target_y"], r["gaze_x"], r["gaze_y"],
-                     r["estimate_x"], r["estimate_y"], r["excluded"]]
-                    for r in trace_rows(log, estimator)])
+        _write_records(out / "trace.csv",
+                       ["t_us", "target_x", "target_y", "gaze_x", "gaze_y",
+                        "estimate_x", "estimate_y", "excluded"],
+                       trace_rows(log, estimator))
     print(f"accuracy[{report.method}]: mean {report.mean_deg:.3f} deg, "
           f"median {report.median_deg:.3f} deg over {report.n_used} frames -> {out}")
     return 0
@@ -124,10 +127,8 @@ def cmd_sweep(args) -> int:
     values = [int(v) for v in args.values.split(",")]
     result = sweep(cfg, args.axis, values)
     _write_json(out / f"sweep_{args.axis}.json", result)
-    _write_csv(out / f"sweep_{args.axis}.csv",
-               ["value", "mean_deg", "median_deg", "std_deg", "n_used"],
-               [[r["value"], r["mean_deg"], r["median_deg"], r["std_deg"], r["n_used"]]
-                for r in result["rows"]])
+    _write_records(out / f"sweep_{args.axis}.csv",
+                   ["value", "mean_deg", "median_deg", "std_deg", "n_used"], result["rows"])
     for r in result["rows"]:
         print(f"{args.axis}={r['value']}: mean {r['mean_deg']:.3f} deg, "
               f"median {r['median_deg']:.3f} deg")
@@ -140,10 +141,8 @@ def cmd_compare(args) -> int:
     log, cal = run_benchmark_session(cfg)
     result = compare_estimators(log, cal, cfg, all_measures=args.all_measures)
     _write_json(out / "compare.json", result)
-    _write_csv(out / "compare.csv",
-               ["method", "mean_deg", "median_deg", "std_deg", "n_used"],
-               [[r["method"], r["mean_deg"], r["median_deg"], r["std_deg"], r["n_used"]]
-                for r in result["reports"]])
+    _write_records(out / "compare.csv",
+                   ["method", "mean_deg", "median_deg", "std_deg", "n_used"], result["reports"])
     for r in result["reports"]:
         print(f"{r['method']}: mean {r['mean_deg']:.3f} deg, median {r['median_deg']:.3f} deg")
     print(f"svr sigma (grid-searched): {result['svr_sigma']}")
@@ -156,11 +155,9 @@ def cmd_scenarios(args) -> int:
     scenarios = SCENARIOS if args.scenario == "all" else (args.scenario,)
     result = run_scenarios(cfg, scenarios, n_seeds=args.seeds)
     _write_json(out / "scenarios.json", result)
-    _write_csv(out / "scenarios.csv",
-               ["scenario", "seed", "success_ratio", "first_half", "second_half",
-                "final_points"],
-               [[r["scenario"], r["seed"], r["success_ratio"], r["first_half"],
-                 r["second_half"], r["final_points"]] for r in result["rows"]])
+    _write_records(out / "scenarios.csv",
+                   ["scenario", "seed", "success_ratio", "first_half", "second_half",
+                    "final_points"], result["rows"])
     for name, s in result["summary"].items():
         print(f"{name}: median {s['median']:.3f}, mean {s['mean']:.3f}, "
               f"halves {s['first_half_mean']:.3f} -> {s['second_half_mean']:.3f}")

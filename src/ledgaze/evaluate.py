@@ -44,31 +44,30 @@ def default_pad_us(log: SessionLog) -> int:
     return iir_settle_frames(alpha, PAD_ATTENUATION) * cycle
 
 
-def exclusion_intervals(log: SessionLog, pad_us: int | None = None,
-                        kind: str | None = None) -> list[tuple[int, int]]:
-    """Closed time intervals whose frames are dropped from statistics."""
+def exclusion_masks(log: SessionLog, pad_us: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Frames dropped from statistics for a blink and for a target move, (n,) each.
+
+    An unsettled move runs to the end of the log; every window ends ``pad_us`` late.
+    """
     pad = default_pad_us(log) if pad_us is None else int(pad_us)
     end_us = int(log.t_us[-1]) if log.n_frames else 0
-    out = []
+    blink = np.zeros(log.n_frames, dtype=bool)
+    move = np.zeros(log.n_frames, dtype=bool)
     for ev in log.events:
-        if ev.get("kind") == "blink" and kind in (None, "blink"):
-            out.append((int(ev["t0_us"]), int(ev["t1_us"]) + pad))
-        elif ev.get("kind") == "target_move" and kind in (None, "target_move"):
+        if ev.get("kind") == "blink":
+            mask, lo, hi = blink, int(ev["t0_us"]), int(ev["t1_us"])
+        elif ev.get("kind") == "target_move":
             settle = ev.get("t_settle_us")
-            hi = end_us if settle is None else int(settle)
-            out.append((int(ev["t_move_us"]), hi + pad))
-    return out
-
-
-def _mask_from_intervals(log: SessionLog, intervals) -> np.ndarray:
-    mask = np.zeros(log.n_frames, dtype=bool)
-    for lo, hi in intervals:
-        mask |= (log.t_us >= lo) & (log.t_us <= hi)
-    return mask
+            mask, lo, hi = move, int(ev["t_move_us"]), end_us if settle is None else int(settle)
+        else:
+            continue
+        mask |= (log.t_us >= lo) & (log.t_us <= hi + pad)
+    return blink, move
 
 
 def excluded_mask(log: SessionLog, pad_us: int | None = None) -> np.ndarray:
-    return _mask_from_intervals(log, exclusion_intervals(log, pad_us))
+    blink, move = exclusion_masks(log, pad_us)
+    return blink | move
 
 
 @dataclass
@@ -108,8 +107,7 @@ def _error_histogram(err: np.ndarray) -> tuple[list[float], list[float]]:
 def evaluate_accuracy(log: SessionLog, estimator, geom: DisplayGeometry,
                       pad_us: int | None = None) -> AccuracyReport:
     """Run the estimator over all non-excluded frames and summarize errors."""
-    blink_mask = _mask_from_intervals(log, exclusion_intervals(log, pad_us, "blink"))
-    move_mask = _mask_from_intervals(log, exclusion_intervals(log, pad_us, "target_move"))
+    blink_mask, move_mask = exclusion_masks(log, pad_us)
     mask = ~(blink_mask | move_mask)
     n_used = int(mask.sum())
     if n_used == 0:

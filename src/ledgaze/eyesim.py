@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ADC_MAX, ConfigError, DisplayGeometry, ScreenPoint
-from .sigproc import CaptureSchedule, IirFilter, adapt_exposure
+from .sigproc import IirFilter, adapt_exposure
 
 # Seed-stream discriminators so subsystems never share a generator.
 _STREAM_NOISE = 101
@@ -51,63 +51,65 @@ class OpticsModel:
 
 @dataclass(frozen=True)
 class LedLayout:
-    """Ring of LEDs around each magnifier lens.
+    """Ring of LEDs around each magnifier lens, and one eye's capture cycle.
 
-    prototype1 rings hold sense/sense/illuminate triplets (6 sensing and 3
-    illuminating LEDs per eye); prototype2 rings hold 6 dual-role LEDs.
+    ``steps`` is the capture cycle: each step is (sensing LED, frozenset of
+    illuminating LEDs), every LED named by its ring position, and the
+    frame's channel order is the order of the sensing LEDs in the cycle.
     ``shift_mm`` is a rigid headset translation applied to every LED; a
     remount is a layout with it set.
     """
 
     mode: str
     ring_angles_deg: tuple[float, ...]
-    roles: tuple[str, ...]
+    steps: tuple[tuple[int, frozenset[int]], ...]
     ring_radius_mm: float = 16.0
     eye_relief_mm: float = 27.0
     eyes: int = 2
     shift_mm: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        if len(self.ring_angles_deg) != len(self.roles):
-            raise ConfigError("one role per ring position required")
-        if len(set(self.ring_angles_deg)) != len(self.ring_angles_deg):
+        ring = range(len(self.ring_angles_deg))
+        if len(set(self.ring_angles_deg)) != len(ring):
             raise ConfigError("ring positions must be distinct")
         if self.eyes not in (1, 2):
             raise ConfigError("eyes must be 1 or 2")
-        for r in self.roles:
-            if r not in ("sense", "illuminate", "both"):
-                raise ConfigError(f"unknown LED role {r!r}")
+        if len(set(self.sensing_indices)) != len(self.steps):
+            raise ConfigError("a sensing LED repeats within one cycle")
+        for led, illum in self.steps:
+            if led in illum:
+                raise ConfigError(f"LED {led} cannot sense and illuminate in the same step")
+            if any(i not in ring for i in (led, *illum)):
+                raise ConfigError(f"a capture step names an LED off the {len(ring)}-position ring")
         if self.ring_radius_mm <= 0 or self.eye_relief_mm <= 0:
             raise ConfigError("ring radius and eye relief must be positive")
 
     @classmethod
     def prototype1(cls, eyes: int = 2, **kw) -> "LedLayout":
+        """Nine LEDs in sense/sense/illuminate triplets; each illuminator lights its pair."""
         angles = tuple(i * 40.0 for i in range(9))
-        roles = ("sense", "sense", "illuminate") * 3
-        return cls("prototype1", angles, roles, eyes=eyes, **kw)
+        steps = tuple((base + k, frozenset({base + 2})) for base in (0, 3, 6) for k in (0, 1))
+        return cls("prototype1", angles, steps, eyes=eyes, **kw)
 
     @classmethod
     def prototype2(cls, eyes: int = 2, **kw) -> "LedLayout":
+        """Six dual-role LEDs: each senses once per cycle while the other five illuminate."""
         angles = tuple(i * 60.0 for i in range(6))
-        roles = ("both",) * 6
-        return cls("prototype2", angles, roles, eyes=eyes, **kw)
+        ring = frozenset(range(6))
+        steps = tuple((i, ring - {i}) for i in range(6))
+        return cls("prototype2", angles, steps, eyes=eyes, **kw)
 
     @property
     def sensing_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, r in enumerate(self.roles) if r != "illuminate")
+        return tuple(led for led, _ in self.steps)
 
     @property
     def channels_per_eye(self) -> int:
-        return len(self.sensing_indices)
+        return len(self.steps)
 
     @property
     def total_channels(self) -> int:
         return self.eyes * self.channels_per_eye
-
-    def schedule(self) -> CaptureSchedule:
-        if self.mode == "prototype1":
-            return CaptureSchedule.prototype1(groups=len(self.roles) // 3)
-        return CaptureSchedule.prototype2(led_count=len(self.roles))
 
     def led_positions(self, eye: int) -> np.ndarray:
         """(L, 3) LED coordinates in the given eye's local frame, mm.
@@ -317,7 +319,6 @@ class EyeSimulator:
         self.config = config
         self.seed = int(seed)
         self.geom = config.geom
-        self.schedule = layout.schedule()
         self.cycle_us = config.cycle_us(layout)
         self._noise_rng = np.random.default_rng(np.random.SeedSequence([self.seed, _STREAM_NOISE]))
         self._srt_rng = np.random.default_rng(np.random.SeedSequence([self.seed, _STREAM_SRT]))
@@ -341,7 +342,7 @@ class EyeSimulator:
         applies the exposure rule after every capture.
         """
         config, optics = self.config, self.config.optics
-        clean = clean_signal(self.layout, self.subject, self.geom, optics, self.schedule, gaze_xy)
+        clean = clean_signal(self.layout, self.subject, self.geom, optics, gaze_xy)
         if self.subject.noise_std > 0:
             noise = self._noise_rng.normal(0.0, self.subject.noise_std, clean.shape)
         else:
@@ -533,8 +534,7 @@ def _lobe_sums(layout: LedLayout, subject: SubjectProfile, geom: DisplayGeometry
 
 
 def clean_signal(layout: LedLayout, subject: SubjectProfile, geom: DisplayGeometry,
-                 optics: OpticsModel, schedule: CaptureSchedule,
-                 gaze_xy: np.ndarray) -> np.ndarray:
+                 optics: OpticsModel, gaze_xy: np.ndarray) -> np.ndarray:
     """Noise-free pre-exposure channel response for each frame, (n, M).
 
     Gaze holds still between switches, so the optics run once per run of
@@ -549,7 +549,7 @@ def clean_signal(layout: LedLayout, subject: SubjectProfile, geom: DisplayGeomet
     for eye in range(layout.eyes):
         cols = slice(eye * per_eye, (eye + 1) * per_eye)
         out[:, cols] = gain[cols] * _lobe_sums(layout, subject, geom, points, eye,
-                                               schedule.steps, optics.lobe_sharpness)
+                                               layout.steps, optics.lobe_sharpness)
     return out[np.cumsum(new_run) - 1]
 
 

@@ -49,7 +49,8 @@ class GprModel:
 
     Construction factors (C + eps*I) once and keeps only the predictive
     weights alpha (P, 2); build a new model after augmenting the calibration
-    set. Non-finite targets raise EstimationError here: no jitter makes alpha
+    set. A calibration row with a non-finite mean or target raises
+    EstimationError here, before any factorization: no jitter makes alpha
     finite. ``effective_jitter`` is the eps accepted and ``rcond`` the
     reciprocal 1-norm condition number of (C + eps*I), from LAPACK ``dgecon``
     on the factors: near 0 means the estimates amplify rounding in the
@@ -63,6 +64,9 @@ class GprModel:
         self.measure = measure
         self.jitter = jitter
         self.name = f"gpr-{measure.kind}"
+        finite = np.isfinite(calibration.means).all(axis=1) & np.isfinite(calibration.targets).all(axis=1)
+        if not finite.all():
+            raise EstimationError(f"calibration row {int(finite.argmin())} is not finite")
         C = pairwise(measure, calibration.means, calibration.means)
         # Jitter scales with the magnitude of C so normalized and raw-unit
         # calibrations behave alike; an all-zero C falls back to absolute.

@@ -1,13 +1,12 @@
-"""Signal path between raw LED physics and regression-ready vectors.
+"""Signal chain between ADC readings and regression-ready vectors.
 
-Covers the time-multiplexed capture schedule (one sensing LED at a time),
-per-channel adaptive exposure with saturation avoidance, and the first-order
-IIR low-pass filter applied to normalized channel values before regression.
+Covers the per-channel exposure rule with saturation avoidance
+(``adapt_exposure``) and the first-order IIR low-pass filter applied to
+normalized channel values before regression. The capture cycle that decides
+which LED senses when is ``eyesim.LedLayout.steps``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import lfilter
@@ -17,47 +16,6 @@ from .core import ADC_MAX, ConfigError
 # Readings at or beyond these counts trigger exposure adaptation.
 SATURATION_HIGH = 1000
 SATURATION_LOW = 23
-
-
-@dataclass(frozen=True)
-class CaptureSchedule:
-    """Ordered capture steps for one LED ring (one eye's chain).
-
-    Each step senses exactly one LED while a designated set of LEDs
-    illuminates. Indices refer to positions in the ring; the frame channel
-    order is the order sensing steps appear in one cycle.
-    """
-
-    steps: tuple[tuple[int, frozenset[int]], ...]
-    mode: str
-
-    def __post_init__(self):
-        seen = [ch for ch, _ in self.steps]
-        if len(set(seen)) != len(seen):
-            raise ConfigError("a sensing channel repeats within one cycle")
-        for ch, illum in self.steps:
-            if ch in illum:
-                raise ConfigError(f"LED {ch} cannot sense and illuminate in the same step")
-
-    @classmethod
-    def prototype1(cls, groups: int = 3) -> "CaptureSchedule":
-        """Ring of sense/sense/illuminate triplets; the group's dedicated
-        illuminator lights both of its neighbouring sensing LEDs."""
-        steps = []
-        for g in range(groups):
-            base = 3 * g
-            illum = frozenset({base + 2})
-            steps.append((base, illum))
-            steps.append((base + 1, illum))
-        return cls(tuple(steps), "prototype1")
-
-    @classmethod
-    def prototype2(cls, led_count: int = 6) -> "CaptureSchedule":
-        """Dual-role ring: every LED senses once per cycle while all the
-        remaining LEDs illuminate."""
-        all_leds = frozenset(range(led_count))
-        steps = tuple((i, all_leds - {i}) for i in range(led_count))
-        return cls(steps, "prototype2")
 
 
 def adapt_exposure(exposures_us, readings, exp_min_us: float, exp_max_us: float) -> np.ndarray:

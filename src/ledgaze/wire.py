@@ -142,15 +142,17 @@ class StreamDecoder:
                 self.stats.checksum_failures += 1
                 self._skip(1, resync=True)
                 continue
-            readings = _readings_struct(m).unpack_from(buf, HEADER_LEN)
-            if max(readings) > ADC_MAX:
+            ts, = _TIMESTAMP.unpack_from(buf, 2)
+            try:  # SensorFrame rejects a reading above ADC_MAX: its reserved bits are set
+                frame = SensorFrame(timestamp_us=ts,
+                                    channels=_readings_struct(m).unpack_from(buf, HEADER_LEN))
+            except WireError:
                 self.stats.invalid_fields += 1
                 self._skip(1, resync=True)
                 continue
-            ts, = _TIMESTAMP.unpack_from(buf, 2)
             del buf[:need]
             self.stats.frames_decoded += 1
-            return SensorFrame(timestamp_us=ts, channels=readings)
+            return frame
 
 
 def decode(stream: bytes) -> tuple[list[SensorFrame], DecodeStats]:

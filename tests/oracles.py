@@ -188,7 +188,7 @@ def clean_signal_oracle(layout, subject, geom, optics, gaze_xy):
     illuminator order. Returns a list of rows, one value per channel.
     """
     dpp = math.radians(geom.degrees_per_pixel)
-    steps = layout.schedule().steps
+    steps = layout.steps
     rows = []
     for gx, gy in gaze_xy:
         row = []

@@ -5,7 +5,7 @@ from ledgaze.core import ConfigError, InsufficientDataError
 from ledgaze.evaluate import (
     evaluate_accuracy,
     excluded_mask,
-    exclusion_intervals,
+    exclusion_masks,
     rank_channels_by_variance,
     run_scenario_session,
     run_task_session,
@@ -98,17 +98,17 @@ def test_deleting_excluded_frames_leaves_report_unchanged():
 def test_exclusion_windows_cover_blinks_and_moves():
     cfg = small_config()
     log = eval_log(cfg)
-    ivs = exclusion_intervals(log)
+    blink_mask, move_mask = exclusion_masks(log)
     moves = [e for e in log.events if e["kind"] == "target_move"]
     blinks = [e for e in log.events if e["kind"] == "blink"]
-    assert len(ivs) == len(moves) + len(blinks)
-    mask = excluded_mask(log)
+    assert moves
+    assert np.array_equal(excluded_mask(log), blink_mask | move_mask)
     for ev in moves:
         inside = (log.t_us >= ev["t_move_us"]) & (log.t_us <= ev["t_settle_us"])
-        assert np.all(mask[inside])
+        assert np.all(move_mask[inside])
     for ev in blinks:
         inside = (log.t_us >= ev["t0_us"]) & (log.t_us <= ev["t1_us"])
-        assert np.all(mask[inside])
+        assert np.all(blink_mask[inside])
 
 
 def test_histogram_mass_sums_to_one():

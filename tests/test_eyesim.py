@@ -41,8 +41,9 @@ def quiet_subject(seed=1, noise=0.0, layout=None):
 
 def test_prototype1_roles_and_counts():
     lay = LedLayout.prototype1()
-    assert lay.roles.count("sense") == 6
-    assert lay.roles.count("illuminate") == 3
+    illuminators = set().union(*(illum for _, illum in lay.steps))
+    assert illuminators == {2, 5, 8}
+    assert illuminators.isdisjoint(lay.sensing_indices)
     assert lay.channels_per_eye == 6
     assert lay.total_channels == 12
     assert lay.sensing_indices == (0, 1, 3, 4, 6, 7)
@@ -50,9 +51,10 @@ def test_prototype1_roles_and_counts():
 
 def test_prototype2_roles_and_counts():
     lay = LedLayout.prototype2()
-    assert lay.roles == ("both",) * 6
+    # every LED both senses and illuminates
+    assert lay.sensing_indices == tuple(range(6))
+    assert set().union(*(illum for _, illum in lay.steps)) == set(range(6))
     assert lay.total_channels == 12
-    assert lay.schedule().mode == "prototype2"
 
 
 def test_layout_one_eye():
@@ -61,10 +63,18 @@ def test_layout_one_eye():
 
 
 def test_layout_validation():
-    with pytest.raises(ConfigError):
-        LedLayout("prototype1", (0.0, 0.0), ("sense", "sense"))
+    with pytest.raises(ConfigError, match="distinct"):
+        LedLayout("prototype1", (0.0, 0.0), ((0, frozenset({1})),))
     with pytest.raises(ConfigError):
         LedLayout.prototype1(eyes=3)
+
+
+@pytest.mark.parametrize("steps", [((3, frozenset({1})),), ((0, frozenset({1, 3})),),
+                                   ((-1, frozenset({1})),)],
+                         ids=["sensing", "illuminating", "negative"])
+def test_layout_rejects_led_off_the_ring(steps):
+    with pytest.raises(ConfigError, match="off the 3-position ring"):
+        LedLayout("prototype2", (0.0, 120.0, 240.0), steps)
 
 
 def test_led_positions_second_eye_mirrors_x():
@@ -127,8 +137,8 @@ def test_subjects_with_different_eye_offsets_have_distinct_signals():
     b = replace(a, eye_center_offset_mm=(a.eye_center_offset_mm[0] + 1.0,
                                          a.eye_center_offset_mm[1]))
     pts = np.array([[200.0, 300.0], [600.0, 200.0], [400.0, 450.0]])
-    sa = clean_signal(lay, a, GEOM, OPTICS, lay.schedule(), pts)
-    sb = clean_signal(lay, b, GEOM, OPTICS, lay.schedule(), pts)
+    sa = clean_signal(lay, a, GEOM, OPTICS, pts)
+    sb = clean_signal(lay, b, GEOM, OPTICS, pts)
     assert np.all(np.linalg.norm(sa - sb, axis=1) > 0)
 
 
@@ -147,8 +157,7 @@ def test_sense_deterministic_without_noise():
 def test_sense_toward_led_reads_higher_than_away():
     lay = LedLayout.prototype1()
     subj = quiet_subject()
-    sched = lay.schedule()
-    for step_idx, (led, illum) in enumerate(sched.steps):
+    for step_idx, (led, illum) in enumerate(lay.steps):
         ang = math.radians(lay.ring_angles_deg[led])
         dx, dy = math.cos(ang), math.sin(ang)
         toward = ScreenPoint(400 + 250 * dx, 300 + 200 * dy)
@@ -185,8 +194,8 @@ def test_sense_gain_affects_only_its_channel():
     gains[4] = 1e-9  # effectively dark channel, still positive
     b = replace(a, corneal_gain=tuple(gains))
     pts = np.array([[250.0, 350.0], [550.0, 150.0]])
-    sa = clean_signal(lay, a, GEOM, OPTICS, lay.schedule(), pts)
-    sb = clean_signal(lay, b, GEOM, OPTICS, lay.schedule(), pts)
+    sa = clean_signal(lay, a, GEOM, OPTICS, pts)
+    sb = clean_signal(lay, b, GEOM, OPTICS, pts)
     diff = np.abs(sa - sb)
     assert np.all(diff[:, 4] > 0)
     untouched = [c for c in range(12) if c != 4]
@@ -339,8 +348,7 @@ def test_exposure_compensation_keeps_processed_scale():
     subj = quiet_subject()
     script = GazeScript.fixations([ScreenPoint(150, 300)], 2_000_000)
     log = run_script(lay, subj, script, config, seed=6)
-    expected = clean_signal(lay, subj, GEOM, bright, lay.schedule(),
-                            np.array([[150.0, 300.0]]))[0]
+    expected = clean_signal(lay, subj, GEOM, bright, np.array([[150.0, 300.0]]))[0]
     assert expected.max() > 1.0  # would clip without adaptation
     assert np.allclose(log.proc[-1], expected, atol=0.01)
 
@@ -362,7 +370,7 @@ def test_engine_block_path_matches_sense_and_adapt_exposure(make_layout, exposur
     log = run_script(lay, subj, GazeScript.fixations(points, 200_000), config, seed=8)
     assert log.n_frames == 80
     state = np.full(lay.total_channels, exposure_us)
-    steps = lay.schedule().steps
+    steps = lay.steps
     adaptations = 0
     for i in range(log.n_frames):
         gaze = ScreenPoint(*log.gaze[i])
@@ -593,7 +601,7 @@ def test_clean_signal_matches_oracle(make_layout, eyes, kind):
     lay = make_layout(eyes=eyes, shift_mm=(0.7, -0.4))
     subj = SubjectProfile.generate(11, channels=lay.total_channels)
     gaze = _gaze_block(kind, seed=eyes)
-    got = clean_signal(lay, subj, GEOM, OPTICS, lay.schedule(), gaze)
+    got = clean_signal(lay, subj, GEOM, OPTICS, gaze)
     assert np.array_equal(got, np.array(clean_signal_oracle(lay, subj, GEOM, OPTICS, gaze.tolist())))
 
 

@@ -194,7 +194,7 @@ def test_gpr_non_finite_targets_raise_at_construction(bad):
     rng = np.random.default_rng(40)
     cal = _random_calibration(rng, 6, 4)
     cal.targets[2, 1] = bad
-    with pytest.raises(EstimationError):
+    with pytest.raises(EstimationError, match="calibration row 2 is not finite"):
         GprModel(cal, MINK)
 
 
@@ -224,11 +224,28 @@ def test_gpr_jitter_must_be_positive():
 
 
 def test_gpr_unrecoverable_solve_raises_after_escalation():
-    # non-finite calibration data defeats every jitter level up to the cap
+    # a non-finite mean is rejected by row before any jitter level is tried;
+    # test_gpr_escalation_stops_at_jitter_cap reaches the cap
     cal = CalibrationSet([[np.inf, 0.2], [0.1, 0.4]], [[0, 0], [10, 10]])
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(EstimationError):
-            GprModel(cal, MINK)
+    with pytest.raises(EstimationError, match="calibration row 0 is not finite"):
+        GprModel(cal, MINK)
+
+
+def test_gpr_escalation_stops_at_jitter_cap(monkeypatch):
+    # finite data whose factors are never finite: one factorization per
+    # jitter level, 1e-8 up to the 1e-2 cap, then the cap error
+    import ledgaze.regress as regress
+    calls = []
+
+    def lu_factor(A, check_finite):
+        calls.append(A)
+        return np.full_like(A, np.nan), np.arange(A.shape[0], dtype=np.int32)
+
+    monkeypatch.setattr(regress, "lu_factor", lu_factor)
+    cal = _random_calibration(np.random.default_rng(41), 6, 4)
+    with pytest.raises(EstimationError, match="maximum diagonal jitter"):
+        GprModel(cal, MINK)
+    assert len(calls) == 7
 
 
 def test_gpr_rebuild_required_after_augment():

@@ -3,56 +3,57 @@ import pytest
 
 from ledgaze.core import ConfigError, DisplayGeometry
 from ledgaze.eyesim import LedLayout, SimConfig
-from ledgaze.sigproc import CaptureSchedule, IirFilter, adapt_exposure
+from ledgaze.sigproc import IirFilter, adapt_exposure
 
 from oracles import iir_reference
 
 
-# -- capture schedule ------------------------------------------------------------
+# -- capture cycle (LedLayout.steps) ------------------------------------------------
+
+
+RING6 = tuple(i * 60.0 for i in range(6))
 
 
 def test_prototype2_step_zero_illuminates_all_others():
-    sched = CaptureSchedule.prototype2(6)
-    ch, illum = sched.steps[0]
+    ch, illum = LedLayout.prototype2().steps[0]
     assert ch == 0
     assert illum == frozenset({1, 2, 3, 4, 5})
 
 
 def test_prototype1_pair_shares_group_illuminator():
-    sched = CaptureSchedule.prototype1()
-    assert sched.steps[0] == (0, frozenset({2}))
-    assert sched.steps[1] == (1, frozenset({2}))
-    assert sched.steps[2] == (3, frozenset({5}))
-    assert tuple(ch for ch, _ in sched.steps) == (0, 1, 3, 4, 6, 7)
+    steps = LedLayout.prototype1().steps
+    assert steps[0] == (0, frozenset({2}))
+    assert steps[1] == (1, frozenset({2}))
+    assert steps[2] == (3, frozenset({5}))
+    assert tuple(ch for ch, _ in steps) == (0, 1, 3, 4, 6, 7)
 
 
 def test_schedule_periodicity():
-    # One frame is one full schedule cycle, repeated frame after frame.
+    # One frame is one full capture cycle, repeated frame after frame.
     config = SimConfig(DisplayGeometry(800, 600), step_us=1000)
     for layout in (LedLayout.prototype1(), LedLayout.prototype2()):
-        sched = layout.schedule()
-        assert len(sched.steps) == layout.channels_per_eye
-        assert config.cycle_us(layout) == 1000 * len(sched.steps)
+        assert len(layout.steps) == layout.channels_per_eye
+        assert config.cycle_us(layout) == 1000 * len(layout.steps)
 
 
 def test_schedule_fairness_over_cycles():
-    for sched in (CaptureSchedule.prototype1(), CaptureSchedule.prototype2(6)):
+    for layout in (LedLayout.prototype1(), LedLayout.prototype2()):
         k = 5
         counts = {}
-        for ch, _ in sched.steps * k:
+        for ch, _ in layout.steps * k:
             counts[ch] = counts.get(ch, 0) + 1
         assert all(c == k for c in counts.values())
-        assert len(counts) == len(sched.steps)
+        assert len(counts) == len(layout.steps)
 
 
 def test_schedule_rejects_sensing_while_illuminating():
-    with pytest.raises(ConfigError):
-        CaptureSchedule(((0, frozenset({0, 1})),), "prototype2")
+    with pytest.raises(ConfigError, match="cannot sense and illuminate"):
+        LedLayout("prototype2", RING6, ((0, frozenset({0, 1})),))
 
 
 def test_schedule_rejects_duplicate_sensing_channel():
-    with pytest.raises(ConfigError):
-        CaptureSchedule(((0, frozenset({1})), (0, frozenset({2}))), "prototype1")
+    with pytest.raises(ConfigError, match="repeats"):
+        LedLayout("prototype2", RING6, ((0, frozenset({1})), (0, frozenset({2}))))
 
 
 # -- adaptive exposure -------------------------------------------------------------
