@@ -74,6 +74,8 @@ class LedLayout:
             raise ConfigError("ring positions must be distinct")
         if self.eyes not in (1, 2):
             raise ConfigError("eyes must be 1 or 2")
+        if not self.steps:
+            raise ConfigError("the capture cycle needs at least one step")
         if len(set(self.sensing_indices)) != len(self.steps):
             raise ConfigError("a sensing LED repeats within one cycle")
         for led, illum in self.steps:

@@ -2,14 +2,14 @@
 
 Covers the per-channel exposure rule with saturation avoidance
 (``adapt_exposure``) and the first-order IIR low-pass filter applied to
-normalized channel values before regression. The capture cycle that decides
-which LED senses when is ``eyesim.LedLayout.steps``.
+normalized channel values before regression, one LAPACK ``dgtsv`` solve per
+block. The capture cycle that decides which LED senses is ``eyesim.LedLayout.steps``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.linalg.lapack import dgtsv
 
 from .core import ADC_MAX, ConfigError
 
@@ -50,33 +50,33 @@ class IirFilter:
 
     def step(self, frame) -> np.ndarray:
         x = np.asarray(frame, dtype=float)
-        if self.state is None:
-            self.state = x.copy()
-        else:
-            if x.shape != self.state.shape:
-                raise ConfigError("frame shape changed mid-stream")
-            self.state = self.alpha * x + (1.0 - self.alpha) * self.state
+        if self.state is not None and x.shape != self.state.shape:
+            raise ConfigError("frame shape changed mid-stream")
+        self.state = x.copy() if self.state is None else self.alpha * x + (1.0 - self.alpha) * self.state
         return self.state.copy()
 
     def filter_block(self, X) -> np.ndarray:
-        """Filter a whole (n, M) block; identical to n sequential step() calls."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[0] == 0:
-            return X.copy()
-        b = [self.alpha]
-        a = [1.0, -(1.0 - self.alpha)]
-        if self.state is None:
-            y0 = X[0].copy()
-            rest = X[1:]
-            if rest.shape[0] == 0:
-                self.state = y0
-                return y0[None, :]
-            zi = ((1.0 - self.alpha) * y0)[None, :]
-            yr, _ = lfilter(b, a, rest, axis=0, zi=zi)
-            out = np.vstack([y0[None, :], yr])
-        else:
-            zi = ((1.0 - self.alpha) * self.state)[None, :]
-            out, _ = lfilter(b, a, X, axis=0, zi=zi)
-        self.state = out[-1].copy()
-        return out
+        """Filter a whole (n, M) block; identical to n sequential step() calls.
 
+        One ``dgtsv`` solve, which rounds as step() does. Its back-substitution would spread a
+        non-finite value to earlier rows, so a non-finite block raises ``ConfigError`` naming its
+        first bad row. It may return +0.0 for an exact -0.0; the package filters only values >= 0.
+        """
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if self.state is not None and X.shape[1:] != self.state.shape:
+            raise ConfigError("frame shape changed mid-stream")
+        if not np.isfinite(X).all():
+            raise ConfigError(f"block row {np.isfinite(X).all(axis=1).argmin()} is not finite")
+        n = X.shape[0]
+        if n == 0:
+            return X.copy()
+        # alpha*X with the state in row 0, in the Fortran order dgtsv solves in place
+        y = np.multiply(self.alpha, X, out=np.empty(X.shape, order="F"))
+        y[0] = X[0] if self.state is None else y[0] + (1.0 - self.alpha) * self.state
+        if n > 1:  # f2py rejects empty off-diagonals; one row is its own solution
+            y, info = dgtsv(np.full(n - 1, self.alpha - 1.0), np.ones(n), np.zeros(n - 1), y,
+                            overwrite_b=True)[3:]
+            if info != 0:
+                raise ConfigError(f"LAPACK dgtsv rejected argument {-info}")
+        self.state = y[-1].copy()
+        return np.ascontiguousarray(y)

@@ -15,6 +15,9 @@ numpy's vectorized kernels for them may fuse multiply-adds or use their own
 routines, so the math module can differ in the last bit, and these oracles
 are compared for exact equality.
 
+``lfilter_reference`` is the IIR block filter as ``scipy.signal.lfilter``,
+the path that the one ``dgtsv`` solve in ``IirFilter.filter_block`` replaces.
+
 ``StepwiseSimulator`` is the per-event session path that
 ``EyeSimulator.run(events)`` replaces: one ``move_target`` and one
 ``run(duration)`` span per script event, with the reaction-time switch
@@ -30,6 +33,7 @@ import json
 import math
 
 import numpy as np
+from scipy.signal import lfilter
 
 from ledgaze.core import ADC_MAX, CalibrationSet, ConfigError, DegenerateInputError, DimensionError
 from ledgaze.eyesim import SessionLog
@@ -154,6 +158,23 @@ def iir_reference(alpha, xs, y0=None):
     for x in xs:
         y = x if y is None else alpha * x + (1.0 - alpha) * y
         out.append(y)
+    return out
+
+
+def lfilter_reference(alpha, X, state=None):
+    """The IIR filter over an (n, M) block as ``scipy.signal.lfilter``.
+
+    A fresh filter (``state`` None) passes its first row through and filters
+    the rest from it; a warm one filters every row from ``state``.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    b, a = [alpha], [1.0, -(1.0 - alpha)]
+    if state is None:
+        if len(X) == 1:
+            return X.copy()
+        rest, _ = lfilter(b, a, X[1:], axis=0, zi=((1.0 - alpha) * X[0])[None, :])
+        return np.vstack([X[:1], rest])
+    out, _ = lfilter(b, a, X, axis=0, zi=((1.0 - alpha) * np.asarray(state))[None, :])
     return out
 
 

@@ -8,11 +8,13 @@ from ledgaze.evaluate import (
     exclusion_masks,
     rank_channels_by_variance,
     run_scenario_session,
+    run_scenarios,
     run_task_session,
     sweep,
     trace_rows,
 )
-from ledgaze.core import CalibrationSet
+from ledgaze.core import CalibrationSet, ScreenPoint
+from ledgaze.eyesim import GazeScript, ScriptEvent, run_script
 from ledgaze.session import SessionConfig, evaluation_phase
 
 from oracles import mean_median_std
@@ -97,11 +99,19 @@ def test_deleting_excluded_frames_leaves_report_unchanged():
 
 def test_exclusion_windows_cover_blinks_and_moves():
     cfg = small_config()
-    log = eval_log(cfg)
+    script = GazeScript((
+        ScriptEvent("fixation", 400_000, ScreenPoint(250, 200)),
+        ScriptEvent("blink", 200_000),
+        ScriptEvent("fixation", 300_000, ScreenPoint(250, 200)),
+        ScriptEvent("saccade", 0, ScreenPoint(550, 400)),
+        ScriptEvent("fixation", 400_000, ScreenPoint(550, 400)),
+    ))
+    log = run_script(cfg.layout(), cfg.subject(), script, cfg.sim_config(), cfg.seed)
     blink_mask, move_mask = exclusion_masks(log)
     moves = [e for e in log.events if e["kind"] == "target_move"]
     blinks = [e for e in log.events if e["kind"] == "blink"]
     assert moves
+    assert blinks
     assert np.array_equal(excluded_mask(log), blink_mask | move_mask)
     for ev in moves:
         inside = (log.t_us >= ev["t_move_us"]) & (log.t_us <= ev["t_settle_us"])
@@ -213,6 +223,8 @@ def test_scenario_unknown_name_rejected():
     cfg = small_config()
     with pytest.raises(ConfigError):
         run_scenario_session(cfg, "uncalibrated", 0)
+    with pytest.raises(ConfigError, match="unknown scenario"):
+        run_scenarios(cfg, ("uncalibrated",), n_seeds=1)
 
 
 def test_scenario_session_row_shape():

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ledgaze.core import ConfigError, DisplayGeometry
 from ledgaze.eyesim import LedLayout, SimConfig
 from ledgaze.sigproc import IirFilter, adapt_exposure
 
-from oracles import iir_reference
+from oracles import iir_reference, lfilter_reference
 
 
 # -- capture cycle (LedLayout.steps) ------------------------------------------------
@@ -49,6 +50,11 @@ def test_schedule_fairness_over_cycles():
 def test_schedule_rejects_sensing_while_illuminating():
     with pytest.raises(ConfigError, match="cannot sense and illuminate"):
         LedLayout("prototype2", RING6, ((0, frozenset({0, 1})),))
+
+
+def test_schedule_rejects_empty_cycle():
+    with pytest.raises(ConfigError, match="at least one step"):
+        LedLayout("prototype2", (0.0, 60.0), (), eyes=1)
 
 
 def test_schedule_rejects_duplicate_sensing_channel():
@@ -213,6 +219,71 @@ def test_iir_step_first_frame_passes_through():
     assert np.array_equal(y, x)
     y[0] = 5.0  # the returned state is a copy
     assert np.array_equal(f.step(np.array([4.0])), np.array([3.0]))
+
+
+@st.composite
+def iir_blocks(draw):
+    """(alpha, warm state or None, (n, M) block) with finite values of both signs."""
+    n = draw(st.sampled_from([1, 2]) | st.integers(1, 3000))
+    m = draw(st.integers(1, 24))
+    alpha = draw(st.just(1.0) | st.floats(0.0, 1.0, exclude_min=True))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    state = rng.normal(0.0, scale, m) if draw(st.booleans()) else None
+    return alpha, state, rng.normal(0.0, scale, (n, m))
+
+
+def _iir(alpha, state):
+    f = IirFilter(alpha)
+    f.state = None if state is None else state.copy()
+    return f
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(iir_blocks(), st.floats(0.0, 1.0))
+def test_filter_block_matches_lfilter_reference(block, cut):
+    # The solve and lfilter round alike; only the sign of an exact zero may differ.
+    alpha, state, X = block
+    f = _iir(alpha, state)
+    y = f.filter_block(X)
+    ref = lfilter_reference(alpha, X, state)
+    assert y.flags.c_contiguous
+    assert (y + 0.0).tobytes() == (ref + 0.0).tobytes()
+    assert f.state.tobytes() == y[-1].tobytes()
+    k = int(cut * len(X))
+    g = _iir(alpha, state)
+    split = np.concatenate([g.filter_block(X[:k]), g.filter_block(X[k:])])
+    assert (split + 0.0).tobytes() == (y + 0.0).tobytes()
+
+
+def test_filter_block_may_return_positive_zero_for_negative_zero():
+    # Back-substitution computes -0.0 - 0.0 * (-0.3) = +0.0 for the first row.
+    X = np.array([[-0.0], [-1.0]])
+    y = IirFilter(0.3).filter_block(X)
+    assert y.tolist() == [[0.0], [-0.3]]
+    assert not np.signbit(y[0, 0])
+    assert np.signbit(lfilter_reference(0.3, X)[0, 0])
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_filter_block_rejects_non_finite_rows(bad):
+    f = IirFilter(0.3)
+    f.filter_block(np.ones((3, 2)))
+    X = np.ones((4, 2))
+    X[2, 1] = bad
+    with pytest.raises(ConfigError, match="block row 2 is not finite"):
+        f.filter_block(X)
+    assert f.state.tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("first,then", [(12, 1), (1, 12), (12, 6)])
+def test_iir_rejects_channel_count_change(first, then):
+    for warm in ("step", "filter_block"):
+        for call in ("step", "filter_block"):
+            f = IirFilter(0.3)
+            getattr(f, warm)(np.ones(first))
+            with pytest.raises(ConfigError, match="frame shape changed mid-stream"):
+                getattr(f, call)(np.ones(then) if call == "step" else np.ones((5, then)))
 
 
 def test_iir_alpha_validation():
