@@ -9,7 +9,7 @@ filter's settling tail so transients never leak into the statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -88,7 +88,7 @@ class AccuracyReport:
     per_target: list[dict]
 
     def to_dict(self, config: SessionConfig | None = None, seed: int | None = None) -> dict:
-        d = asdict(self)
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
         if config is not None:
             d["config"] = config.to_dict()
         if seed is not None:

@@ -31,8 +31,8 @@ from .sigproc import IirFilter, adapt_exposure
 _STREAM_NOISE = 101
 _STREAM_SRT = 102
 
-# Frames one exposure pass reads ahead; keeps a long run linear in its length.
-_EXPOSE_LOOKAHEAD = 256
+# Rows per slice of a block's final readings pass; keeps its temporaries in cache.
+_READ_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -325,6 +325,7 @@ class EyeSimulator:
         self._noise_rng = np.random.default_rng(np.random.SeedSequence([self.seed, _STREAM_NOISE]))
         self._srt_rng = np.random.default_rng(np.random.SeedSequence([self.seed, _STREAM_SRT]))
         self.exposure_us = np.full(layout.total_channels, float(config.exposure_init_us))
+        self.exposure_changes = np.zeros(layout.total_channels, dtype=np.int64)
         self.iir = IirFilter(config.iir_alpha)
         start = start_target if start_target is not None else self.geom.center
         self.stim_target = start
@@ -341,7 +342,11 @@ class EyeSimulator:
         """Quantized ADC readings plus per-frame exposure scales, (n, M).
 
         The block's optics and noise are drawn up front; ``expose_block``
-        applies the exposure rule after every capture.
+        applies the exposure rule after every capture and the channels'
+        exposure changes are added to ``exposure_changes``. It skips a run of
+        equal rows wherever the readings at the run's extreme noise keep the
+        exposure, which is exact because a reading never decreases as its
+        noise grows.
         """
         config, optics = self.config, self.config.optics
         clean = clean_signal(self.layout, self.subject, self.geom, optics, gaze_xy)
@@ -349,9 +354,10 @@ class EyeSimulator:
             noise = self._noise_rng.normal(0.0, self.subject.noise_std, clean.shape)
         else:
             noise = np.zeros_like(clean)
-        raw, scales, self.exposure_us = expose_block(
+        raw, scales, self.exposure_us, changes = expose_block(
             clean, noise, blink_blend, self.exposure_us, config.exposure_min_us,
             config.exposure_max_us, optics.reference_exposure_us, optics.eyelid_level)
+        self.exposure_changes += changes
         return raw, scales
 
     # -- session loop -------------------------------------------------------
@@ -581,40 +587,125 @@ def sense(layout: LedLayout, subject: SubjectProfile, geom: DisplayGeometry,
     return int(np.rint(pre * ADC_MAX))
 
 
+def _exposed(clean, scale, blend, eyelid: float):
+    """Signal before noise: clean times the exposure scale, blended toward the closed eyelid."""
+    pre = clean * scale
+    if np.any(blend > 0):
+        pre = (1.0 - blend) * pre + blend * (eyelid * scale)
+    return pre
+
+
+def _readings(pre, noise):
+    """ADC counts of an exposed signal plus noise, as indices into a reading table."""
+    return np.rint(np.clip(pre + noise, 0.0, 1.0) * ADC_MAX).astype(np.intp)
+
+
+@lru_cache(maxsize=64)
+def _exposure_levels(start: tuple, emin: float, emax: float) -> tuple:
+    """Every exposure ``adapt_exposure`` reaches from the start exposures, cached.
+
+    Returns the levels in ascending order, (L,), and for each level the index
+    of the level that each reading 0..ADC_MAX leads to, (L, ADC_MAX + 1).
+    Both arrays are read-only. With 0 < emin <= emax, as ``SimConfig``
+    requires, the levels are finitely many: halvings and doublings of the
+    start exposures, emin and emax, within [emin, emax].
+    """
+    every_reading = np.arange(ADC_MAX + 1)
+    levels = np.array(start, dtype=float)
+    while True:
+        moves = adapt_exposure(levels[:, None], every_reading, emin, emax)
+        reach = np.union1d(levels, moves)
+        if reach.size == levels.size:
+            break
+        levels = reach
+    after = np.searchsorted(levels, moves)
+    for arr in (levels, after):
+        arr.flags.writeable = False
+    return levels, after
+
+
 def expose_block(clean: np.ndarray, noise: np.ndarray, blend: np.ndarray, exp: np.ndarray,
                  emin: float, emax: float, ref: float, eyelid: float):
     """Exposed, noisy, quantized readings of a block under the exposure rule.
 
     ``clean`` and ``noise`` are (n, M), ``blend`` the (n,) eyelid closure and
     ``exp`` the (M,) exposures before the first frame. Returns the int64 ADC
-    counts and each frame's exposure scale, both (n, M), and the exposures
-    after the last frame. Each pass reads up to ``_EXPOSE_LOOKAHEAD`` frames
-    at the current exposures, applies ``adapt_exposure`` to all of them and
-    keeps them up to the first frame whose readings change an exposure; that
-    frame's result becomes the exposures for the next pass. So it loops once
-    per exposure change plus once per lookahead window.
+    counts and each frame's exposure scale, both (n, M), the exposures after
+    the last frame and each channel's number of exposure changes, (M,).
+
+    Each channel's exposure depends only on its own readings, and the block
+    splits into runs of rows whose clean row and blend are both constant.
+    Within a run at one exposure, a reading ``rint(clip(pre + z, 0, 1) *
+    ADC_MAX)`` is a non-decreasing function of the noise ``z``, because IEEE
+    add, clip and rint are monotone and the exposure scale is positive. So if
+    ``adapt_exposure`` keeps the exposure for the readings at the run's
+    smallest and largest noise, it keeps it on every frame of the run: the
+    run is certified at that exposure. Certification is evaluated at once
+    for every run, channel and reachable exposure. A channel skips each run
+    certified at its exposure and steps through any other one trip at a
+    time, until it reaches a certified exposure or the run ends. The counts
+    are then computed from the exposures found, slice by slice.
     """
-    n = clean.shape[0]
-    raw = np.empty(clean.shape, dtype=np.int64)
-    scales = np.empty_like(clean)
+    n, m = clean.shape
     exp = np.asarray(exp, dtype=float)
-    i = 0
-    while i < n:
-        j = min(n, i + _EXPOSE_LOOKAHEAD)
-        scale = exp / ref
-        pre = clean[i:j] * scale
-        b = blend[i:j, None]
-        if np.any(b > 0):
-            pre = (1.0 - b) * pre + b * (eyelid * scale)
-        r = np.rint(np.clip(pre + noise[i:j], 0.0, 1.0) * ADC_MAX).astype(np.int64)
-        new = adapt_exposure(exp, r, emin, emax)
-        trips = np.flatnonzero((new != exp).any(axis=1))
-        k = trips[0] + 1 if trips.size else j - i
-        raw[i:i + k] = r[:k]
-        scales[i:i + k] = scale
-        exp = new[k - 1]
-        i += k
-    return raw, scales, exp
+    if n == 0:
+        return np.empty((0, m), dtype=np.int64), np.empty_like(clean), exp, np.zeros(m, dtype=np.int64)
+    new_run = np.ones(n, dtype=bool)
+    new_run[1:] = np.any(clean[1:] != clean[:-1], axis=1) | (blend[1:] != blend[:-1])
+    starts = np.flatnonzero(new_run)
+    bounds = np.append(starts, n).tolist()
+    n_runs = starts.size
+    levels, after = _exposure_levels(tuple(np.unique(exp).tolist()), float(emin), float(emax))
+    level_scale = levels / ref
+    # Each run's signal before noise at every level, (L, R, M).
+    pre = _exposed(clean[starts], level_scale[:, None, None], blend[starts, None], eyelid)
+    stay = np.arange(levels.size)[:, None, None]
+    certified = ((after[stay, _readings(pre, np.minimum.reduceat(noise, starts))] == stay)
+                 & (after[stay, _readings(pre, np.maximum.reduceat(noise, starts))] == stay))
+    # The level after each run's first frame, where most walks trip.
+    first = after[stay, _readings(pre, noise[starts])]
+    # The first run from each run on that is not certified, per level and channel.
+    walk_at = np.where(certified, n_runs, np.arange(n_runs)[:, None])
+    walk_at = np.minimum.accumulate(walk_at[:, ::-1], axis=1)[:, ::-1]
+    level = np.searchsorted(levels, exp)
+    run_level = np.empty((n_runs, m), dtype=np.intp)
+    changes = np.zeros(m, dtype=np.int64)
+    held = []  # (first row, end row, channel, level) of each exposure set within a run
+    for c in range(m):
+        e, r = int(level[c]), 0
+        while r < n_runs and (w := int(walk_at[e, r, c])) < n_runs:
+            run_level[r:w + 1, c] = e
+            s, t = bounds[w], bounds[w + 1]
+            i, tables = 0, {}
+            while not certified[e, w, c] and i < t - s:
+                if i == 0 and first[e, w, c] != e:
+                    k, to = 0, int(first[e, w, c])
+                else:
+                    if e not in tables:
+                        dest = after[e, _readings(pre[e, w, c], noise[s:t, c])]
+                        tables[e] = dest, iter(np.flatnonzero(dest != e).tolist())
+                    dest, trips = tables[e]
+                    k = next((j for j in trips if j >= i), None)
+                    if k is None:
+                        break
+                    to = int(dest[k])
+                if i:
+                    held.append((s + i, s + k + 1, c, e))
+                i, e = k + 1, to
+                changes[c] += 1
+            if i:
+                held.append((s + i, t, c, e))
+            r = w + 1
+        run_level[r:, c] = e
+        level[c] = e
+    scales = np.repeat(level_scale[run_level], np.diff(bounds), axis=0)
+    for a, z, c, e in held:
+        scales[a:z, c] = level_scale[e]
+    raw = np.empty((n, m), dtype=np.int64)
+    for a in range(0, n, _READ_ROWS):
+        rows = slice(a, a + _READ_ROWS)
+        raw[rows] = _readings(_exposed(clean[rows], scales[rows], blend[rows, None], eyelid), noise[rows])
+    return raw, scales, levels[level], changes
 
 
 def run_script(layout: LedLayout, subject: SubjectProfile, script: GazeScript,

@@ -243,9 +243,11 @@ def exposure_replay(clean, noise, blend, exp, emin, emax, ref, eyelid):
     blended toward the eyelid level during a blink, plus noise, clamped to
     [0, 1] and quantized; then a reading at or above SATURATION_HIGH halves
     that channel's exposure and one at or below SATURATION_LOW doubles it,
-    clamped to [emin, emax]. Returns (raw, scales, exp) as nested lists.
+    clamped to [emin, emax]. Returns (raw, scales, exp, changes) as lists,
+    ``changes`` counting each channel's exposure changes.
     """
     exp = [float(e) for e in exp]
+    changes = [0] * len(exp)
     raw, scales = [], []
     for c_row, n_row, b in zip(clean, noise, blend):
         r_row, s_row = [], []
@@ -257,13 +259,16 @@ def exposure_replay(clean, noise, blend, exp, emin, emax, ref, eyelid):
             r = round(min(max(pre + z, 0.0), 1.0) * ADC_MAX)
             r_row.append(r)
             s_row.append(scale)
+            new = exp[ch]
             if r >= SATURATION_HIGH:
-                exp[ch] = min(max(exp[ch] / 2.0, emin), emax)
+                new = min(max(exp[ch] / 2.0, emin), emax)
             elif r <= SATURATION_LOW:
-                exp[ch] = min(max(exp[ch] * 2.0, emin), emax)
+                new = min(max(exp[ch] * 2.0, emin), emax)
+            changes[ch] += new != exp[ch]
+            exp[ch] = new
         raw.append(r_row)
         scales.append(s_row)
-    return raw, scales, exp
+    return raw, scales, exp, changes
 
 
 class StepwiseSimulator:

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from ledgaze.calib import CalibrationGridSpec, schedule_targets
 from ledgaze.core import ConfigError, DisplayGeometry, ScreenPoint
 from ledgaze.eyesim import (
-    _EXPOSE_LOOKAHEAD,
     EyeSimulator,
     GazeScript,
     LedLayout,
@@ -367,11 +366,13 @@ def test_engine_block_path_matches_sense_and_adapt_exposure(make_layout, exposur
     config = SimConfig(geom=GEOM, exposure_init_us=exposure_us)
     points = [ScreenPoint(150, 120), ScreenPoint(650, 480), ScreenPoint(400, 300),
               ScreenPoint(700, 100)]
-    log = run_script(lay, subj, GazeScript.fixations(points, 200_000), config, seed=8)
+    sim = EyeSimulator(lay, subj, config, seed=8, start_target=points[0])
+    sim.run(GazeScript.fixations(points, 200_000).events)
+    log = sim.snapshot()
     assert log.n_frames == 80
     state = np.full(lay.total_channels, exposure_us)
     steps = lay.steps
-    adaptations = 0
+    adaptations = np.zeros(lay.total_channels, dtype=np.int64)
     for i in range(log.n_frames):
         gaze = ScreenPoint(*log.gaze[i])
         for ch in range(lay.total_channels):
@@ -381,25 +382,28 @@ def test_engine_block_path_matches_sense_and_adapt_exposure(make_layout, exposur
             assert log.raw[i, ch] == reading, (i, ch)
             adapted = adapt_exposure(state[ch], reading, config.exposure_min_us,
                                      config.exposure_max_us)
-            adaptations += adapted != state[ch]
+            adaptations[ch] += adapted != state[ch]
             state[ch] = adapted
-    assert adaptations > 0
+    assert adaptations.sum() > 0
+    assert np.array_equal(sim.exposure_changes, adaptations)
 
 
 def test_run_output_does_not_depend_on_how_a_span_is_split():
     # One 3 s fixation and three 1 s fixations on the same target, as one
     # run() or three, give the same frames and events: noise is drawn in
     # sequence, the IIR carries its state, the exposure rule its exposures
-    # and the move its reaction time.
+    # and the move its reaction time; the exposure changes add up alike.
     lay = LedLayout.prototype1()
     subj = replace(quiet_subject(noise=0.05), srt_mean_ms=1500.0, srt_std_ms=0.0)
     config = SimConfig(geom=GEOM, optics=OpticsModel(signal_scale=3.0))
     target = ScreenPoint(650, 450)
+    changes = []
 
     def simulate(rounds):
         sim = EyeSimulator(lay, subj, config, seed=12, start_target=ScreenPoint(150, 150))
         for us in rounds:
             sim.run([ScriptEvent("fixation", u, target) for u in us])
+        changes.append(sim.exposure_changes.tolist())
         return sim.snapshot()
 
     whole = simulate([[3_000_000]])
@@ -411,6 +415,7 @@ def test_run_output_does_not_depend_on_how_a_span_is_split():
         for col in ("t_us", "raw", "proc", "gaze", "target"):
             assert np.array_equal(getattr(whole, col), getattr(split, col)), col
         assert whole.events == split.events
+    assert changes[0] == changes[1] == changes[2] and sum(changes[0]) > 0
 
 
 def _assert_same_log(got, want):
@@ -461,6 +466,7 @@ def _random_events(rng, n):
 
 SIM_CASES = {
     "noise0": (0.0, OpticsModel()),
+    "noise0.01": (0.01, OpticsModel()),  # the default regime: few exposure changes
     "noise0.05-bright": (0.05, OpticsModel(signal_scale=3.0)),  # exposures adapt
 }
 
@@ -490,7 +496,9 @@ def test_run_timeline_matches_stepwise_reference(phase, make_layout, case):
     want = _simulate_rounds(lay, subj, config, rounds, stepwise=True)
     assert got.frame_index == want.frame_index > 0
     assert np.array_equal(got.exposure_us, want.exposure_us)
+    assert np.array_equal(got.exposure_changes, want.exposure_changes)
     _assert_same_log(got.snapshot(), want.snapshot())
+    assert got.exposure_changes.sum() > 0  # every case walks some exposure changes
     if case == "noise0.05-bright":
         assert np.any(got.exposure_us != config.exposure_init_us)
 
@@ -606,48 +614,79 @@ def test_clean_signal_matches_oracle(make_layout, eyes, kind):
 
 
 EMIN, EMAX, REF = 25.0, 1600.0, 400.0
+# Unit of the long drawn block lengths, in frames.
+_EXPOSE_LOOKAHEAD = 256
 
 
 @st.composite
 def exposure_blocks(draw):
     """Blocks for the exposure recurrence, biased toward its edge cases.
 
-    Some blocks run past the exposure lookahead, up to 2.5 windows, so that
-    passes meet window boundaries; their drawn columns repeat with a period
-    of at most 40 frames.
+    Some blocks are empty and some run from one to 2.5 windows of 256
+    frames; their drawn columns repeat with a period of at most 40 frames.
+    A plateau channel holds one clean level after an optional first frame
+    that moves it to a neighbouring exposure, and on a few frames its noise
+    reads exactly on, or one count inside, a threshold at that exposure: the
+    extremes of a constant run sit on the edge of certification. A blink
+    blend holds a constant plateau between two ramps. 300 us lies off the
+    power-of-two chain of the other start exposures, so its halvings and
+    doublings end in a clamp to EMIN or EMAX that is less than a factor of
+    two.
     """
     long_n = st.integers(_EXPOSE_LOOKAHEAD - 2, 5 * _EXPOSE_LOOKAHEAD // 2)
-    n = draw(st.integers(1, 40) | long_n)
+    n = draw(st.integers(0, 40) | long_n)
     m = draw(st.integers(1, 5))
 
     def column(elements):
         period = min(n, 40)
         return np.resize(np.array(draw(st.lists(elements, min_size=period, max_size=period))), n)
 
-    exp = np.array(draw(st.lists(st.sampled_from([EMIN, 50.0, 400.0, 800.0, EMAX]),
+    exp = np.array(draw(st.lists(st.sampled_from([EMIN, 50.0, 300.0, 400.0, 800.0, EMAX]),
                                  min_size=m, max_size=m)))
     scale0 = exp / REF
+    noise_std = draw(st.sampled_from([0.0, 0.01, 0.2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    noise = rng.normal(0.0, noise_std, (n, m))
     # Clean levels that read exactly on, or one count inside, each threshold
     # at the channel's first exposure; plus dark and saturating light.
     on_edge = [23 / 1023, 24 / 1023, 999 / 1023, 1000 / 1023, 0.0, 100.0]
     clean = np.empty((n, m))
     for ch in range(m):
-        kind = draw(st.sampled_from(["edge", "toggle", "free", "step"]))
+        kind = draw(st.sampled_from(["edge", "toggle", "free", "step", "plateau"]))
         if kind == "edge":
             clean[:, ch] = column(st.sampled_from(on_edge)) / scale0[ch]
         elif kind == "toggle":  # high, low, high, ...: adapts on every frame
             clean[:, ch] = np.where(np.arange(n) % 2 == 0, 100.0, 0.0)
         elif kind == "free":
             clean[:, ch] = column(st.floats(0.0, 3.0))
-        else:  # dead band, then saturating light from one frame on, often a window edge
+        elif kind == "step":  # dead band, then saturating light from one frame on, often a window edge
             edges = [w * _EXPOSE_LOOKAHEAD + d for w in (1, 2) for d in (-1, 0, 1)]
             at = draw(st.sampled_from(edges) | st.integers(0, n))
             clean[:, ch] = np.where(np.arange(n) < at, 512 / 1023 / scale0[ch], 100.0)
+        else:  # plateau: halve, keep or double the exposure on frame 0, then hold
+            shift = draw(st.sampled_from([0.5, 1.0, 2.0]))
+            scale = min(max(exp[ch] * shift, EMIN), EMAX) / REF
+            count = draw(st.sampled_from([23, 24, 999, 1000]))
+            inside = 40 if count < 512 else -40  # the other frames read between here and the edge
+            clean[:, ch] = (count + inside) / 1023 / scale
+            kick = int(shift != 1.0)
+            edge_noise = count / 1023 - clean[-1:, ch] * scale
+            noise[:, ch] = edge_noise * rng.uniform(0.0, 1.0, n)
+            if n > kick:
+                at = draw(st.lists(st.just(n - 1) | st.integers(kick, n - 1), min_size=1, max_size=3))
+                noise[at, ch] = edge_noise
+            if kick and n:  # saturating light halves the exposure, darkness doubles it
+                clean[0, ch], noise[0, ch] = (100.0 if shift < 1 else 0.0), 0.0
     blend = np.zeros(n)
-    if draw(st.booleans()):
+    shape = draw(st.sampled_from(["none", "column", "blink"]))
+    if shape == "column":
         blend = column(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0))
-    noise_std = draw(st.sampled_from([0.0, 0.01, 0.2]))
-    noise = np.random.default_rng(draw(st.integers(0, 2**16))).normal(0.0, noise_std, (n, m))
+    elif shape == "blink":
+        lo, hi = sorted(draw(st.lists(st.integers(0, n), min_size=2, max_size=2)))
+        ramp = draw(st.integers(1, 8))
+        peak = draw(st.sampled_from([0.5, 1.0]) | st.floats(0.05, 1.0))
+        t = np.arange(n)
+        blend = peak * np.clip(np.minimum(t + 1 - lo, hi - t) / ramp, 0.0, 1.0)
     return clean, noise, blend, exp
 
 
@@ -655,22 +694,53 @@ def exposure_blocks(draw):
 @given(exposure_blocks(), st.sampled_from([0.85, 0.0]))
 def test_expose_block_matches_per_frame_replay(block, eyelid):
     clean, noise, blend, exp = block
-    raw, scales, exp_out = expose_block(clean, noise, blend, exp, EMIN, EMAX, REF, eyelid)
-    ref_raw, ref_scales, ref_exp = exposure_replay(clean.tolist(), noise.tolist(), blend.tolist(),
-                                                   exp.tolist(), EMIN, EMAX, REF, eyelid)
-    assert raw.dtype == np.int64
-    assert np.array_equal(raw, np.array(ref_raw, dtype=np.int64))
-    assert np.array_equal(scales, np.array(ref_scales))
+    raw, scales, exp_out, changes = expose_block(clean, noise, blend, exp, EMIN, EMAX, REF, eyelid)
+    ref_raw, ref_scales, ref_exp, ref_changes = exposure_replay(
+        clean.tolist(), noise.tolist(), blend.tolist(), exp.tolist(), EMIN, EMAX, REF, eyelid)
+    n, m = clean.shape
+    assert raw.dtype == np.int64 and raw.shape == scales.shape == (n, m)
+    assert np.array_equal(raw, np.array(ref_raw, dtype=np.int64).reshape(n, m))
+    assert np.array_equal(scales, np.array(ref_scales).reshape(n, m))
     assert np.array_equal(exp_out, np.array(ref_exp))
+    assert changes.dtype == np.int64 and changes.tolist() == ref_changes
 
 
 def test_expose_block_toggling_channel_adapts_every_frame():
     clean = np.where(np.arange(9) % 2 == 0, 100.0, 0.0)[:, None]
-    raw, scales, exp = expose_block(clean, np.zeros_like(clean), np.zeros(9), np.array([400.0]),
-                                    EMIN, EMAX, REF, 0.85)
+    raw, scales, exp, changes = expose_block(clean, np.zeros_like(clean), np.zeros(9), np.array([400.0]),
+                                             EMIN, EMAX, REF, 0.85)
     assert raw[:, 0].tolist() == [1023, 0] * 4 + [1023]
     assert (scales[:, 0] * REF).tolist() == [400.0, 200.0] * 4 + [400.0]
     assert exp.tolist() == [200.0]
+    assert changes.tolist() == [9]
+
+
+def test_expose_block_counts_a_change_on_the_last_frame():
+    # Channel 0 saturates only on the last frame, which is still read at the
+    # old scale; channel 1 reads exactly the low threshold at the minimum
+    # exposure, so it doubles once, and channel 2 reads 0 at the maximum
+    # exposure, which cannot double.
+    clean = np.full((6, 3), 0.5)
+    clean[-1, 0] = 100.0
+    clean[:, 1] = 23 / 1023 / (EMIN / REF)
+    clean[:, 2] = 0.0
+    exp = np.array([400.0, EMIN, EMAX])
+    raw, scales, exp_out, changes = expose_block(clean, np.zeros_like(clean), np.zeros(6), exp,
+                                                 EMIN, EMAX, REF, 0.85)
+    ref = exposure_replay(clean.tolist(), np.zeros_like(clean).tolist(), [0.0] * 6, exp.tolist(),
+                          EMIN, EMAX, REF, 0.85)
+    assert raw.tolist() == ref[0] and scales.tolist() == ref[1]
+    assert exp_out.tolist() == ref[2] == [200.0, 2 * EMIN, EMAX]
+    assert changes.tolist() == ref[3] == [1, 1, 0]
+    assert np.all(scales[:, 0] == 1.0)
+
+
+def test_expose_block_empty_block_keeps_exposures():
+    exp = np.array([300.0, EMAX])
+    raw, scales, exp_out, changes = expose_block(np.empty((0, 2)), np.empty((0, 2)), np.empty(0), exp,
+                                                 EMIN, EMAX, REF, 0.85)
+    assert raw.shape == scales.shape == (0, 2) and raw.dtype == np.int64
+    assert exp_out.tolist() == [300.0, EMAX] and changes.tolist() == [0, 0]
 
 
 def test_engine_rejects_gain_count_mismatch():
