@@ -104,42 +104,63 @@ def _error_histogram(err: np.ndarray) -> tuple[list[float], list[float]]:
     return [float(e) for e in edges], [float(m) for m in mass]
 
 
+@dataclass(frozen=True)
+class _ScoredFrames:
+    """One log's scored frames, found once and shared by every report on the log.
+
+    ``groups`` pairs each distinct target, in ``np.unique`` order, with the
+    indices of the scored frames that hold it.
+    """
+
+    n_frames: int
+    n_excluded_blink: int
+    n_excluded_move: int
+    X: np.ndarray
+    targets: np.ndarray
+    groups: list[tuple[tuple[float, float], np.ndarray]]
+
+    @classmethod
+    def of(cls, log: SessionLog, pad_us: int | None = None) -> "_ScoredFrames":
+        blink_mask, move_mask = exclusion_masks(log, pad_us)
+        mask = ~(blink_mask | move_mask)
+        if not mask.any():
+            raise InsufficientDataError("every frame fell inside an excluded interval")
+        targets = log.target[mask]
+        uniq, inverse = np.unique(targets, axis=0, return_inverse=True)
+        groups = [((float(tgt[0]), float(tgt[1])), np.flatnonzero(inverse == i))
+                  for i, tgt in enumerate(uniq)]
+        return cls(log.n_frames, int(blink_mask.sum()), int(move_mask.sum()),
+                   log.proc[mask], targets, groups)
+
+    def report(self, estimator, geom: DisplayGeometry) -> AccuracyReport:
+        """Run the estimator over the scored frames and summarize its errors."""
+        err = angular_error_px(estimator.estimate_batch(self.X), self.targets, geom)
+        edges, hist_mass = _error_histogram(err)
+        per_target = [{"target": list(tgt), "n": int(rows.size),
+                       "mean_deg": float(err[rows].mean()),
+                       "median_deg": float(np.median(err[rows]))}
+                      for tgt, rows in self.groups]
+        n_used = len(self.X)
+        return AccuracyReport(
+            method=getattr(estimator, "name", estimator.__class__.__name__),
+            mean_deg=float(err.mean()),
+            median_deg=float(np.median(err)),
+            std_deg=float(err.std()),
+            n_frames=self.n_frames,
+            n_excluded=self.n_frames - n_used,
+            n_excluded_blink=self.n_excluded_blink,
+            n_excluded_move=self.n_excluded_move,
+            n_used=n_used,
+            hist_edges_deg=edges,
+            hist_mass=hist_mass,
+            per_target=per_target,
+        )
+
+
 def evaluate_accuracy(log: SessionLog, estimator, geom: DisplayGeometry,
                       pad_us: int | None = None) -> AccuracyReport:
     """Run the estimator over all non-excluded frames and summarize errors."""
-    blink_mask, move_mask = exclusion_masks(log, pad_us)
-    mask = ~(blink_mask | move_mask)
-    n_used = int(mask.sum())
-    if n_used == 0:
-        raise InsufficientDataError("every frame fell inside an excluded interval")
-    X = log.proc[mask]
-    targets = log.target[mask]
-    err = angular_error_px(estimator.estimate_batch(X), targets, geom)
-    edges, hist_mass = _error_histogram(err)
-    per_target = []
-    uniq, inverse = np.unique(targets, axis=0, return_inverse=True)
-    for i, tgt in enumerate(uniq):
-        sel = inverse == i
-        per_target.append({
-            "target": [float(tgt[0]), float(tgt[1])],
-            "n": int(sel.sum()),
-            "mean_deg": float(err[sel].mean()),
-            "median_deg": float(np.median(err[sel])),
-        })
-    return AccuracyReport(
-        method=getattr(estimator, "name", estimator.__class__.__name__),
-        mean_deg=float(err.mean()),
-        median_deg=float(np.median(err)),
-        std_deg=float(err.std()),
-        n_frames=log.n_frames,
-        n_excluded=log.n_frames - n_used,
-        n_excluded_blink=int(blink_mask.sum()),
-        n_excluded_move=int(move_mask.sum()),
-        n_used=n_used,
-        hist_edges_deg=edges,
-        hist_mass=hist_mass,
-        per_target=per_target,
-    )
+    return _ScoredFrames.of(log, pad_us).report(estimator, geom)
 
 
 def trace_rows(log: SessionLog, estimator, pad_us: int | None = None):
@@ -188,14 +209,12 @@ def compare_estimators(log: SessionLog, calibration: CalibrationSet,
                               config.svr_normalize)
     svr = SvrModel(calibration, sigma, normalize=config.svr_normalize,
                    rbf_squared=config.rbf_squared)
-    reports = [
-        evaluate_accuracy(log, gpr, geom),
-        evaluate_accuracy(log, svr, geom),
-    ]
+    models = [gpr, svr]
     if all_measures:
-        for kind in ("cosine", "manhattan", "canberra"):
-            model = GprModel(calibration, MeasureSpec(kind=kind), jitter=config.jitter)
-            reports.append(evaluate_accuracy(log, model, geom))
+        models += [GprModel(calibration, MeasureSpec(kind=kind), jitter=config.jitter)
+                   for kind in ("cosine", "manhattan", "canberra")]
+    scored = _ScoredFrames.of(log)
+    reports = [scored.report(model, geom) for model in models]
     return {
         "svr_sigma": sigma,
         "sigma_selection": {"method": "holdout", "fraction": 0.25,

@@ -312,25 +312,67 @@ def run_benchmark_session(config: SessionConfig):
 _FRAME_FIELDS = ("t_us", "raw", "proc", "gaze", "target")
 _INTEGER_FIELDS = ("t_us", "raw")
 
+# A frame record's line as json.dumps(sort_keys=True) writes it: keys sorted,
+# t_us a bare number, every other field a list. Each frame field fills one
+# str.format slot; _FRAME_SLOTS names them in slot order.
+_FRAME_SLOTS = sorted(_FRAME_FIELDS)
+_FRAME_LINE = "{{" + ", ".join(f'"{key}": ' + {"type": '"frame"', "t_us": "{}"}.get(key, "[{}]")
+                               for key in sorted((*_FRAME_FIELDS, "type"))) + "}}\n"
+_WRITE_ROWS = 1024  # frames per json.dumps of a field; bounds the text held at once
+
 
 def write_session_log(log: SessionLog, path, calibration: CalibrationSet | None = None) -> None:
-    """One JSON record per line: meta, calibration, events, then frames."""
+    """One JSON record per line: meta, calibration, events, then frames.
+
+    A log the file cannot hold faithfully raises ConfigError naming the
+    field and the frame, before the file is opened: frame fields of unequal
+    length, or a non-finite number, which JSON cannot express.
+    """
+    columns = {f: getattr(log, f) for f in _FRAME_FIELDS}
+    _check_writable(path, columns)
     with open(path, "w") as fh:
         fh.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in _records(log, calibration))
+        for start in range(0, log.n_frames, _WRITE_ROWS):
+            rows = slice(start, start + _WRITE_ROWS)
+            fh.writelines(map(_FRAME_LINE.format,
+                              *(_row_texts(columns[f][rows]) for f in _FRAME_SLOTS)))
 
 
 def _records(log: SessionLog, calibration: CalibrationSet | None):
-    """The log's records in file order; a frame row converts by one tolist() per field.
-
-    Meta and event values are JSON-native already.
-    """
+    """The log's records before its frames; their values are JSON-native already."""
     yield {"type": "meta", "log_version": LOG_VERSION, **log.meta}
     if calibration is not None:
         yield {"type": "calibration", **calibration.to_dict()}
     for ev in log.events:
         yield {"type": "event", **ev}
-    for row in zip(*(getattr(log, f) for f in _FRAME_FIELDS)):
-        yield {"type": "frame", **{f: v.tolist() for f, v in zip(_FRAME_FIELDS, row)}}
+
+
+def _check_writable(path, columns: dict[str, np.ndarray]) -> None:
+    """Raise ConfigError for frame columns that no log line could hold as written."""
+    lengths = {f: len(column) for f, column in columns.items()}
+    short, long = min(lengths, key=lengths.get), max(lengths, key=lengths.get)
+    if lengths[short] != lengths[long]:
+        raise _unwritable(path, lengths[short], f"has {long!r} but no {short!r}: the frame "
+                          f"fields hold {lengths[long]} and {lengths[short]} rows")
+    for f, column in columns.items():
+        bad = ~np.isfinite(column)
+        bad = np.flatnonzero(bad.any(axis=1) if bad.ndim == 2 else bad)
+        if bad.size:
+            raise _unwritable(path, int(bad[0]), f"holds a non-finite number in {f!r}")
+
+
+def _unwritable(path, frame: int, problem: str) -> ConfigError:
+    return ConfigError(f"cannot write session log {path}: frame {frame} {problem}")
+
+
+def _row_texts(rows: np.ndarray) -> list[str]:
+    """The JSON text of each row, without a vector's brackets, from one json.dumps.
+
+    Splitting is exact because the rows hold only numbers, whose text has no
+    comma or bracket.
+    """
+    text = json.dumps(rows.tolist())
+    return text[2:-2].split("], [") if rows.ndim == 2 else text[1:-1].split(", ")
 
 
 def read_session_log(path):
@@ -339,9 +381,10 @@ def read_session_log(path):
     A malformed log raises ConfigError naming the file and line: invalid
     JSON (a truncated write), a record with no type, a frame missing a
     field or holding the wrong number or kind of values, a raw count
-    outside [0, ADC_MAX], a frame whose t_us is not greater than the
-    previous frame's, and an event of unknown kind or without its integer
-    times. Records of unknown type are skipped.
+    outside [0, ADC_MAX], a non-finite number (NaN or Infinity) in proc,
+    gaze or target, a frame whose t_us is not greater than the previous
+    frame's, and an event of unknown kind or without its integer times.
+    Records of unknown type are skipped.
     """
     meta: dict = {}
     events: list[dict] = []
@@ -389,6 +432,10 @@ def read_session_log(path):
     bad = np.flatnonzero(((arrays["raw"] < 0) | (arrays["raw"] > ADC_MAX)).any(axis=1))
     if bad.size:
         raise _malformed(path, lines[bad[0]], f"raw count outside [0, {ADC_MAX}]")
+    for f in ("proc", "gaze", "target"):  # JSON integers are finite already
+        bad = np.flatnonzero(~np.isfinite(arrays[f]).all(axis=1))
+        if bad.size:
+            raise _malformed(path, lines[bad[0]], f"frame field {f!r} holds a non-finite number")
     bad = np.flatnonzero(np.diff(arrays["t_us"]) <= 0)
     if bad.size:
         raise _malformed(path, lines[bad[0] + 1], "t_us is not greater than the previous frame's")

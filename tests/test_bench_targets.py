@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ledgaze import eyesim, regress, wire
+from ledgaze import evaluate, eyesim, regress, session, wire
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import tracing
@@ -19,7 +19,9 @@ import workloads
 
 PINNED = [(eyesim, "clean_signal"), (eyesim.EyeSimulator, "_sense_block"),
           (regress.GprModel, "__init__"), (regress.GprModel, "estimate_batch"),
-          (wire.StreamDecoder, "_skip")]
+          (wire.StreamDecoder, "_skip"),
+          (session, "write_session_log"), (session, "read_session_log"),
+          (evaluate, "evaluate_accuracy"), (evaluate, "compare_estimators")]
 
 
 def _current():

@@ -3,6 +3,7 @@ import pytest
 
 from ledgaze.core import ConfigError, InsufficientDataError
 from ledgaze.evaluate import (
+    compare_estimators,
     evaluate_accuracy,
     excluded_mask,
     exclusion_masks,
@@ -15,7 +16,9 @@ from ledgaze.evaluate import (
 )
 from ledgaze.core import CalibrationSet, ScreenPoint
 from ledgaze.eyesim import GazeScript, ScriptEvent, run_script
-from ledgaze.session import SessionConfig, evaluation_phase
+from ledgaze.kernels import MeasureSpec
+from ledgaze.regress import GprModel, SvrModel
+from ledgaze.session import SessionConfig, evaluation_phase, run_benchmark_session
 
 from oracles import mean_median_std
 
@@ -178,6 +181,25 @@ def test_sweep_single_value_matches_direct_evaluation():
                                cfg.geometry())
     assert result["rows"][0]["mean_deg"] == pytest.approx(direct.mean_deg, rel=1e-12)
     assert result["rows"][0]["value"] == 12
+
+
+def test_compare_reports_match_evaluate_accuracy_of_each_model():
+    # every compared estimator is scored on one shared frame selection; each
+    # report must still equal that model's own evaluate_accuracy report
+    cfg = small_config(augment_points=8)
+    log, cal = run_benchmark_session(cfg)
+    result = compare_estimators(log, cal, cfg, all_measures=True)
+    models = [GprModel(cal, MeasureSpec("minkowski", m=cfg.minkowski_m), jitter=cfg.jitter),
+              SvrModel(cal, result["svr_sigma"], normalize=cfg.svr_normalize,
+                       rbf_squared=cfg.rbf_squared),
+              *(GprModel(cal, MeasureSpec(kind), jitter=cfg.jitter)
+                for kind in ("cosine", "manhattan", "canberra"))]
+    assert len(result["reports"]) == len(models)
+    for got, model in zip(result["reports"], models):
+        want = evaluate_accuracy(log, model, cfg.geometry()).to_dict()
+        assert got.keys() == want.keys()
+        for field in want:
+            assert got[field] == want[field], (want["method"], field)
 
 
 def test_task_session_requires_calibration():

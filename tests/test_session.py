@@ -1,11 +1,14 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ledgaze.core import ADC_MAX, ConfigError, ScreenPoint, SensorFrame
-from ledgaze.eyesim import EyeSimulator, GazeScript, ScriptEvent, run_script
+from ledgaze.eyesim import EyeSimulator, GazeScript, ScriptEvent, SessionLog, run_script
 from ledgaze.session import (
+    _WRITE_ROWS,
     CONFIG_VERSION,
     LOG_VERSION,
     SessionConfig,
@@ -207,17 +210,40 @@ def codec_logs():
     assert scripted.events[-1]["kind"] == "target_move"
     assert scripted.events[-1]["t_settle_us"] is None  # still unsettled at the end
     return {"seed1-with-calibration": (log, cal), "seed1-no-calibration": (log, None),
-            "script-unsettled-move": (scripted, None)}
+            "script-unsettled-move": (scripted, None),
+            "no-frames": (_frames_log(0, 12), None),
+            "one-frame": (_frames_log(1, 12), None),
+            "one-write-slice": (_frames_log(_WRITE_ROWS, 12), None),
+            "write-slice-and-one": (_frames_log(_WRITE_ROWS + 1, 12), None),
+            "one-channel": (_frames_log(40, 1), None),
+            "exponent-floats": (_frames_log(3, 4, values=[1e-05, 1e+16, 5e-324, -2.5e-300]), None),
+            "negative-zero": (_frames_log(3, 4, values=[-0.0, 0.0]), None),
+            "t-above-2-53": (_frames_log(3, 4, t0=2**53 + 1), None)}
+
+
+def _frames_log(n: int, m: int, values=(0.25, -1.5, 3.0), t0: int = 0) -> SessionLog:
+    """A log of ``n`` frames over ``m`` channels whose float fields cycle through ``values``."""
+    floats = np.resize(np.asarray(values, dtype=float), n * (m + 4))
+    proc, gaze, target = np.split(floats.reshape(n, m + 4), [m, m + 2], axis=1)
+    raw = np.arange(n * m, dtype=np.int64).reshape(n, m) % (ADC_MAX + 1)
+    t_us = t0 + 1666 * np.arange(n, dtype=np.int64)
+    return SessionLog(t_us, raw, proc, gaze, target, [], {"phase": "synthetic"})
 
 
 @pytest.mark.parametrize("case", ["seed1-with-calibration", "seed1-no-calibration",
-                                  "script-unsettled-move"])
+                                  "script-unsettled-move", "no-frames", "one-frame",
+                                  "one-write-slice", "write-slice-and-one", "one-channel",
+                                  "exponent-floats", "negative-zero", "t-above-2-53"])
 def test_session_log_codec_matches_reference(codec_logs, case, tmp_path):
     log, cal = codec_logs[case]
     path, ref_path = tmp_path / "new.jsonl", tmp_path / "ref.jsonl"
     write_session_log(log, path, calibration=cal)
     write_session_log_reference(log, ref_path, calibration=cal)
     assert path.read_bytes() == ref_path.read_bytes()
+    if log.n_frames == 0:
+        with pytest.raises(ConfigError, match="no frames"):
+            read_session_log(path)
+        return
     got, got_cal = read_session_log(path)
     want, want_cal = read_session_log_reference(path)
     for field in ("t_us", "raw", "proc", "gaze", "target"):
@@ -232,6 +258,63 @@ def test_session_log_codec_matches_reference(codec_logs, case, tmp_path):
     else:
         assert np.array_equal(got_cal.means, want_cal.means)
         assert np.array_equal(got_cal.targets, want_cal.targets)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def small_logs(draw):
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    steps = draw(st.lists(st.integers(1, 2**40), min_size=n, max_size=n))
+    t_us = draw(st.integers(0, 2**62)) + np.cumsum(steps, dtype=np.int64)
+    raw = draw(st.lists(st.integers(0, ADC_MAX), min_size=n * m, max_size=n * m))
+    floats = draw(st.lists(_finite, min_size=n * (m + 4), max_size=n * (m + 4)))
+    proc, gaze, target = np.split(np.reshape(floats, (n, m + 4)), [m, m + 2], axis=1)
+    return SessionLog(t_us, np.reshape(raw, (n, m)).astype(np.int64), proc, gaze, target,
+                      [], {})
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(small_logs())
+def test_session_log_codec_matches_reference_on_random_logs(tmp_path_factory, log):
+    path = tmp_path_factory.getbasetemp() / "random-new.jsonl"
+    ref_path = tmp_path_factory.getbasetemp() / "random-ref.jsonl"
+    write_session_log(log, path)
+    write_session_log_reference(log, ref_path)
+    assert path.read_bytes() == ref_path.read_bytes()
+    back, _ = read_session_log(path)
+    for field in ("t_us", "raw", "proc", "gaze", "target"):
+        assert np.array_equal(getattr(back, field), getattr(log, field))
+    # -0.0 == 0.0 above; the sign bit must survive as well
+    assert np.array_equal(np.signbit(back.proc), np.signbit(log.proc))
+
+
+@pytest.fixture(scope="module")
+def seed5_log():
+    cfg = small_config()
+    return evaluation_phase(cfg, cfg.subject(), cfg.layout(), cfg.seed)
+
+
+@pytest.mark.parametrize("field", ["t_us", "raw", "proc", "gaze", "target"])
+def test_write_session_log_rejects_ragged_fields(seed5_log, field, tmp_path):
+    n = seed5_log.n_frames
+    ragged = dataclasses.replace(seed5_log, **{field: getattr(seed5_log, field)[:n - 10]})
+    path = tmp_path / "ragged.jsonl"
+    with pytest.raises(ConfigError, match=rf"frame {n - 10} .*no {field!r}"):
+        write_session_log(ragged, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("field, value", [("proc", np.nan), ("gaze", -np.inf),
+                                          ("target", np.inf), ("target", np.nan)])
+def test_write_session_log_rejects_non_finite_numbers(seed5_log, field, value, tmp_path):
+    log = dataclasses.replace(seed5_log, **{field: getattr(seed5_log, field).copy()})
+    getattr(log, field)[100, -1] = value
+    path = tmp_path / "nonfinite.jsonl"
+    with pytest.raises(ConfigError, match=rf"frame 100 .*non-finite.*{field!r}"):
+        write_session_log(log, path)
+    assert not path.exists()
 
 
 @pytest.fixture(scope="module")
@@ -258,6 +341,8 @@ MALFORMED = {
     "raw-negative": ("frame", "raw", lambda raw: [-1] + raw[1:]),
     "raw-not-an-integer": ("frame", "raw", lambda raw: [raw[0] + 0.5] + raw[1:]),
     "t-not-an-integer": ("frame", "t_us", float),
+    "proc-nan": ("frame", "proc", lambda proc: proc[:-1] + [float("nan")]),
+    "target-infinity": ("frame", "target", lambda target: [target[0], float("inf")]),
     "calibration-missing-means": ("calibration", "means", _DELETE),
     "blink-without-t1": ("event", None, lambda ev: {
         "type": "event", "kind": "blink", "t0_us": ev["t_move_us"]}),
