@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 ADC_MAX = 1023  # 10-bit converter full scale
+_ADC_COUNTS = frozenset(range(ADC_MAX + 1))
 
 
 class LedGazeError(Exception):
@@ -61,9 +62,13 @@ class SensorFrame:
     def __post_init__(self):
         if len(self.channels) < 1:
             raise DimensionError("frame must carry at least one channel")
-        for i, v in enumerate(self.channels):
-            if not 0 <= v <= ADC_MAX:
-                raise WireError(f"channel {i} reading {v} outside [0, {ADC_MAX}]")
+        # One C-level membership pass clears the usual whole counts. Anything
+        # else (a NaN, an out-of-range count, an in-range float) gets the exact
+        # range test, which names the first bad channel.
+        if not _ADC_COUNTS.issuperset(self.channels):
+            for i, v in enumerate(self.channels):
+                if not 0 <= v <= ADC_MAX:
+                    raise WireError(f"channel {i} reading {v} outside [0, {ADC_MAX}]")
 
     @property
     def channel_count(self) -> int:
@@ -71,7 +76,8 @@ class SensorFrame:
 
     def normalized(self) -> np.ndarray:
         """Channel readings scaled to [0, 1]."""
-        return np.asarray(self.channels, dtype=float) / ADC_MAX
+        # the same bits as dividing the converted tuple, without numpy's slow tuple conversion
+        return np.array([v / ADC_MAX for v in self.channels])
 
 
 @dataclass(frozen=True)

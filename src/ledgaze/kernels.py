@@ -19,6 +19,7 @@ from .core import ConfigError, DegenerateInputError, DimensionError
 
 MEASURE_KINDS = ("minkowski", "rbf", "cosine", "manhattan", "canberra")
 _CDIST_METRIC = {"cosine": "cosine", "manhattan": "cityblock", "canberra": "canberra"}
+_FLOAT = np.dtype(float)
 
 
 @dataclass(frozen=True)
@@ -90,6 +91,13 @@ def canberra(a, b) -> float:
     return MeasureSpec("canberra").distance(a, b)
 
 
+def _rows(A) -> np.ndarray:
+    """A as a 2-D float array, returned unconverted when it already is one."""
+    if type(A) is np.ndarray and A.ndim == 2 and A.dtype == _FLOAT:
+        return A
+    return np.atleast_2d(np.asarray(A, dtype=float))
+
+
 def pairwise(spec: MeasureSpec, A, B) -> np.ndarray:
     """Measure evaluated between every row of A (n, M) and of B (P, M).
 
@@ -98,8 +106,8 @@ def pairwise(spec: MeasureSpec, A, B) -> np.ndarray:
     ``DimensionError`` and a zero row under cosine ``DegenerateInputError``,
     where ``cdist`` would raise ``ValueError`` or return NaN.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
+    A = _rows(A)
+    B = _rows(B)
     if A.shape[1] != B.shape[1]:
         raise DimensionError(
             f"channel counts differ: {A.shape[1]} vs {B.shape[1]}"

@@ -16,6 +16,8 @@ Two estimators share the same kernel machinery (``kernels.pairwise``):
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import lu_factor
 from scipy.linalg.lapack import dgecon, dgetrs
@@ -23,6 +25,7 @@ from scipy.linalg.lapack import dgecon, dgetrs
 from .core import (
     CalibrationSet,
     ConfigError,
+    DimensionError,
     EstimationError,
     GazeEstimate,
     ScreenPoint,
@@ -39,12 +42,35 @@ def _require_finite(X: np.ndarray, E: np.ndarray) -> None:
     Checking the frames as well as the estimates matters: an infinite reading
     drives every RBF similarity to zero, which yields a finite but meaningless
     estimate.
+
+    One sum covers both in the common case: a NaN or an infinity makes it
+    non-finite (inf - inf is NaN). Finite entries can also overflow it, so
+    only a non-finite sum is checked entry by entry. In those two cases
+    numpy also warns of the overflow or of inf - inf in the sum.
     """
-    if not (np.isfinite(X).all() and np.isfinite(E).all()):
-        raise EstimationError("frame or gaze estimate is not finite")
+    if not math.isfinite(np.add.reduce(X, None) + np.add.reduce(E, None)):
+        if not (np.isfinite(X).all() and np.isfinite(E).all()):
+            raise EstimationError("frame or gaze estimate is not finite")
 
 
-class GprModel:
+class _KernelRegressor:
+    """What the two estimators share: one frame is a one-row batch."""
+
+    name: str
+
+    def estimate(self, frame_vector, timestamp_us: int = 0) -> GazeEstimate:
+        """One frame (M,) as a one-row estimate_batch.
+
+        Within 1e-9 px of the frame's row in a larger batch on the seed-1 session.
+        """
+        x = np.asarray(frame_vector, dtype=float)
+        if x.ndim != 1:
+            raise DimensionError(f"a frame must be 1-d, got shape {x.shape}")
+        return GazeEstimate(timestamp_us, ScreenPoint(*self.estimate_batch(x[None, :]).tolist()[0]),
+                            self.name)
+
+
+class GprModel(_KernelRegressor):
     """Gaussian-process-style regressor over a calibration set.
 
     Construction factors (C + eps*I) once and keeps only the predictive
@@ -103,15 +129,9 @@ class GprModel:
 
     def estimate_batch(self, X) -> np.ndarray:
         """Estimated screen positions, one row per row of X (n, M)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
         E = pairwise(self.measure, X, self.calibration.means) @ self._alpha  # (n, 2)
         _require_finite(X, E)
         return E
-
-    def estimate(self, frame_vector, timestamp_us: int = 0) -> GazeEstimate:
-        """A one-row batch: within 1e-9 px of its row in a larger batch on the seed-1 session."""
-        e = self.estimate_batch(np.asarray(frame_vector, dtype=float)[None, :])[0]
-        return GazeEstimate(timestamp_us, ScreenPoint(float(e[0]), float(e[1])), self.name)
 
     def augmented(self, frame_vector, true_target: ScreenPoint) -> "GprModel":
         """New model over the augmented calibration set (refactorized)."""
@@ -119,7 +139,7 @@ class GprModel:
                         self.measure, self.jitter)
 
 
-class SvrModel:
+class SvrModel(_KernelRegressor):
     """Kernel-weighted-sum regressor with RBF similarities.
 
     ``normalize=True`` (the default) divides by the weight sum, making the
@@ -138,7 +158,6 @@ class SvrModel:
         self.name = "svr-rbf"
 
     def estimate_batch(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
         K = pairwise(self.measure, X, self.calibration.means)  # (n, P)
         E = K @ self.calibration.targets
         if self.normalize:
@@ -150,10 +169,6 @@ class SvrModel:
             E = E / s[:, None]
         _require_finite(X, E)
         return E
-
-    def estimate(self, frame_vector, timestamp_us: int = 0) -> GazeEstimate:
-        e = self.estimate_batch(np.asarray(frame_vector, dtype=float)[None, :])[0]
-        return GazeEstimate(timestamp_us, ScreenPoint(float(e[0]), float(e[1])), self.name)
 
     def augmented(self, frame_vector, true_target: ScreenPoint) -> "SvrModel":
         return SvrModel(self.calibration.append(frame_vector, true_target),

@@ -324,14 +324,16 @@ _WRITE_ROWS = 1024  # frames per json.dumps of a field; bounds the text held at 
 def write_session_log(log: SessionLog, path, calibration: CalibrationSet | None = None) -> None:
     """One JSON record per line: meta, calibration, events, then frames.
 
-    A log the file cannot hold faithfully raises ConfigError naming the
-    field and the frame, before the file is opened: frame fields of unequal
-    length, or a non-finite number, which JSON cannot express.
+    A log the file cannot hold faithfully raises ConfigError before the file
+    is opened: frame fields of unequal length, or a non-finite number, which
+    JSON cannot express, naming the field and the frame; a non-finite number
+    in the meta, calibration or an event record, naming the record's line.
     """
     columns = {f: getattr(log, f) for f in _FRAME_FIELDS}
     _check_writable(path, columns)
+    head = [_header_line(path, n, rec) for n, rec in enumerate(_records(log, calibration), 1)]
     with open(path, "w") as fh:
-        fh.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in _records(log, calibration))
+        fh.writelines(head)
         for start in range(0, log.n_frames, _WRITE_ROWS):
             rows = slice(start, start + _WRITE_ROWS)
             fh.writelines(map(_FRAME_LINE.format,
@@ -345,6 +347,14 @@ def _records(log: SessionLog, calibration: CalibrationSet | None):
         yield {"type": "calibration", **calibration.to_dict()}
     for ev in log.events:
         yield {"type": "event", **ev}
+
+
+def _header_line(path, line: int, rec: dict) -> str:
+    try:
+        return json.dumps(rec, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:  # a NaN or an infinity
+        raise ConfigError(f"cannot write session log {path}: line {line}, the {rec['type']} "
+                          f"record, holds a value JSON cannot express ({exc})") from None
 
 
 def _check_writable(path, columns: dict[str, np.ndarray]) -> None:
@@ -379,12 +389,12 @@ def read_session_log(path):
     """Inverse of write_session_log; returns (log, calibration-or-None).
 
     A malformed log raises ConfigError naming the file and line: invalid
-    JSON (a truncated write), a record with no type, a frame missing a
-    field or holding the wrong number or kind of values, a raw count
-    outside [0, ADC_MAX], a non-finite number (NaN or Infinity) in proc,
-    gaze or target, a frame whose t_us is not greater than the previous
-    frame's, and an event of unknown kind or without its integer times.
-    Records of unknown type are skipped.
+    JSON (a truncated write, or a NaN or Infinity token in any record), a
+    record with no type, a frame missing a field or holding the wrong number
+    or kind of values, a raw count outside [0, ADC_MAX], a number in proc,
+    gaze or target too large for a float (1e999), a frame whose t_us is not
+    greater than the previous frame's, and an event of unknown kind or
+    without its integer times. Records of unknown type are skipped.
     """
     meta: dict = {}
     events: list[dict] = []
@@ -396,7 +406,7 @@ def read_session_log(path):
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
+                rec = _DECODER.decode(line)
             except ValueError as exc:
                 raise _malformed(path, n, f"invalid JSON ({exc})") from None
             kind = rec.pop("type", None) if isinstance(rec, dict) else None
@@ -440,6 +450,16 @@ def read_session_log(path):
     if bad.size:
         raise _malformed(path, lines[bad[0] + 1], "t_us is not greater than the previous frame's")
     return SessionLog(**arrays, events=events, meta=meta), cal
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+# json.loads without arguments, except that it rejects the NaN, Infinity and
+# -Infinity tokens; built once, where json.loads(line, parse_constant=...)
+# would build a decoder per line.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
 def _malformed(path, line: int, problem: str) -> ConfigError:

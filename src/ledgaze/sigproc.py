@@ -8,6 +8,8 @@ block. The capture cycle that decides which LED senses is ``eyesim.LedLayout.ste
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
@@ -49,11 +51,26 @@ class IirFilter:
         self.state: np.ndarray | None = None
 
     def step(self, frame) -> np.ndarray:
+        """Filter one frame (M,) and return the new state, a copy the filter does not keep.
+
+        A non-finite frame raises ``ConfigError`` and leaves the state as it
+        was, as ``filter_block`` does for a block. The Python sum of one
+        frame's values is the cheap test: NaN or an infinity makes it
+        non-finite; an overflowing sum of finite values is checked entry by entry.
+        """
         x = np.asarray(frame, dtype=float)
-        if self.state is not None and x.shape != self.state.shape:
+        state = self.state
+        if state is not None and x.shape != state.shape:
             raise ConfigError("frame shape changed mid-stream")
-        self.state = x.copy() if self.state is None else self.alpha * x + (1.0 - self.alpha) * self.state
-        return self.state.copy()
+        if not math.isfinite(sum(x.ravel().tolist())) and not np.isfinite(x).all():
+            raise ConfigError(f"frame channel {np.isfinite(x).argmin()} is not finite")
+        if state is None:
+            self.state = x.copy()
+            return x.copy()
+        y = self.alpha * x
+        y += (1.0 - self.alpha) * state
+        self.state = y
+        return y.copy()
 
     def filter_block(self, X) -> np.ndarray:
         """Filter a whole (n, M) block; identical to n sequential step() calls.

@@ -82,9 +82,10 @@ class StreamDecoder:
 
     def feed(self, data: bytes) -> list[SensorFrame]:
         """Consume bytes, returning every complete valid frame found."""
-        self._buf.extend(data)
+        buf = self._buf
+        buf += data
         frames = []
-        while True:
+        while buf:
             frame = self._scan_one()
             if frame is None:
                 break
@@ -135,17 +136,16 @@ class StreamDecoder:
                 self.stats.invalid_fields += 1
                 self._skip(1, resync=True)
                 continue
-            need = frame_length(m)
+            need = HEADER_LEN + 2 * m + 1  # frame_length(m)
             if len(buf) < need:
                 return None  # wait for more data
-            if _checksum(memoryview(buf)[:need - 1]) != buf[need - 1]:
+            if _checksum(buf[:need - 1]) != buf[need - 1]:
                 self.stats.checksum_failures += 1
                 self._skip(1, resync=True)
                 continue
-            ts, = _TIMESTAMP.unpack_from(buf, 2)
             try:  # SensorFrame rejects a reading above ADC_MAX: its reserved bits are set
-                frame = SensorFrame(timestamp_us=ts,
-                                    channels=_readings_struct(m).unpack_from(buf, HEADER_LEN))
+                frame = SensorFrame(_TIMESTAMP.unpack_from(buf, 2)[0],
+                                    _readings_struct(m).unpack_from(buf, HEADER_LEN))
             except WireError:
                 self.stats.invalid_fields += 1
                 self._skip(1, resync=True)

@@ -9,16 +9,21 @@ undo every wrap so the rename shows up in the test suite instead.
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ledgaze import evaluate, eyesim, regress, session, wire
+from ledgaze import evaluate, eyesim, regress, session, sigproc, wire
+from ledgaze.core import CalibrationSet, SensorFrame
+from ledgaze.kernels import MeasureSpec
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import tracing
 import workloads
 
 PINNED = [(eyesim, "clean_signal"), (eyesim.EyeSimulator, "_sense_block"),
+          (sigproc.IirFilter, "step"), (regress, "pairwise"),
           (regress.GprModel, "__init__"), (regress.GprModel, "estimate_batch"),
+          (wire.StreamDecoder, "feed"), (wire.StreamDecoder, "finish"),
           (wire.StreamDecoder, "_skip"),
           (session, "write_session_log"), (session, "read_session_log"),
           (evaluate, "evaluate_accuracy"), (evaluate, "compare_estimators")]
@@ -48,3 +53,23 @@ def test_workload_recorders_install_and_restore(name, tmp_path):
     finally:
         patches.restore()
     assert vars(eyesim.EyeSimulator)["run"] is before
+
+
+def test_traced_device_path_spans_every_layer_it_crosses():
+    # the one-frame path must go through the wrapped names, or a traced
+    # stream pass loses its wire, sigproc, regress or kernels time
+    rng = np.random.default_rng(5)
+    model = regress.GprModel(CalibrationSet(rng.uniform(0, 1, (6, 4)), rng.uniform(0, 800, (6, 2))),
+                             MeasureSpec())
+    blob = wire.encode(SensorFrame(7, (10, 500, 1000, 3)))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        decoder = wire.StreamDecoder()
+        frame, = decoder.feed(blob)
+        model.estimate(sigproc.IirFilter(0.5).step(frame.normalized()), frame.timestamp_us)
+        assert decoder.finish() == []
+    finally:
+        tracer.uninstall()
+    assert {"wire.decode", "sigproc.iir_step", "regress.estimate", "kernels.pairwise"} <= set(tracer.names)
+    assert tracer.counts["wire.frames_decoded"] == tracer.counts["regress.estimate.frames"] == 1

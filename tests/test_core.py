@@ -69,6 +69,28 @@ def test_sensor_frame_validation():
         SensorFrame(0, ())
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1, 1024], ids=["nan", "inf", "minus-one", "1024"])
+@pytest.mark.parametrize("position", range(5))
+def test_sensor_frame_rejects_bad_reading_at_any_position(bad, position):
+    # a NaN compares false both ways, so a min/max test would pass it unless it came first
+    channels = [0, 1023, 512, 7, 3]
+    channels[position] = bad
+    with pytest.raises(WireError, match=rf"^channel {position} reading {bad} outside"):
+        SensorFrame(0, tuple(channels))
+
+
+def test_sensor_frame_accepts_in_range_values_that_are_not_counts():
+    # the exact range test decides: in-range floats and numpy integers pass as before
+    assert SensorFrame(0, (0.5, 1023.0, np.int64(3), np.uint16(1023), True)).channel_count == 5
+
+
+def test_normalized_equals_array_division_for_every_count():
+    counts = tuple(range(1024))
+    x = SensorFrame(0, counts).normalized()
+    assert x.dtype == np.float64
+    assert x.tobytes() == (np.asarray(counts, dtype=float) / 1023).tobytes()
+
+
 def test_display_geometry_validation():
     with pytest.raises(ConfigError):
         DisplayGeometry(0, 100)

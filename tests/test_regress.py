@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ledgaze.core import (
     CalibrationSet,
@@ -11,7 +12,7 @@ from ledgaze.core import (
     ScreenPoint,
 )
 from ledgaze.kernels import MeasureSpec, pairwise
-from ledgaze.regress import GprModel, SvrModel, grid_search_sigma
+from ledgaze.regress import GprModel, SvrModel, _require_finite, grid_search_sigma
 from ledgaze.session import SessionConfig, run_benchmark_session
 
 from oracles import gpr_oracle
@@ -393,6 +394,55 @@ def test_non_finite_frame_raises(make, bad):
     with np.errstate(invalid="ignore"):
         with pytest.raises(EstimationError):
             model.estimate_batch(frame[None, :])
+
+
+ALL_ESTIMATORS = pytest.mark.parametrize("make", [
+    *(lambda cal, kind=kind: GprModel(cal, MeasureSpec(kind=kind, sigma=0.5))
+      for kind in ("minkowski", "rbf", "cosine", "manhattan", "canberra")),
+    lambda cal: SvrModel(cal, sigma=0.3),
+    lambda cal: SvrModel(cal, sigma=0.3, normalize=False),
+], ids=["gpr-minkowski", "gpr-rbf", "gpr-cosine", "gpr-manhattan", "gpr-canberra",
+        "svr", "svr-unnormalized"])
+
+
+@ALL_ESTIMATORS
+def test_estimate_is_its_one_row_batch_bit_for_bit(make):
+    rng = np.random.default_rng(39)
+    model = make(_random_calibration(rng, 30, 12))
+    for x in rng.uniform(0.05, 1, (20, 12)):
+        e = model.estimate(x, timestamp_us=9)
+        assert (e.position.x, e.position.y) == tuple(model.estimate_batch(x[None, :])[0])
+        assert (e.timestamp_us, e.method) == (9, model.name)
+        assert type(e.position.x) is float and type(e.position.y) is float
+
+
+@ALL_ESTIMATORS
+@pytest.mark.parametrize("frame", [0.5, [[0.5] * 12], [[0.5] * 6] * 2], ids=["0-d", "1x12", "2x6"])
+def test_estimate_rejects_a_frame_that_is_not_1d(make, frame):
+    model = make(_random_calibration(np.random.default_rng(41), 8, 12))
+    with pytest.raises(DimensionError, match="frame must be 1-d"):
+        model.estimate(frame)
+
+
+_ENTRY = st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e308, 0.5, -0.25, 0.0])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.lists(_ENTRY, min_size=1, max_size=8), st.lists(_ENTRY, min_size=1, max_size=4))
+@example([1e308, 1e308, 1e308], [0.5, 0.5])
+@example([math.inf, -math.inf], [0.5, 0.5])
+@example([0.5], [-math.inf, math.inf])
+@example([math.inf], [-math.inf])
+def test_require_finite_raises_iff_an_entry_is_not_finite(xs, es):
+    # +inf/-inf pairs sum to NaN and rows near 1e308 overflow the sum: only
+    # the entries decide
+    X, E = np.array(xs)[None, :], np.array(es)[None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if all(map(math.isfinite, xs + es)):
+            _require_finite(X, E)
+        else:
+            with pytest.raises(EstimationError):
+                _require_finite(X, E)
 
 
 # -- augmentation -----------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ledgaze.core import ADC_MAX, ConfigError, ScreenPoint, SensorFrame
+from ledgaze.core import ADC_MAX, CalibrationSet, ConfigError, ScreenPoint, SensorFrame
 from ledgaze.eyesim import EyeSimulator, GazeScript, ScriptEvent, SessionLog, run_script
 from ledgaze.session import (
     _WRITE_ROWS,
@@ -317,6 +317,27 @@ def test_write_session_log_rejects_non_finite_numbers(seed5_log, field, value, t
     assert not path.exists()
 
 
+@pytest.mark.parametrize("record,line", [("meta", 1), ("calibration", 2), ("event", 4)])
+def test_write_session_log_rejects_non_finite_header_records(seed5_log, record, line, tmp_path):
+    cfg = small_config()
+    log = seed5_log
+    cal = calibration_phase(cfg, cfg.subject(), cfg.layout(), cfg.seed)
+    if record == "meta":
+        log = dataclasses.replace(log, meta={**log.meta, "cycle_us": float("nan")})
+    elif record == "calibration":
+        means = cal.means.copy()
+        means[2, 1] = np.nan
+        cal = CalibrationSet(means, cal.targets)
+    else:  # the second event, on line 4
+        events = [dict(ev) for ev in log.events]
+        events[1]["to"] = [events[1]["to"][0], float("-inf")]
+        log = dataclasses.replace(log, events=events)
+    path = tmp_path / "nonfinite.jsonl"
+    with pytest.raises(ConfigError, match=rf"line {line}, the {record} record, holds a value JSON cannot"):
+        write_session_log(log, path, calibration=cal)
+    assert not path.exists()
+
+
 @pytest.fixture(scope="module")
 def small_log_lines(tmp_path_factory):
     cfg = small_config()
@@ -344,6 +365,9 @@ MALFORMED = {
     "proc-nan": ("frame", "proc", lambda proc: proc[:-1] + [float("nan")]),
     "target-infinity": ("frame", "target", lambda target: [target[0], float("inf")]),
     "calibration-missing-means": ("calibration", "means", _DELETE),
+    "calibration-mean-nan": ("calibration", "means",
+                             lambda means: [[means[0][0], float("nan"), *means[0][2:]], *means[1:]]),
+    "meta-nan": ("meta", "cycle_us", lambda cycle: float("nan")),
     "blink-without-t1": ("event", None, lambda ev: {
         "type": "event", "kind": "blink", "t0_us": ev["t_move_us"]}),
     "blink-t0-not-an-integer": ("event", None, lambda ev: {
@@ -385,6 +409,19 @@ def test_read_session_log_rejects_malformed_line(small_log_lines, case, tmp_path
     with pytest.raises(ConfigError, match=rf"line {k + 1}:") as err:
         read_session_log(path)
     assert str(path) in str(err.value)
+
+
+def test_read_session_log_rejects_a_number_too_large_for_a_float(small_log_lines, tmp_path):
+    # 1e999 is valid JSON that parses to inf: only the column check catches it
+    lines = list(small_log_lines)
+    k = [i for i, line in enumerate(lines) if '"type": "frame"' in line][3]
+    rec = json.loads(lines[k])
+    lines[k] = lines[k].replace(json.dumps(rec["gaze"]), f"[1e999, {rec['gaze'][1]!r}]")
+    assert json.loads(lines[k])["gaze"][0] == float("inf")
+    path = tmp_path / "overflow.jsonl"
+    path.write_text("".join(lines))
+    with pytest.raises(ConfigError, match=rf"line {k + 1}: frame field 'gaze' holds a non-finite"):
+        read_session_log(path)
 
 
 def test_read_session_log_skips_unknown_record_types(small_log_lines, tmp_path):

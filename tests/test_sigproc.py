@@ -276,6 +276,42 @@ def test_filter_block_rejects_non_finite_rows(bad):
     assert f.state.tolist() == [1.0, 1.0]
 
 
+@pytest.mark.parametrize("warm", [True, False], ids=["warm", "first-frame"])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_iir_step_rejects_non_finite_frame_and_recovers(bad, warm):
+    frames = np.random.default_rng(47).uniform(0, 1, (4, 3))
+    f, clean = IirFilter(0.3), IirFilter(0.3)
+    if warm:
+        f.step(frames[0])
+        clean.step(frames[0])
+    x = frames[1].copy()
+    x[2] = bad
+    with pytest.raises(ConfigError, match="frame channel 2 is not finite"):
+        f.step(x)
+    if warm:
+        assert f.state.tobytes() == clean.state.tobytes()
+    else:
+        assert f.state is None
+    for row in frames[2:]:
+        assert f.step(row).tobytes() == clean.step(row).tobytes()
+
+
+def test_iir_step_accepts_finite_frame_whose_sum_overflows():
+    f = IirFilter(0.5)
+    x = np.array([1e308, 1e308])
+    assert np.array_equal(f.step(x), x)
+    assert np.array_equal(f.step(x), x)
+
+
+def test_iir_step_result_does_not_alias_the_state():
+    f = IirFilter(0.5)
+    f.step(np.array([2.0]))
+    y = f.step(np.array([4.0]))
+    y[0] = 100.0
+    assert f.state.tolist() == [3.0]
+    assert f.step(np.array([5.0])).tolist() == [4.0]
+
+
 @pytest.mark.parametrize("first,then", [(12, 1), (1, 12), (12, 6)])
 def test_iir_rejects_channel_count_change(first, then):
     for warm in ("step", "filter_block"):
