@@ -3,7 +3,9 @@
 Every subcommand takes a JSON config file (all fields optional; defaults
 reproduce the standard benchmark), plus ``--seed`` and ``--out`` overrides.
 Outputs are a session log (line-delimited JSON) and CSV/JSON reports whose
-bytes depend only on the config and seed.
+bytes depend only on the config and seed. A package error (a bad config, a
+malformed session log) ends the command with one ``error: ...`` line on
+stderr and exit status 2, the status argparse uses for a bad argument.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SensorFrame
+from .core import ConfigError, LedGazeError, SensorFrame
 from .evaluate import (
     SCENARIOS,
     compare_estimators,
@@ -93,8 +95,7 @@ def cmd_eval(args) -> int:
     out = _outdir(args)
     log, cal = read_session_log(args.log)
     if cal is None:
-        print("session log carries no calibration set", file=sys.stderr)
-        return 2
+        raise ConfigError(f"session log {args.log} carries no calibration set")
     estimator = cfg.build_estimator(cal)
     report = evaluate_accuracy(log, estimator, cfg.geometry())
     _write_json(out / "accuracy.json", report.to_dict(config=cfg, seed=cfg.seed))
@@ -124,8 +125,7 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     out = _outdir(args)
-    values = [int(v) for v in args.values.split(",")]
-    result = sweep(cfg, args.axis, values)
+    result = sweep(cfg, args.axis, args.values)
     _write_json(out / f"sweep_{args.axis}.json", result)
     _write_records(out / f"sweep_{args.axis}.csv",
                    ["value", "mean_deg", "median_deg", "std_deg", "n_used"], result["rows"])
@@ -197,6 +197,15 @@ def cmd_wire_test(args) -> int:
     return 0 if ok == n and recovered == n else 1
 
 
+def _integers(text: str) -> list[int]:
+    """A comma-separated list of integers, as an argparse type."""
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of integers: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="ledgaze",
@@ -226,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="error vs calibration-point or LED count")
     common(sp)
     sp.add_argument("--axis", required=True, choices=["calibration_points", "led_count"])
-    sp.add_argument("--values", required=True, help="comma-separated values")
+    sp.add_argument("--values", required=True, type=_integers, help="comma-separated values")
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("compare", help="GPR-Minkowski vs grid-searched SVR-RBF")
@@ -251,7 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except LedGazeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -40,13 +40,13 @@ class MeasureSpec:
     def __post_init__(self):
         if self.kind not in MEASURE_KINDS:
             raise ConfigError(f"unknown measure kind {self.kind!r}")
-        if self.m < 1:
-            raise ConfigError("minkowski norm degree m must be >= 1")
-        if self.sigma <= 0:
-            raise ConfigError("rbf sigma must be positive")
-        if self.weights is not None:
-            if any(w < 0 for w in self.weights):
-                raise ConfigError("minkowski weights must be non-negative")
+        if not self.m >= 1:  # NaN fails too; +inf is the Chebyshev distance
+            raise ConfigError(f"minkowski norm degree m must be >= 1, got {self.m!r}")
+        if not 0 < self.sigma < np.inf:
+            raise ConfigError(f"rbf sigma must be positive and finite, got {self.sigma!r}")
+        if self.weights is not None and not all(0 <= w < np.inf for w in self.weights):
+            raise ConfigError(f"minkowski weights must be non-negative and finite, "
+                              f"got {self.weights!r}")
 
     def distance(self, a, b) -> float:
         """Evaluate this measure on one pair of vectors."""

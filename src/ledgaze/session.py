@@ -120,6 +120,11 @@ class SessionConfig:
     remount_shift_std_mm: float = 0.7
 
     def __post_init__(self):
+        for f in fields(self):  # json.load reads NaN and Infinity tokens as floats
+            value = getattr(self, f.name)
+            values = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+                raise ConfigError(f"config field {f.name!r} must be finite, got {value!r}")
         if self.estimator not in ("gpr", "svr"):
             raise ConfigError("estimator must be 'gpr' or 'svr'")
         if self.layout_mode not in ("prototype1", "prototype2"):
@@ -318,11 +323,18 @@ _INTEGER_FIELDS = ("t_us", "raw")
 _FRAME_SLOTS = sorted(_FRAME_FIELDS)
 _FRAME_LINE = "{{" + ", ".join(f'"{key}": ' + {"type": '"frame"', "t_us": "{}"}.get(key, "[{}]")
                                for key in sorted((*_FRAME_FIELDS, "type"))) + "}}\n"
-_WRITE_ROWS = 1024  # frames per json.dumps of a field; bounds the text held at once
+
+# Frames per slice, in both directions: the writer formats a field's rows a
+# slice at a time, and the reader moves a slice's parsed rows into arrays, so
+# neither holds a Python object per value for the whole log.
+_SLICE_ROWS = 128
 
 
 def write_session_log(log: SessionLog, path, calibration: CalibrationSet | None = None) -> None:
     """One JSON record per line: meta, calibration, events, then frames.
+
+    Frames are formatted a slice of _SLICE_ROWS at a time, one json.dumps
+    per field; a row equal bit for bit to the one before it reuses its text.
 
     A log the file cannot hold faithfully raises ConfigError before the file
     is opened: frame fields of unequal length, or a non-finite number, which
@@ -334,8 +346,8 @@ def write_session_log(log: SessionLog, path, calibration: CalibrationSet | None 
     head = [_header_line(path, n, rec) for n, rec in enumerate(_records(log, calibration), 1)]
     with open(path, "w") as fh:
         fh.writelines(head)
-        for start in range(0, log.n_frames, _WRITE_ROWS):
-            rows = slice(start, start + _WRITE_ROWS)
+        for start in range(0, log.n_frames, _SLICE_ROWS):
+            rows = slice(start, start + _SLICE_ROWS)
             fh.writelines(map(_FRAME_LINE.format,
                               *(_row_texts(columns[f][rows]) for f in _FRAME_SLOTS)))
 
@@ -378,11 +390,18 @@ def _unwritable(path, frame: int, problem: str) -> ConfigError:
 def _row_texts(rows: np.ndarray) -> list[str]:
     """The JSON text of each row, without a vector's brackets, from one json.dumps.
 
-    Splitting is exact because the rows hold only numbers, whose text has no
-    comma or bracket.
+    Only the rows that differ bit for bit from the row before them are
+    formatted; a repeat reuses the text before it. Comparing bits, not
+    values, keeps a -0.0 after a 0.0 apart. Splitting is exact because the
+    rows hold only numbers, whose text has no comma or bracket.
     """
-    text = json.dumps(rows.tolist())
-    return text[2:-2].split("], [") if rows.ndim == 2 else text[1:-1].split(", ")
+    if rows.ndim == 1:
+        return json.dumps(rows.tolist())[1:-1].split(", ")
+    bits = np.ascontiguousarray(rows).view(f"i{rows.itemsize}")
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    texts = json.dumps(rows[new].tolist())[2:-2].split("], [")
+    return [texts[i] for i in (np.cumsum(new) - 1).tolist()]
 
 
 def read_session_log(path):
@@ -395,11 +414,18 @@ def read_session_log(path):
     gaze or target too large for a float (1e999), a frame whose t_us is not
     greater than the previous frame's, and an event of unknown kind or
     without its integer times. Records of unknown type are skipped.
+
+    Frame fields move into arrays a slice of _SLICE_ROWS frames at a time,
+    where each row's shape and kind are checked; the value checks (raw
+    range, non-finite numbers, t_us order) run once on the whole columns.
+    A log with one fault is named by its line whatever the slicing; with
+    several, the faults of the earlier slices are reported first.
     """
     meta: dict = {}
     events: list[dict] = []
     cal = None
-    columns: dict[str, list] = {f: [] for f in _FRAME_FIELDS}
+    columns: dict[str, list] = {f: [] for f in _FRAME_FIELDS}  # the current slice's rows
+    parts: dict[str, list] = {f: [] for f in _FRAME_FIELDS}  # the arrays of the slices before
     lines: list[int] = []  # file line of each frame record
     with open(path) as fh:
         for n, line in enumerate(fh, 1):
@@ -417,6 +443,8 @@ def read_session_log(path):
                 except KeyError as exc:
                     raise _malformed(path, n, f"frame has no {exc} field") from None
                 lines.append(n)
+                if len(lines) % _SLICE_ROWS == 0:
+                    _take_slice(path, lines, columns, parts)
             elif kind == "event":
                 problem = _event_problem(rec)
                 if problem:
@@ -434,11 +462,9 @@ def read_session_log(path):
                 raise _malformed(path, n, "record has no type")
     if not lines:
         raise ConfigError(f"no frames found in session log {path}")
-    if not isinstance(columns["raw"][0], list):
-        raise _malformed(path, lines[0], "frame field 'raw' is not a list")
-    m = len(columns["raw"][0])
-    shapes = {"t_us": (), "raw": (m,), "proc": (m,), "gaze": (2,), "target": (2,)}
-    arrays = {f: _frame_column(path, lines, f, columns.pop(f), shapes[f]) for f in _FRAME_FIELDS}
+    if columns["t_us"]:
+        _take_slice(path, lines, columns, parts)
+    arrays = {f: np.concatenate(parts[f]) for f in _FRAME_FIELDS}
     bad = np.flatnonzero(((arrays["raw"] < 0) | (arrays["raw"] > ADC_MAX)).any(axis=1))
     if bad.size:
         raise _malformed(path, lines[bad[0]], f"raw count outside [0, {ADC_MAX}]")
@@ -450,6 +476,26 @@ def read_session_log(path):
     if bad.size:
         raise _malformed(path, lines[bad[0] + 1], "t_us is not greater than the previous frame's")
     return SessionLog(**arrays, events=events, meta=meta), cal
+
+
+def _take_slice(path, lines: list[int], columns: dict[str, list],
+                parts: dict[str, list]) -> None:
+    """Move the rows in ``columns`` into one checked array per field in ``parts``.
+
+    The first frame of the log fixes the channel count of every slice.
+    """
+    rows = lines[len(lines) - len(columns["t_us"]):]
+    if not parts["raw"]:
+        first = columns["raw"][0]
+        if not isinstance(first, list):
+            raise _malformed(path, rows[0], "frame field 'raw' is not a list")
+        m = len(first)
+    else:
+        m = parts["raw"][0].shape[1]
+    shapes = {"t_us": (), "raw": (m,), "proc": (m,), "gaze": (2,), "target": (2,)}
+    for f, values in columns.items():
+        parts[f].append(_frame_column(path, rows, f, values, shapes[f]))
+        values.clear()
 
 
 def _reject_constant(name: str):

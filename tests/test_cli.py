@@ -99,3 +99,36 @@ def test_default_config_when_none_given(tmp_path):
     out = tmp_path / "wt2"
     assert main(["wire-test", "--out", str(out), "--frames", "50", "--seed", "8"]) == 0
     assert json.loads((out / "wire_test.json").read_text())["seed"] == 8
+
+
+def test_malformed_log_is_one_error_line(tmp_path, small_config_file, capsys):
+    run_dir = tmp_path / "run"
+    assert main(["run", "--config", small_config_file, "--out", str(run_dir)]) == 0
+    log_path = run_dir / "session.jsonl"
+    text = log_path.read_text()
+    log_path.write_text(text[:len(text) - 40])  # a write cut short inside the last frame
+    n_lines = text.count("\n")
+    capsys.readouterr()
+    assert main(["eval", "--config", small_config_file, "--log", str(log_path),
+                 "--out", str(tmp_path / "eval")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed session log {log_path}, line {n_lines}: invalid JSON")
+    assert err.count("\n") == 1
+
+
+def test_non_finite_config_value_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text('{"noise_std": NaN}\n')  # json.load accepts the token
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: config field 'noise_std' must be finite, got nan\n"
+    assert not (tmp_path / "run" / "session.jsonl").exists()
+
+
+def test_sweep_values_must_be_integers(tmp_path, small_config_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", small_config_file, "--out", str(tmp_path / "sw"),
+              "--axis", "led_count", "--values", "4,x"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --values: not a comma-separated list of integers: '4,x'" in err

@@ -1,7 +1,8 @@
 """Source hygiene checks that need no linter.
 
 Every imported name is used, and every function, method and class defined
-in ``src/`` is read somewhere in ``src/``, ``tests/`` or ``bench/``.
+in ``src/``, and every name a ``src/`` module assigns at its top level, is
+read somewhere in ``src/``, ``tests/`` or ``bench/``.
 """
 
 import ast
@@ -65,12 +66,13 @@ def test_no_unused_imports(path):
 def _reads(tree):
     """Names a module reads: bare names, attributes and identifier strings.
 
-    Import statements bind names without reading them, so a package's
-    re-export alone does not count as a use.
+    Import statements and assignments bind names without reading them, so a
+    package's re-export alone does not count as a use, nor does a constant's
+    own definition.
     """
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -79,15 +81,26 @@ def _reads(tree):
     return names
 
 
+def _defined(tree):
+    """(name, line) of every function, method and class, and every top-level assigned name."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node.lineno
+
+
 def test_no_dead_definitions():
     read = set()
     for path in READERS:
         read |= _reads(ast.parse(path.read_text(), filename=str(path)))
     dead = []
     for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                name = node.name
-                if not (name.startswith("__") and name.endswith("__")) and name not in read:
-                    dead.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+        for name, line in _defined(ast.parse(path.read_text(), filename=str(path))):
+            if not (name.startswith("__") and name.endswith("__")) and name not in read:
+                dead.append(f"{path.relative_to(ROOT)}:{line} {name}")
     assert not dead, "defined in src/ but never read: " + ", ".join(dead)

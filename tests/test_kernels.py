@@ -165,6 +165,23 @@ def test_measure_spec_validation():
         MeasureSpec(weights=(1.0, -0.5))
 
 
+@pytest.mark.parametrize("kw", [
+    {"m": math.nan},
+    {"kind": "rbf", "sigma": math.nan},
+    {"kind": "rbf", "sigma": math.inf},
+    {"weights": (1.0, math.nan)},
+    {"weights": (math.inf, 1.0)},
+])
+def test_measure_spec_rejects_non_finite_parameters(kw):
+    # each passed the sign checks before, and every kernel value came out NaN or inf
+    with pytest.raises(ConfigError):
+        MeasureSpec(**kw)
+
+
+def test_minkowski_m_infinity_is_chebyshev():
+    assert minkowski([0.0, 0.0, 1.0], [3.0, -4.0, 1.0], m=math.inf) == 4.0
+
+
 @pytest.mark.parametrize("kind,kw", [
     ("minkowski", {"m": 2.0}),
     ("minkowski", {"m": 3.0, "weights": (0.5, 1.0, 2.0, 0.1)}),

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from ledgaze.core import ADC_MAX, CalibrationSet, ConfigError, ScreenPoint, SensorFrame
 from ledgaze.eyesim import EyeSimulator, GazeScript, ScriptEvent, SessionLog, run_script
 from ledgaze.session import (
-    _WRITE_ROWS,
+    _SLICE_ROWS,
     CONFIG_VERSION,
     LOG_VERSION,
     SessionConfig,
@@ -63,6 +64,25 @@ def test_config_validation():
         SessionConfig(layout_mode="prototype9")
     with pytest.raises(ConfigError):
         SessionConfig(task_candidates_min=2)
+
+
+@pytest.mark.parametrize("field, value", [("noise_std", math.nan), ("degrees_per_pixel", math.inf),
+                                          ("minkowski_m", -math.inf), ("grid_rows", math.nan),
+                                          ("sigma_grid", (0.1, math.nan))])
+def test_config_rejects_non_finite_values(field, value):
+    with pytest.raises(ConfigError, match=f"field '{field}' must be finite"):
+        SessionConfig(**{field: value})
+
+
+def test_config_file_with_non_finite_tokens_rejected(tmp_path):
+    # json.load reads these tokens; a NaN noise_std used to run as a noiseless session
+    path = tmp_path / "config.json"
+    path.write_text('{"seed": 3, "sigma_grid": [0.1, Infinity]}')
+    with pytest.raises(ConfigError, match="'sigma_grid' must be finite"):
+        SessionConfig.load(path)
+    path.write_text('{"seed": 3, "noise_std": NaN}')
+    with pytest.raises(ConfigError, match="'noise_std' must be finite"):
+        SessionConfig.load(path)
 
 
 def test_config_builders_consistent():
@@ -213,8 +233,13 @@ def codec_logs():
             "script-unsettled-move": (scripted, None),
             "no-frames": (_frames_log(0, 12), None),
             "one-frame": (_frames_log(1, 12), None),
-            "one-write-slice": (_frames_log(_WRITE_ROWS, 12), None),
-            "write-slice-and-one": (_frames_log(_WRITE_ROWS + 1, 12), None),
+            "slice-less-one": (_frames_log(_SLICE_ROWS - 1, 12), None),
+            "one-slice": (_frames_log(_SLICE_ROWS, 12), None),
+            "slice-and-one": (_frames_log(_SLICE_ROWS + 1, 12), None),
+            # consecutive proc, gaze and target rows equal under == but not bit for bit
+            "signed-zero-rows": (_frames_log(6, 2, values=[0.0, 5.0, -0.0, 5.0]), None),
+            "row-held-across-slice": (_held_log(_SLICE_ROWS + 4, 2,
+                                                slice(_SLICE_ROWS - 2, _SLICE_ROWS + 3)), None),
             "one-channel": (_frames_log(40, 1), None),
             "exponent-floats": (_frames_log(3, 4, values=[1e-05, 1e+16, 5e-324, -2.5e-300]), None),
             "negative-zero": (_frames_log(3, 4, values=[-0.0, 0.0]), None),
@@ -230,9 +255,18 @@ def _frames_log(n: int, m: int, values=(0.25, -1.5, 3.0), t0: int = 0) -> Sessio
     return SessionLog(t_us, raw, proc, gaze, target, [], {"phase": "synthetic"})
 
 
+def _held_log(n: int, m: int, held: slice) -> SessionLog:
+    """A signed-zero _frames_log whose float rows in ``held`` repeat the row before them."""
+    log = _frames_log(n, m, values=[0.0, 5.0, -0.0, 5.0])
+    for column in (log.proc, log.gaze, log.target):
+        column[held] = column[held.start - 1]
+    return log
+
+
 @pytest.mark.parametrize("case", ["seed1-with-calibration", "seed1-no-calibration",
                                   "script-unsettled-move", "no-frames", "one-frame",
-                                  "one-write-slice", "write-slice-and-one", "one-channel",
+                                  "slice-less-one", "one-slice", "slice-and-one",
+                                  "signed-zero-rows", "row-held-across-slice", "one-channel",
                                   "exponent-floats", "negative-zero", "t-above-2-53"])
 def test_session_log_codec_matches_reference(codec_logs, case, tmp_path):
     log, cal = codec_logs[case]
@@ -271,6 +305,13 @@ def small_logs(draw):
     raw = draw(st.lists(st.integers(0, ADC_MAX), min_size=n * m, max_size=n * m))
     floats = draw(st.lists(_finite, min_size=n * (m + 4), max_size=n * (m + 4)))
     proc, gaze, target = np.split(np.reshape(floats, (n, m + 4)), [m, m + 2], axis=1)
+    # a float row may repeat the row before it, exactly or with its zeros' signs flipped
+    repeats = st.lists(st.sampled_from(("new", "copy", "flip")), min_size=n - 1, max_size=n - 1)
+    for column in (proc, gaze, target):
+        for i, how in enumerate(draw(repeats), 1):
+            if how != "new":
+                prev = column[i - 1]
+                column[i] = prev if how == "copy" else np.where(prev == 0, -prev, prev)
     return SessionLog(t_us, np.reshape(raw, (n, m)).astype(np.int64), proc, gaze, target,
                       [], {})
 
@@ -287,7 +328,8 @@ def test_session_log_codec_matches_reference_on_random_logs(tmp_path_factory, lo
     for field in ("t_us", "raw", "proc", "gaze", "target"):
         assert np.array_equal(getattr(back, field), getattr(log, field))
     # -0.0 == 0.0 above; the sign bit must survive as well
-    assert np.array_equal(np.signbit(back.proc), np.signbit(log.proc))
+    for field in ("proc", "gaze", "target"):
+        assert np.array_equal(np.signbit(getattr(back, field)), np.signbit(getattr(log, field)))
 
 
 @pytest.fixture(scope="module")
@@ -345,6 +387,7 @@ def small_log_lines(tmp_path_factory):
     cal = calibration_phase(cfg, cfg.subject(), cfg.layout(), cfg.seed)
     path = tmp_path_factory.mktemp("log") / "session.jsonl"
     write_session_log(log, path, calibration=cal)
+    assert log.n_frames > _SLICE_ROWS + 3  # a bad frame fits into the second slice
     return path.read_text().splitlines(keepends=True)
 
 
@@ -382,33 +425,55 @@ MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("case", ["truncated-write", "duplicated-frame", *MALFORMED])
-def test_read_session_log_rejects_malformed_line(small_log_lines, case, tmp_path):
-    lines = list(small_log_lines)
+def _corrupted(lines: list[str], case: str, frame: int) -> tuple[list[str], int]:
+    """``lines`` with the fault ``case``, placed at frame ``frame`` if it is a frame's fault;
+    and the index of the line the reader must name.
+
+    A duplicated frame is inserted as frame ``frame``, a copy of the frame before it.
+    """
+    lines = list(lines)
     if case == "truncated-write":
         k = len(lines) - 1
         lines[k] = lines[k][:len(lines[k]) // 2]
-    elif case == "duplicated-frame":  # the copy repeats its original's t_us
-        k = len(lines) // 2 + 1
-        assert json.loads(lines[k - 1])["type"] == "frame"
+        return lines, k
+    kind, field, edit = MALFORMED.get(case, ("frame", None, None))
+    of_kind = [i for i, line in enumerate(lines) if json.loads(line)["type"] == kind]
+    k = of_kind[frame if kind == "frame" else 0]
+    if case == "duplicated-frame":  # the copy repeats its original's t_us
         lines.insert(k, lines[k - 1])
+        return lines, k
+    rec = json.loads(lines[k])
+    if field is None:
+        rec = edit(rec)
+    elif edit is _DELETE:
+        del rec[field]
     else:
-        kind, field, edit = MALFORMED[case]
-        of_kind = [i for i, line in enumerate(lines) if json.loads(line)["type"] == kind]
-        k = of_kind[3 if kind == "frame" else 0]  # a frame inside the log
-        rec = json.loads(lines[k])
-        if field is None:
-            rec = edit(rec)
-        elif edit is _DELETE:
-            del rec[field]
-        else:
-            rec[field] = edit(rec[field])
-        lines[k] = json.dumps(rec) + "\n"
+        rec[field] = edit(rec[field])
+    lines[k] = json.dumps(rec) + "\n"
+    return lines, k
+
+
+def _assert_names_line(lines: list[str], k: int, tmp_path) -> None:
     path = tmp_path / "bad.jsonl"
     path.write_text("".join(lines))
     with pytest.raises(ConfigError, match=rf"line {k + 1}:") as err:
         read_session_log(path)
     assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("case", ["truncated-write", "duplicated-frame", *MALFORMED])
+def test_read_session_log_rejects_malformed_line(small_log_lines, case, tmp_path):
+    _assert_names_line(*_corrupted(small_log_lines, case, 3), tmp_path)
+
+
+@pytest.mark.parametrize("case", ["truncated-write", "duplicated-frame", *MALFORMED])
+def test_read_session_log_rejects_malformed_line_in_a_later_slice(small_log_lines, case, tmp_path):
+    _assert_names_line(*_corrupted(small_log_lines, case, _SLICE_ROWS + 3), tmp_path)
+
+
+def test_read_session_log_rejects_duplicated_frame_across_a_slice_seam(small_log_lines, tmp_path):
+    # the copy opens the second slice, so only the whole-column t_us check sees it
+    _assert_names_line(*_corrupted(small_log_lines, "duplicated-frame", _SLICE_ROWS), tmp_path)
 
 
 def test_read_session_log_rejects_a_number_too_large_for_a_float(small_log_lines, tmp_path):
