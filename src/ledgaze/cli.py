@@ -4,8 +4,9 @@ Every subcommand takes a JSON config file (all fields optional; defaults
 reproduce the standard benchmark), plus ``--seed`` and ``--out`` overrides.
 Outputs are a session log (line-delimited JSON) and CSV/JSON reports whose
 bytes depend only on the config and seed. A package error (a bad config, a
-malformed session log) ends the command with one ``error: ...`` line on
-stderr and exit status 2, the status argparse uses for a bad argument.
+malformed session log) or a file that cannot be opened ends the command with
+one ``error: ...`` line on stderr and exit status 2, the status argparse uses
+for a bad argument.
 """
 
 from __future__ import annotations
@@ -262,7 +263,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except LedGazeError as exc:
+    except (LedGazeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ADC_MAX, ConfigError, DisplayGeometry, ScreenPoint
-from .sigproc import IirFilter, adapt_exposure
+from .sigproc import IirFilter, _exposure_levels, compensate
 
 # Seed-stream discriminators so subsystems never share a generator.
 _STREAM_NOISE = 101
@@ -411,10 +411,9 @@ class EyeSimulator:
         if n == 0:
             return
         raw, scales = self._sense_block(gaze_xy, blend)
-        # Undo each frame's exposure scaling; the scales are not kept, so
-        # their buffer holds the result and a whole phase needs one less array.
-        comp = np.divide(raw / ADC_MAX, scales, out=scales)
-        proc = self.iir.filter_block(comp)
+        # The scales are not kept, so their buffer holds the compensated
+        # readings and a whole phase needs one less array.
+        proc = self.iir.filter_block(compensate(raw, scales, out=scales))
         self._blocks.append((t, raw, proc, gaze_xy, tgt))
         self.frame_index += n
 
@@ -456,11 +455,13 @@ class EyeSimulator:
             "seed": self.seed,
             "cycle_us": self.cycle_us,
             "adc_max": ADC_MAX,
-            "normalization": "exposure-compensated counts / adc_max",
             "layout": self.layout.as_dict(),
             "subject": self.subject.as_dict(),
             "optics": self.config.optics.as_dict(),
             "iir_alpha": self.config.iir_alpha,
+            "exposure_init_us": self.config.exposure_init_us,
+            "exposure_min_us": self.config.exposure_min_us,
+            "exposure_max_us": self.config.exposure_max_us,
             "display": {
                 "width": self.geom.width,
                 "height": self.geom.height,
@@ -598,30 +599,6 @@ def _exposed(clean, scale, blend, eyelid: float):
 def _readings(pre, noise):
     """ADC counts of an exposed signal plus noise, as indices into a reading table."""
     return np.rint(np.clip(pre + noise, 0.0, 1.0) * ADC_MAX).astype(np.intp)
-
-
-@lru_cache(maxsize=64)
-def _exposure_levels(start: tuple, emin: float, emax: float) -> tuple:
-    """Every exposure ``adapt_exposure`` reaches from the start exposures, cached.
-
-    Returns the levels in ascending order, (L,), and for each level the index
-    of the level that each reading 0..ADC_MAX leads to, (L, ADC_MAX + 1).
-    Both arrays are read-only. With 0 < emin <= emax, as ``SimConfig``
-    requires, the levels are finitely many: halvings and doublings of the
-    start exposures, emin and emax, within [emin, emax].
-    """
-    every_reading = np.arange(ADC_MAX + 1)
-    levels = np.array(start, dtype=float)
-    while True:
-        moves = adapt_exposure(levels[:, None], every_reading, emin, emax)
-        reach = np.union1d(levels, moves)
-        if reach.size == levels.size:
-            break
-        levels = reach
-    after = np.searchsorted(levels, moves)
-    for arr in (levels, after):
-        arr.flags.writeable = False
-    return levels, after
 
 
 def expose_block(clean: np.ndarray, noise: np.ndarray, blend: np.ndarray, exp: np.ndarray,

@@ -33,9 +33,10 @@ from .eyesim import (
 )
 from .kernels import MeasureSpec
 from .regress import GprModel, SvrModel
+from .sigproc import IirFilter, compensate, replay_exposure
 
 CONFIG_VERSION = 1
-LOG_VERSION = 1
+LOG_VERSION = 2
 
 DEFAULT_SIGMA_GRID = (0.05, 0.1, 0.2, 0.3, 0.5, 0.8, 1.2, 2.0)
 
@@ -47,9 +48,24 @@ def derive_seed(*parts: int) -> int:
 
 
 def _check_version(name: str, found, supported: int) -> None:
-    """Reject files written by a newer format than this code reads."""
-    if not isinstance(found, int) or found > supported:
-        raise ConfigError(f"{name} {found!r} is not readable here (newest supported: {supported})")
+    """Reject files written by any other format than the one this code reads."""
+    if type(found) is not int or found != supported:
+        raise ConfigError(f"{name} {found!r} is not readable here (this code reads {supported})")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# What a config field of each annotated type takes: the check, and its noun.
+_FIELD_KINDS = {
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "float": (_is_number, "a number"),
+    "bool": (lambda v: isinstance(v, bool), "a boolean"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "tuple[float, ...]": (lambda v: isinstance(v, tuple) and all(map(_is_number, v)),
+                          "a list of numbers"),
+}
 
 
 def iir_settle_frames(alpha: float, attenuation: float) -> int:
@@ -125,6 +141,9 @@ class SessionConfig:
             values = value if isinstance(value, tuple) else (value,)
             if any(isinstance(v, float) and not math.isfinite(v) for v in values):
                 raise ConfigError(f"config field {f.name!r} must be finite, got {value!r}")
+            takes, noun = _FIELD_KINDS[f.type]
+            if not takes(value):
+                raise ConfigError(f"config field {f.name!r} must be {noun}, got {value!r}")
         if self.estimator not in ("gpr", "svr"):
             raise ConfigError("estimator must be 'gpr' or 'svr'")
         if self.layout_mode not in ("prototype1", "prototype2"):
@@ -205,8 +224,9 @@ class SessionConfig:
         _check_version("config_version", d.get("config_version", CONFIG_VERSION), CONFIG_VERSION)
         known = {f.name for f in fields(cls)}
         kwargs = {k: v for k, v in d.items() if k in known}
-        if "sigma_grid" in kwargs:
-            kwargs["sigma_grid"] = tuple(float(s) for s in kwargs["sigma_grid"])
+        grid = kwargs.get("sigma_grid")
+        if isinstance(grid, list) and all(map(_is_number, grid)):
+            kwargs["sigma_grid"] = tuple(float(s) for s in grid)
         return cls(**kwargs)
 
     @classmethod
@@ -314,7 +334,8 @@ def run_benchmark_session(config: SessionConfig):
 # -- session log serialization (line-delimited JSON) --------------------------
 
 # The fields of a frame record; the writer and the reader both iterate this tuple.
-_FRAME_FIELDS = ("t_us", "raw", "proc", "gaze", "target")
+# A frame's processed vector is not one: the reader rebuilds it from raw.
+_FRAME_FIELDS = ("t_us", "raw", "gaze", "target")
 _INTEGER_FIELDS = ("t_us", "raw")
 
 # A frame record's line as json.dumps(sort_keys=True) writes it: keys sorted,
@@ -333,17 +354,23 @@ _SLICE_ROWS = 128
 def write_session_log(log: SessionLog, path, calibration: CalibrationSet | None = None) -> None:
     """One JSON record per line: meta, calibration, events, then frames.
 
+    A frame record holds the frame's time, raw counts, gaze and target. Its
+    processed vector is not written: the reader rebuilds it from the raw
+    counts through the signal chain that the meta sets (``_rebuilt_proc``).
     Frames are formatted a slice of _SLICE_ROWS at a time, one json.dumps
     per field; a row equal bit for bit to the one before it reuses its text.
 
     A log the file cannot hold faithfully raises ConfigError before the file
     is opened: frame fields of unequal length, or a non-finite number, which
     JSON cannot express, naming the field and the frame; a non-finite number
-    in the meta, calibration or an event record, naming the record's line.
+    in the meta, calibration or an event record, naming the record's line;
+    and a proc other than the one its raw counts and meta give, naming the
+    first frame that differs.
     """
     columns = {f: getattr(log, f) for f in _FRAME_FIELDS}
     _check_writable(path, columns)
     head = [_header_line(path, n, rec) for n, rec in enumerate(_records(log, calibration), 1)]
+    _check_proc(path, log)
     with open(path, "w") as fh:
         fh.writelines(head)
         for start in range(0, log.n_frames, _SLICE_ROWS):
@@ -383,6 +410,45 @@ def _check_writable(path, columns: dict[str, np.ndarray]) -> None:
             raise _unwritable(path, int(bad[0]), f"holds a non-finite number in {f!r}")
 
 
+def _check_proc(path, log: SessionLog) -> None:
+    """Raise ConfigError unless reading the log back gives its proc."""
+    try:
+        proc = _rebuilt_proc(log.raw, log.meta)
+    except ConfigError as exc:
+        raise ConfigError(f"cannot write session log {path}: {exc}") from None
+    if np.shape(log.proc) != proc.shape:
+        raise ConfigError(f"cannot write session log {path}: its proc has shape "
+                          f"{np.shape(log.proc)}, its raw counts give {proc.shape}")
+    bad = np.flatnonzero((log.proc != proc).any(axis=1))
+    if bad.size:
+        raise _unwritable(path, int(bad[0]), "holds a proc row other than the one its raw "
+                          "counts give through the meta's signal chain")
+
+
+def _rebuilt_proc(raw: np.ndarray, meta: dict) -> np.ndarray:
+    """The processed vectors of a log's raw counts: the chain ``EyeSimulator.run`` applies.
+
+    Exposures replayed from the initial one, compensation, then one fresh IIR
+    pass, with the settings in the meta. A setting that is missing, not a
+    finite number or out of range raises ConfigError naming it.
+    """
+    optics = meta.get("optics")
+    chain = {name: meta.get(name) for name in
+             ("exposure_init_us", "exposure_min_us", "exposure_max_us", "iir_alpha")}
+    chain["optics.reference_exposure_us"] = (optics.get("reference_exposure_us")
+                                             if isinstance(optics, dict) else None)
+    for name, value in chain.items():
+        if not (_is_number(value) and math.isfinite(value)):
+            raise ConfigError(f"meta field {name!r} is not a finite number: {value!r}")
+    init, emin, emax, alpha, ref = chain.values()
+    if not (0 < emin <= init <= emax and ref > 0):
+        raise ConfigError("meta exposures must satisfy 0 < exposure_min_us <= exposure_init_us "
+                          "<= exposure_max_us, with a positive reference_exposure_us")
+    iir = IirFilter(alpha)
+    scales, _ = replay_exposure(raw, np.full(raw.shape[1], float(init)), emin, emax, ref)
+    return iir.filter_block(compensate(raw, scales, out=scales))
+
+
 def _unwritable(path, frame: int, problem: str) -> ConfigError:
     return ConfigError(f"cannot write session log {path}: frame {frame} {problem}")
 
@@ -407,13 +473,18 @@ def _row_texts(rows: np.ndarray) -> list[str]:
 def read_session_log(path):
     """Inverse of write_session_log; returns (log, calibration-or-None).
 
+    Each frame's proc is rebuilt from the raw counts through the signal
+    chain that the meta record sets (``_rebuilt_proc``). A log of any other
+    ``log_version`` than LOG_VERSION raises ConfigError naming the version.
+
     A malformed log raises ConfigError naming the file and line: invalid
     JSON (a truncated write, or a NaN or Infinity token in any record), a
     record with no type, a frame missing a field or holding the wrong number
-    or kind of values, a raw count outside [0, ADC_MAX], a number in proc,
-    gaze or target too large for a float (1e999), a frame whose t_us is not
-    greater than the previous frame's, and an event of unknown kind or
-    without its integer times. Records of unknown type are skipped.
+    or kind of values, a raw count outside [0, ADC_MAX], a number in gaze or
+    target too large for a float (1e999), a frame whose t_us is not greater
+    than the previous frame's, an event of unknown kind or without its
+    integer times, and a meta record whose signal chain settings are
+    missing or out of range. Records of unknown type are skipped.
 
     Frame fields move into arrays a slice of _SLICE_ROWS frames at a time,
     where each row's shape and kind are checked; the value checks (raw
@@ -422,6 +493,7 @@ def read_session_log(path):
     several, the faults of the earlier slices are reported first.
     """
     meta: dict = {}
+    meta_line = None
     events: list[dict] = []
     cal = None
     columns: dict[str, list] = {f: [] for f in _FRAME_FIELDS}  # the current slice's rows
@@ -452,7 +524,7 @@ def read_session_log(path):
                 events.append(rec)
             elif kind == "meta":
                 _check_version("log_version", rec.pop("log_version", LOG_VERSION), LOG_VERSION)
-                meta = rec
+                meta, meta_line = rec, n
             elif kind == "calibration":
                 try:
                     cal = CalibrationSet.from_dict(rec)
@@ -468,14 +540,20 @@ def read_session_log(path):
     bad = np.flatnonzero(((arrays["raw"] < 0) | (arrays["raw"] > ADC_MAX)).any(axis=1))
     if bad.size:
         raise _malformed(path, lines[bad[0]], f"raw count outside [0, {ADC_MAX}]")
-    for f in ("proc", "gaze", "target"):  # JSON integers are finite already
+    for f in ("gaze", "target"):  # JSON integers are finite already
         bad = np.flatnonzero(~np.isfinite(arrays[f]).all(axis=1))
         if bad.size:
             raise _malformed(path, lines[bad[0]], f"frame field {f!r} holds a non-finite number")
     bad = np.flatnonzero(np.diff(arrays["t_us"]) <= 0)
     if bad.size:
         raise _malformed(path, lines[bad[0] + 1], "t_us is not greater than the previous frame's")
-    return SessionLog(**arrays, events=events, meta=meta), cal
+    if meta_line is None:
+        raise ConfigError(f"no meta record found in session log {path}")
+    try:
+        proc = _rebuilt_proc(arrays["raw"], meta)
+    except ConfigError as exc:
+        raise _malformed(path, meta_line, str(exc)) from None
+    return SessionLog(**arrays, proc=proc, events=events, meta=meta), cal
 
 
 def _take_slice(path, lines: list[int], columns: dict[str, list],
@@ -492,7 +570,7 @@ def _take_slice(path, lines: list[int], columns: dict[str, list],
         m = len(first)
     else:
         m = parts["raw"][0].shape[1]
-    shapes = {"t_us": (), "raw": (m,), "proc": (m,), "gaze": (2,), "target": (2,)}
+    shapes = {"t_us": (), "raw": (m,), "gaze": (2,), "target": (2,)}
     for f, values in columns.items():
         parts[f].append(_frame_column(path, rows, f, values, shapes[f]))
         values.clear()

@@ -1,14 +1,18 @@
 """Signal chain between ADC readings and regression-ready vectors.
 
 Covers the per-channel exposure rule with saturation avoidance
-(``adapt_exposure``) and the first-order IIR low-pass filter applied to
-normalized channel values before regression, one LAPACK ``dgtsv`` solve per
-block. The capture cycle that decides which LED senses is ``eyesim.LedLayout.steps``.
+(``adapt_exposure``), its replay from recorded readings
+(``replay_exposure``), the exposure compensation (``compensate``) and the
+first-order IIR low-pass filter applied to the compensated values before
+regression, one LAPACK ``dgtsv`` solve per block. The simulator and the
+session log reader both run this chain. The capture cycle that decides which
+LED senses is ``eyesim.LedLayout.steps``.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -35,6 +39,76 @@ def adapt_exposure(exposures_us, readings, exp_min_us: float, exp_max_us: float)
     new = np.where(readings >= SATURATION_HIGH, exp / 2.0,
                    np.where(readings <= SATURATION_LOW, exp * 2.0, exp))
     return np.clip(new, exp_min_us, exp_max_us)
+
+
+@lru_cache(maxsize=64)
+def _exposure_levels(start: tuple, emin: float, emax: float) -> tuple:
+    """Every exposure ``adapt_exposure`` reaches from the start exposures, cached.
+
+    Returns the levels in ascending order, (L,), and for each level the index
+    of the level that each reading 0..ADC_MAX leads to, (L, ADC_MAX + 1).
+    Both arrays are read-only. With 0 < emin <= emax, as ``SimConfig``
+    requires, the levels are finitely many: halvings and doublings of the
+    start exposures, emin and emax, within [emin, emax].
+    """
+    every_reading = np.arange(ADC_MAX + 1)
+    levels = np.array(start, dtype=float)
+    while True:
+        moves = adapt_exposure(levels[:, None], every_reading, emin, emax)
+        reach = np.union1d(levels, moves)
+        if reach.size == levels.size:
+            break
+        levels = reach
+    after = np.searchsorted(levels, moves)
+    for arr in (levels, after):
+        arr.flags.writeable = False
+    return levels, after
+
+
+def replay_exposure(raw, exposures_us, exp_min_us: float, exp_max_us: float,
+                    reference_us: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each frame's exposure scale, replayed from the readings alone.
+
+    ``raw`` holds (n, M) counts, the first frame read at ``exposures_us``
+    (M,) and each later one at the exposures ``adapt_exposure`` set from the
+    frame before. Returns the (n, M) scales exposure / ``reference_us`` and
+    the (M,) exposures after the last frame. Only a reading outside the dead
+    band can change an exposure, so each channel walks those readings alone.
+    """
+    raw = np.asarray(raw)
+    n, m = raw.shape
+    bad = np.flatnonzero(((raw < 0) | (raw > ADC_MAX)).any(axis=1))
+    if bad.size:
+        raise ConfigError(f"frame {bad[0]} holds a reading outside ADC range [0, {ADC_MAX}]")
+    exp = np.asarray(exposures_us, dtype=float)
+    levels, after = _exposure_levels(tuple(np.unique(exp).tolist()), float(exp_min_us),
+                                     float(exp_max_us))
+    level_scale = levels / reference_us
+    level = np.searchsorted(levels, exp)
+    channel, frame = np.nonzero(((raw >= SATURATION_HIGH) | (raw <= SATURATION_LOW)).T)
+    reading = raw[frame, channel].tolist()
+    bounds = np.searchsorted(channel, np.arange(m + 1)).tolist()
+    frame = frame.tolist()
+    to_level = after.tolist()
+    scales = np.empty((n, m))
+    for c in range(m):
+        e, start = int(level[c]), 0
+        for i in range(bounds[c], bounds[c + 1]):
+            to = to_level[e][reading[i]]
+            if to != e:
+                scales[start:frame[i] + 1, c] = level_scale[e]
+                e, start = to, frame[i] + 1
+        scales[start:, c] = level_scale[e]
+        level[c] = e
+    return scales, levels[level]
+
+
+def compensate(raw, scales, out=None) -> np.ndarray:
+    """Readings undone of their exposure: raw / ADC_MAX / scale, (n, M).
+
+    ``out`` may be ``scales`` itself, which then holds the result.
+    """
+    return np.divide(raw / ADC_MAX, scales, out=out)
 
 
 class IirFilter:

@@ -26,7 +26,9 @@ resolved inside each span.
 ``write_session_log_reference`` and ``read_session_log_reference`` are the
 session-log codec that the column-wise one replaces: a hand-built dict per
 frame with per-element conversion, a recursive ``_plain`` for meta and
-events, and one hand-named accumulator list per frame field.
+events, and one hand-named accumulator list per frame field. The reader
+rebuilds each frame's processed vector with ``chain_reference``, the signal
+chain one frame and channel at a time.
 """
 
 import json
@@ -259,16 +261,39 @@ def exposure_replay(clean, noise, blend, exp, emin, emax, ref, eyelid):
             r = round(min(max(pre + z, 0.0), 1.0) * ADC_MAX)
             r_row.append(r)
             s_row.append(scale)
-            new = exp[ch]
-            if r >= SATURATION_HIGH:
-                new = min(max(exp[ch] / 2.0, emin), emax)
-            elif r <= SATURATION_LOW:
-                new = min(max(exp[ch] * 2.0, emin), emax)
+            new = _adapted(exp[ch], r, emin, emax)
             changes[ch] += new != exp[ch]
             exp[ch] = new
         raw.append(r_row)
         scales.append(s_row)
     return raw, scales, exp, changes
+
+
+def _adapted(exp, reading, emin, emax):
+    """One channel's exposure after a reading: halved if saturated, doubled if starved, clamped."""
+    if reading >= SATURATION_HIGH:
+        return min(max(exp / 2.0, emin), emax)
+    if reading <= SATURATION_LOW:
+        return min(max(exp * 2.0, emin), emax)
+    return exp
+
+
+def chain_reference(raw, exp_init, emin, emax, ref, alpha):
+    """Processed vectors of raw counts, one frame and channel at a time.
+
+    Every channel starts at ``exp_init``; each reading is divided by ADC_MAX
+    and by its exposure / ``ref``, the exposure then adapts to the reading,
+    and the compensated values run through the IIR filter, whose first frame
+    passes through. Returns a list of rows.
+    """
+    exp = [float(exp_init)] * (len(raw[0]) if raw else 0)
+    out, y = [], None
+    for row in raw:
+        x = [r / ADC_MAX / (e / ref) for r, e in zip(row, exp)]
+        exp = [_adapted(e, r, emin, emax) for e, r in zip(exp, row)]
+        y = x if y is None else [alpha * xi + (1.0 - alpha) * yi for xi, yi in zip(x, y)]
+        out.append(y)
+    return out
 
 
 class StepwiseSimulator:
@@ -370,7 +395,6 @@ def write_session_log_reference(log, path, calibration=None):
                 "type": "frame",
                 "t_us": int(log.t_us[i]),
                 "raw": [int(v) for v in log.raw[i]],
-                "proc": [float(v) for v in log.proc[i]],
                 "gaze": [float(log.gaze[i, 0]), float(log.gaze[i, 1])],
                 "target": [float(log.target[i, 0]), float(log.target[i, 1])],
             }
@@ -378,11 +402,15 @@ def write_session_log_reference(log, path, calibration=None):
 
 
 def read_session_log_reference(path):
-    """Inverse of write_session_log; returns (log, calibration-or-None)."""
+    """Inverse of write_session_log; returns (log, calibration-or-None).
+
+    The processed vectors come from ``chain_reference`` with the settings in
+    the meta record.
+    """
     meta: dict = {}
     events: list[dict] = []
     cal = None
-    t, raw, proc, gaze, target = [], [], [], [], []
+    t, raw, gaze, target = [], [], [], []
     with open(path) as fh:
         for line in fh:
             if not line.strip():
@@ -399,11 +427,13 @@ def read_session_log_reference(path):
             elif kind == "frame":
                 t.append(rec["t_us"])
                 raw.append(rec["raw"])
-                proc.append(rec["proc"])
                 gaze.append(rec["gaze"])
                 target.append(rec["target"])
     if not t:
         raise ConfigError(f"no frames found in session log {path}")
+    proc = chain_reference(raw, meta["exposure_init_us"], meta["exposure_min_us"],
+                           meta["exposure_max_us"], meta["optics"]["reference_exposure_us"],
+                           meta["iir_alpha"])
     log = SessionLog(
         np.asarray(t, dtype=np.int64), np.asarray(raw, dtype=np.int64),
         np.asarray(proc, dtype=float), np.asarray(gaze, dtype=float),

@@ -42,6 +42,15 @@ def test_run_then_eval_with_trace(tmp_path, small_config_file):
     assert header == "t_us,target_x,target_y,gaze_x,gaze_y,estimate_x,estimate_y,excluded"
 
 
+@pytest.mark.parametrize("command, flag", [("eval", "--log"), ("run", "--config")],
+                         ids=["eval-log", "run-config"])
+def test_missing_input_file_is_one_error_line(tmp_path, capsys, command, flag):
+    missing = tmp_path / "missing"
+    assert main([command, flag, str(missing), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(missing) in err
+
+
 def test_seed_override_changes_output(tmp_path, small_config_file):
     a, b = tmp_path / "a", tmp_path / "b"
     main(["run", "--config", small_config_file, "--out", str(a), "--seed", "21"])

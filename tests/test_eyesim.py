@@ -23,7 +23,7 @@ from ledgaze.eyesim import (
 from ledgaze.kernels import MeasureSpec
 from ledgaze.regress import GprModel
 from ledgaze.session import SimulatorDwellSource
-from ledgaze.sigproc import adapt_exposure
+from ledgaze.sigproc import adapt_exposure, replay_exposure
 from oracles import StepwiseSimulator, clean_signal_oracle, exposure_replay
 
 GEOM = DisplayGeometry(800, 600)
@@ -703,6 +703,10 @@ def test_expose_block_matches_per_frame_replay(block, eyelid):
     assert np.array_equal(scales, np.array(ref_scales).reshape(n, m))
     assert np.array_equal(exp_out, np.array(ref_exp))
     assert changes.dtype == np.int64 and changes.tolist() == ref_changes
+    # the exposures replayed from the readings alone, as a session log's reader finds them
+    replayed, replayed_exp = replay_exposure(raw, exp, EMIN, EMAX, REF)
+    assert np.array_equal(replayed.view(np.int64), scales.view(np.int64))
+    assert np.array_equal(replayed_exp, exp_out)
 
 
 def test_expose_block_toggling_channel_adapts_every_frame():

@@ -23,8 +23,9 @@ from ledgaze.session import (
     run_benchmark_session,
     write_session_log,
 )
+from ledgaze.sigproc import SATURATION_HIGH, SATURATION_LOW
 
-from oracles import read_session_log_reference, write_session_log_reference
+from oracles import chain_reference, read_session_log_reference, write_session_log_reference
 
 
 def small_config(**kw):
@@ -72,6 +73,24 @@ def test_config_validation():
 def test_config_rejects_non_finite_values(field, value):
     with pytest.raises(ConfigError, match=f"field '{field}' must be finite"):
         SessionConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value, noun", [
+    ("seed", "x", "an integer"), ("seed", 1.5, "an integer"), ("grid_rows", True, "an integer"),
+    ("minkowski_m", True, "a number"), ("minkowski_m", "2", "a number"),
+    ("rbf_squared", 1, "a boolean"), ("layout_mode", 1, "a string"),
+    ("sigma_grid", ["0.1"], "a list of numbers"), ("sigma_grid", [0.1, False], "a list of numbers"),
+    ("sigma_grid", 0.1, "a list of numbers"),
+])
+def test_config_from_dict_rejects_a_field_of_the_wrong_type(field, value, noun):
+    with pytest.raises(ConfigError, match=f"field {field!r} must be {noun}"):
+        SessionConfig.from_dict({field: value})
+
+
+def test_config_from_dict_keeps_an_integer_in_a_float_field():
+    cfg = SessionConfig.from_dict({"noise_std": 0, "sigma_grid": [1, 0.5]})
+    assert type(cfg.noise_std) is int and cfg.to_dict()["noise_std"] == 0
+    assert cfg.sigma_grid == (1.0, 0.5) and type(cfg.sigma_grid[0]) is float
 
 
 def test_config_file_with_non_finite_tokens_rejected(tmp_path):
@@ -195,8 +214,8 @@ def test_session_log_write_is_deterministic(tmp_path):
 
 def test_read_session_log_requires_frames(tmp_path):
     path = tmp_path / "empty.jsonl"
-    path.write_text('{"type": "meta", "log_version": 1}\n')
-    with pytest.raises(ConfigError):
+    path.write_text(json.dumps({"type": "meta", "log_version": LOG_VERSION}) + "\n")
+    with pytest.raises(ConfigError, match="no frames"):
         read_session_log(path)
 
 
@@ -236,7 +255,7 @@ def codec_logs():
             "slice-less-one": (_frames_log(_SLICE_ROWS - 1, 12), None),
             "one-slice": (_frames_log(_SLICE_ROWS, 12), None),
             "slice-and-one": (_frames_log(_SLICE_ROWS + 1, 12), None),
-            # consecutive proc, gaze and target rows equal under == but not bit for bit
+            # consecutive gaze and target rows equal under == but not bit for bit
             "signed-zero-rows": (_frames_log(6, 2, values=[0.0, 5.0, -0.0, 5.0]), None),
             "row-held-across-slice": (_held_log(_SLICE_ROWS + 4, 2,
                                                 slice(_SLICE_ROWS - 2, _SLICE_ROWS + 3)), None),
@@ -246,19 +265,36 @@ def codec_logs():
             "t-above-2-53": (_frames_log(3, 4, t0=2**53 + 1), None)}
 
 
+# The meta of a log's signal chain, in the prototype1 defaults.
+_CHAIN_META = {"exposure_init_us": 400.0, "exposure_min_us": 25.0, "exposure_max_us": 1600.0,
+               "iir_alpha": 0.3, "optics": {"reference_exposure_us": 400.0}}
+
+
+def _chain_log(t_us, raw, gaze, target, meta: dict) -> SessionLog:
+    """A log whose proc is what ``chain_reference`` gives for ``raw`` under ``meta``."""
+    proc = chain_reference(raw.tolist(), meta["exposure_init_us"], meta["exposure_min_us"],
+                           meta["exposure_max_us"], meta["optics"]["reference_exposure_us"],
+                           meta["iir_alpha"])
+    proc = np.reshape(np.asarray(proc, dtype=float), raw.shape)
+    return SessionLog(t_us, raw, proc, gaze, target, [], meta)
+
+
 def _frames_log(n: int, m: int, values=(0.25, -1.5, 3.0), t0: int = 0) -> SessionLog:
-    """A log of ``n`` frames over ``m`` channels whose float fields cycle through ``values``."""
-    floats = np.resize(np.asarray(values, dtype=float), n * (m + 4))
-    proc, gaze, target = np.split(floats.reshape(n, m + 4), [m, m + 2], axis=1)
+    """A log of ``n`` frames over ``m`` channels whose gaze and target cycle through ``values``.
+
+    Its raw counts run through every reading, so exposures adapt often.
+    """
+    floats = np.resize(np.asarray(values, dtype=float), n * 4)
+    gaze, target = np.split(floats.reshape(n, 4), [2], axis=1)
     raw = np.arange(n * m, dtype=np.int64).reshape(n, m) % (ADC_MAX + 1)
     t_us = t0 + 1666 * np.arange(n, dtype=np.int64)
-    return SessionLog(t_us, raw, proc, gaze, target, [], {"phase": "synthetic"})
+    return _chain_log(t_us, raw, gaze, target, {"phase": "synthetic", **_CHAIN_META})
 
 
 def _held_log(n: int, m: int, held: slice) -> SessionLog:
     """A signed-zero _frames_log whose float rows in ``held`` repeat the row before them."""
     log = _frames_log(n, m, values=[0.0, 5.0, -0.0, 5.0])
-    for column in (log.proc, log.gaze, log.target):
+    for column in (log.gaze, log.target):
         column[held] = column[held.start - 1]
     return log
 
@@ -298,22 +334,36 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
+def chain_metas(draw):
+    """Signal chain settings as a log's meta holds them: 0 < min <= init <= max."""
+    emin = draw(st.sampled_from([25.0, 1.0]) | st.floats(0.5, 100.0))
+    emax = emin * draw(st.sampled_from([1.0, 2.0, 64.0]) | st.floats(1.0, 1000.0))
+    init = draw(st.sampled_from([emin, emax]) | st.floats(emin, emax))
+    return {"exposure_init_us": init, "exposure_min_us": emin, "exposure_max_us": emax,
+            "iir_alpha": draw(st.sampled_from([0.3, 1.0]) | st.floats(0.01, 1.0)),
+            "optics": {"reference_exposure_us": draw(st.sampled_from([400.0, 100.0])
+                                                     | st.floats(1.0, 1000.0))}}
+
+
+@st.composite
 def small_logs(draw):
     n, m = draw(st.integers(1, 6)), draw(st.integers(1, 4))
     steps = draw(st.lists(st.integers(1, 2**40), min_size=n, max_size=n))
     t_us = draw(st.integers(0, 2**62)) + np.cumsum(steps, dtype=np.int64)
-    raw = draw(st.lists(st.integers(0, ADC_MAX), min_size=n * m, max_size=n * m))
-    floats = draw(st.lists(_finite, min_size=n * (m + 4), max_size=n * (m + 4)))
-    proc, gaze, target = np.split(np.reshape(floats, (n, m + 4)), [m, m + 2], axis=1)
+    # readings at either end of the range adapt the exposure
+    reading = st.integers(0, 30) | st.integers(990, ADC_MAX) | st.integers(0, ADC_MAX)
+    raw = draw(st.lists(reading, min_size=n * m, max_size=n * m))
+    floats = draw(st.lists(_finite, min_size=n * 4, max_size=n * 4))
+    gaze, target = np.split(np.reshape(floats, (n, 4)), [2], axis=1)
     # a float row may repeat the row before it, exactly or with its zeros' signs flipped
     repeats = st.lists(st.sampled_from(("new", "copy", "flip")), min_size=n - 1, max_size=n - 1)
-    for column in (proc, gaze, target):
+    for column in (gaze, target):
         for i, how in enumerate(draw(repeats), 1):
             if how != "new":
                 prev = column[i - 1]
                 column[i] = prev if how == "copy" else np.where(prev == 0, -prev, prev)
-    return SessionLog(t_us, np.reshape(raw, (n, m)).astype(np.int64), proc, gaze, target,
-                      [], {})
+    raw = np.reshape(raw, (n, m)).astype(np.int64)
+    return _chain_log(t_us, raw, gaze, target, draw(chain_metas()))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
@@ -338,7 +388,7 @@ def seed5_log():
     return evaluation_phase(cfg, cfg.subject(), cfg.layout(), cfg.seed)
 
 
-@pytest.mark.parametrize("field", ["t_us", "raw", "proc", "gaze", "target"])
+@pytest.mark.parametrize("field", ["t_us", "raw", "gaze", "target"])
 def test_write_session_log_rejects_ragged_fields(seed5_log, field, tmp_path):
     n = seed5_log.n_frames
     ragged = dataclasses.replace(seed5_log, **{field: getattr(seed5_log, field)[:n - 10]})
@@ -348,8 +398,8 @@ def test_write_session_log_rejects_ragged_fields(seed5_log, field, tmp_path):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("field, value", [("proc", np.nan), ("gaze", -np.inf),
-                                          ("target", np.inf), ("target", np.nan)])
+@pytest.mark.parametrize("field, value", [("gaze", -np.inf), ("target", np.inf),
+                                          ("target", np.nan)])
 def test_write_session_log_rejects_non_finite_numbers(seed5_log, field, value, tmp_path):
     log = dataclasses.replace(seed5_log, **{field: getattr(seed5_log, field).copy()})
     getattr(log, field)[100, -1] = value
@@ -357,6 +407,39 @@ def test_write_session_log_rejects_non_finite_numbers(seed5_log, field, value, t
     with pytest.raises(ConfigError, match=rf"frame 100 .*non-finite.*{field!r}"):
         write_session_log(log, path)
     assert not path.exists()
+
+
+def _moved_one_ulp(log: SessionLog) -> SessionLog:
+    proc = log.proc.copy()
+    proc[200, 3] = np.nextafter(proc[200, 3], np.inf)
+    return dataclasses.replace(log, proc=proc)
+
+
+def _with_a_gap(log: SessionLog) -> SessionLog:
+    keep = np.ones(log.n_frames, dtype=bool)
+    keep[100:110] = False
+    return log.subset(keep)
+
+
+@pytest.mark.parametrize("edit, frame", [(_moved_one_ulp, 200), (_with_a_gap, 100)],
+                         ids=["proc-one-ulp", "subset-with-a-gap"])
+def test_write_session_log_rejects_proc_its_raw_counts_do_not_give(seed5_log, edit, frame, tmp_path):
+    path = tmp_path / "edited.jsonl"
+    with pytest.raises(ConfigError, match=rf"frame {frame} holds a proc row other than"):
+        write_session_log(edit(seed5_log), path)
+    assert not path.exists()
+
+
+def test_session_log_rebuilds_proc_where_exposures_adapt_often(tmp_path):
+    cfg = small_config(layout_mode="prototype2", noise_std=0.2, signal_scale=3.0)
+    log = evaluation_phase(cfg, cfg.subject(), cfg.layout(), cfg.seed)
+    outside = (log.raw >= SATURATION_HIGH) | (log.raw <= SATURATION_LOW)
+    assert outside.sum() > log.n_frames  # on average more than one adapting reading a frame
+    path = tmp_path / "adapting.jsonl"
+    write_session_log(log, path)
+    back, _ = read_session_log(path)
+    assert back.proc.dtype == log.proc.dtype
+    assert np.array_equal(back.proc.view(np.int64), log.proc.view(np.int64))
 
 
 @pytest.mark.parametrize("record,line", [("meta", 1), ("calibration", 2), ("event", 4)])
@@ -399,13 +482,11 @@ MALFORMED = {
     "no-type": ("frame", "type", _DELETE),
     "frame-missing-field": ("frame", "gaze", _DELETE),
     "ragged-raw": ("frame", "raw", lambda raw: raw[:-1]),
-    "ragged-proc": ("frame", "proc", lambda proc: proc + [0.5]),
     "gaze-not-a-pair": ("frame", "gaze", lambda gaze: gaze[:1]),
     "raw-above-adc-max": ("frame", "raw", lambda raw: raw[:-1] + [ADC_MAX + 1]),
     "raw-negative": ("frame", "raw", lambda raw: [-1] + raw[1:]),
     "raw-not-an-integer": ("frame", "raw", lambda raw: [raw[0] + 0.5] + raw[1:]),
     "t-not-an-integer": ("frame", "t_us", float),
-    "proc-nan": ("frame", "proc", lambda proc: proc[:-1] + [float("nan")]),
     "target-infinity": ("frame", "target", lambda target: [target[0], float("inf")]),
     "calibration-missing-means": ("calibration", "means", _DELETE),
     "calibration-mean-nan": ("calibration", "means",
@@ -487,6 +568,32 @@ def test_read_session_log_rejects_a_number_too_large_for_a_float(small_log_lines
     path.write_text("".join(lines))
     with pytest.raises(ConfigError, match=rf"line {k + 1}: frame field 'gaze' holds a non-finite"):
         read_session_log(path)
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (lambda meta: meta.pop("exposure_min_us"), "'exposure_min_us' is not a finite number"),
+    (lambda meta: meta.update(exposure_min_us=meta["exposure_init_us"] * 2), "0 < exposure_min_us <="),
+    (lambda meta: meta["optics"].pop("reference_exposure_us"), "'optics.reference_exposure_us'"),
+    (lambda meta: meta.update(iir_alpha="0.3"), "'iir_alpha' is not a finite number"),
+], ids=["no-exposure-min", "min-above-init", "no-reference-exposure", "alpha-a-string"])
+def test_read_session_log_rejects_meta_without_a_signal_chain(small_log_lines, edit, problem, tmp_path):
+    with pytest.raises(ConfigError, match=rf"line 1: .*{problem}"):
+        read_session_log(_meta_edited(small_log_lines, edit, tmp_path))
+
+
+def test_read_session_log_refuses_version_1(small_log_lines, tmp_path):
+    path = _meta_edited(small_log_lines, lambda meta: meta.update(log_version=1), tmp_path)
+    with pytest.raises(ConfigError, match="log_version 1 is not readable"):
+        read_session_log(path)
+
+
+def _meta_edited(lines: list[str], edit, tmp_path):
+    """The log ``lines`` written out with ``edit`` applied to its meta record, on line 1."""
+    meta = json.loads(lines[0])
+    edit(meta)
+    path = tmp_path / "meta.jsonl"
+    path.write_text(json.dumps(meta) + "\n" + "".join(lines[1:]))
+    return path
 
 
 def test_read_session_log_skips_unknown_record_types(small_log_lines, tmp_path):
