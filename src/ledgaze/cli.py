@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -97,8 +98,12 @@ def cmd_eval(args) -> int:
     log, cal = read_session_log(args.log)
     if cal is None:
         raise ConfigError(f"session log {args.log} carries no calibration set")
+    geom = cfg.geometry()
+    if log.meta.get("display") != asdict(geom):
+        raise ConfigError(f"session log {args.log} was simulated on display "
+                          f"{log.meta.get('display')}, the config sets {asdict(geom)}")
     estimator = cfg.build_estimator(cal)
-    report = evaluate_accuracy(log, estimator, cfg.geometry())
+    report = evaluate_accuracy(log, estimator, geom)
     _write_json(out / "accuracy.json", report.to_dict(config=cfg, seed=cfg.seed))
     _write_csv(out / "accuracy.csv",
                ["metric", "value"],

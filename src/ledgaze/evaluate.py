@@ -36,20 +36,16 @@ from .session import (
 
 HIST_BIN_DEG = 0.25
 PAD_ATTENUATION = 0.01  # exclusion windows end once transients decay to 1%
+HOLDOUT_FRACTION = 0.25  # share of the calibration held out to pick the SVR sigma
 
 
-def default_pad_us(log: SessionLog) -> int:
-    alpha = float(log.meta.get("iir_alpha", 1.0))
-    cycle = int(log.meta.get("cycle_us", 0))
-    return iir_settle_frames(alpha, PAD_ATTENUATION) * cycle
-
-
-def exclusion_masks(log: SessionLog, pad_us: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def exclusion_masks(log: SessionLog) -> tuple[np.ndarray, np.ndarray]:
     """Frames dropped from statistics for a blink and for a target move, (n,) each.
 
-    An unsettled move runs to the end of the log; every window ends ``pad_us`` late.
+    An unsettled move runs to the end of the log; every window ends late by
+    the settling tail of the IIR filter and capture cycle the log's meta records.
     """
-    pad = default_pad_us(log) if pad_us is None else int(pad_us)
+    pad = iir_settle_frames(log.meta["iir_alpha"], PAD_ATTENUATION) * log.meta["cycle_us"]
     end_us = int(log.t_us[-1]) if log.n_frames else 0
     blink = np.zeros(log.n_frames, dtype=bool)
     move = np.zeros(log.n_frames, dtype=bool)
@@ -65,8 +61,8 @@ def exclusion_masks(log: SessionLog, pad_us: int | None = None) -> tuple[np.ndar
     return blink, move
 
 
-def excluded_mask(log: SessionLog, pad_us: int | None = None) -> np.ndarray:
-    blink, move = exclusion_masks(log, pad_us)
+def excluded_mask(log: SessionLog) -> np.ndarray:
+    blink, move = exclusion_masks(log)
     return blink | move
 
 
@@ -120,8 +116,8 @@ class _ScoredFrames:
     groups: list[tuple[tuple[float, float], np.ndarray]]
 
     @classmethod
-    def of(cls, log: SessionLog, pad_us: int | None = None) -> "_ScoredFrames":
-        blink_mask, move_mask = exclusion_masks(log, pad_us)
+    def of(cls, log: SessionLog) -> "_ScoredFrames":
+        blink_mask, move_mask = exclusion_masks(log)
         mask = ~(blink_mask | move_mask)
         if not mask.any():
             raise InsufficientDataError("every frame fell inside an excluded interval")
@@ -157,16 +153,15 @@ class _ScoredFrames:
         )
 
 
-def evaluate_accuracy(log: SessionLog, estimator, geom: DisplayGeometry,
-                      pad_us: int | None = None) -> AccuracyReport:
+def evaluate_accuracy(log: SessionLog, estimator, geom: DisplayGeometry) -> AccuracyReport:
     """Run the estimator over all non-excluded frames and summarize errors."""
-    return _ScoredFrames.of(log, pad_us).report(estimator, geom)
+    return _ScoredFrames.of(log).report(estimator, geom)
 
 
-def trace_rows(log: SessionLog, estimator, pad_us: int | None = None):
+def trace_rows(log: SessionLog, estimator):
     """Per-frame plot-ready rows: time, target, truth, estimate, excluded."""
     est = np.asarray(estimator.estimate_batch(log.proc), dtype=float)
-    excl = excluded_mask(log, pad_us)
+    excl = excluded_mask(log)
     for i in range(log.n_frames):
         yield {
             "t_us": int(log.t_us[i]),
@@ -183,19 +178,19 @@ def trace_rows(log: SessionLog, estimator, pad_us: int | None = None):
 # -- estimator comparison ------------------------------------------------------
 
 
-def _sigma_by_holdout(calibration: CalibrationSet, grid, seed: int,
-                      normalize: bool, holdout_fraction: float = 0.25) -> float:
-    """Grid-search sigma against a seeded held-out slice of the calibration."""
+def _sigma_by_holdout(calibration: CalibrationSet, config: SessionConfig) -> float:
+    """Grid-search the configured SVR's sigma against a seeded held-out slice of the calibration."""
     P = calibration.point_count
-    n_val = max(1, int(round(P * holdout_fraction)))
+    n_val = max(1, int(round(P * HOLDOUT_FRACTION)))
     if P - n_val < 1:
         raise ConfigError("calibration too small to hold out a validation slice")
-    order = np.random.default_rng(np.random.SeedSequence([int(seed), 51])).permutation(P)
+    order = np.random.default_rng(np.random.SeedSequence([config.seed, 51])).permutation(P)
     val_idx = np.sort(order[:n_val])
     fit_idx = np.sort(order[n_val:])
     fit = CalibrationSet(calibration.means[fit_idx], calibration.targets[fit_idx])
     validation = (calibration.means[val_idx], calibration.targets[val_idx])
-    return grid_search_sigma(fit, validation, grid, normalize=normalize)
+    return grid_search_sigma(fit, validation, config.sigma_grid, normalize=config.svr_normalize,
+                             rbf_squared=config.rbf_squared)
 
 
 def compare_estimators(log: SessionLog, calibration: CalibrationSet,
@@ -205,8 +200,7 @@ def compare_estimators(log: SessionLog, calibration: CalibrationSet,
     geom = config.geometry()
     gpr = GprModel(calibration, MeasureSpec(kind="minkowski", m=config.minkowski_m),
                    jitter=config.jitter)
-    sigma = _sigma_by_holdout(calibration, config.sigma_grid, config.seed,
-                              config.svr_normalize)
+    sigma = _sigma_by_holdout(calibration, config)
     svr = SvrModel(calibration, sigma, normalize=config.svr_normalize,
                    rbf_squared=config.rbf_squared)
     models = [gpr, svr]
@@ -217,7 +211,7 @@ def compare_estimators(log: SessionLog, calibration: CalibrationSet,
     reports = [scored.report(model, geom) for model in models]
     return {
         "svr_sigma": sigma,
-        "sigma_selection": {"method": "holdout", "fraction": 0.25,
+        "sigma_selection": {"method": "holdout", "fraction": HOLDOUT_FRACTION,
                             "grid": list(config.sigma_grid)},
         "reports": [r.to_dict() for r in reports],
         "mean_diff_deg": reports[0].mean_deg - reports[1].mean_deg,
@@ -242,7 +236,6 @@ def sweep(config: SessionConfig, axis: str, values) -> dict:
     geom = config.geometry()
     layout = config.layout()
     subject = config.subject()
-    measure = config.measure()
     rows = []
     if axis == "led_count":
         if min(values) < 4:
@@ -253,10 +246,9 @@ def sweep(config: SessionConfig, axis: str, values) -> dict:
         ranked = rank_channels_by_variance(cal)
         for v in values:
             idx = sorted(ranked[:int(v)])
-            model = GprModel(cal.select_channels(idx), measure, jitter=config.jitter)
             sliced = SessionLog(log.t_us, log.raw[:, idx], log.proc[:, idx],
                                 log.gaze, log.target, log.events, log.meta)
-            rep = evaluate_accuracy(sliced, model, geom)
+            rep = evaluate_accuracy(sliced, config.build_estimator(cal.select_channels(idx)), geom)
             rows.append({"value": int(v), "channels": idx, **_sweep_stats(rep)})
     elif axis == "calibration_points":
         log = evaluation_phase(config, subject, layout, config.seed)
@@ -264,10 +256,9 @@ def sweep(config: SessionConfig, axis: str, values) -> dict:
             side = math.isqrt(int(v))
             if side * side != int(v):
                 raise ConfigError(f"calibration_points value {v} is not a square grid")
-            cfg_v = config.replace(grid_rows=side, grid_cols=side)
-            cal = calibration_phase(cfg_v, subject, layout, config.seed)
-            model = GprModel(cal, measure, jitter=config.jitter)
-            rep = evaluate_accuracy(log, model, geom)
+            cal = calibration_phase(config.replace(grid_rows=side, grid_cols=side),
+                                    subject, layout, config.seed)
+            rep = evaluate_accuracy(log, config.build_estimator(cal), geom)
             rows.append({"value": int(v), **_sweep_stats(rep)})
     else:
         raise ConfigError(f"unknown sweep axis {axis!r}")
@@ -351,7 +342,17 @@ def run_task_session(config: SessionConfig, calibration: CalibrationSet | None,
     return TaskSessionResult(successes, tasks, model.calibration.point_count)
 
 
-SCENARIOS = ("calibrated", "same_user_prior", "cross_user_prior")
+# Where each scenario's calibration comes from: the calibrating subject's
+# seed offset, then the seed labels of the mount it was recorded on and of
+# its run. The tasks run on the mount of label 81, so "calibrated" calibrates
+# there; "same_user_prior" calibrated the same subject before a re-wear, and
+# "cross_user_prior" an entirely different subject.
+_PROVENANCE = {
+    "calibrated": (0, 81, 82),
+    "same_user_prior": (0, 83, 84),
+    "cross_user_prior": (10_000, 85, 86),
+}
+SCENARIOS = tuple(_PROVENANCE)
 
 
 def _remount_shift(config: SessionConfig, seed: int) -> LedLayout:
@@ -361,32 +362,17 @@ def _remount_shift(config: SessionConfig, seed: int) -> LedLayout:
     return replace(config.layout(), shift_mm=tuple(shift.tolist()))
 
 
-def run_scenario_session(config: SessionConfig, scenario: str, seed: int,
-                         prior_calibration: CalibrationSet | None = None) -> dict:
+def run_scenario_session(config: SessionConfig, scenario: str, seed: int) -> dict:
     """One subject-session under the given calibration-provenance scenario."""
-    if scenario not in SCENARIOS:
+    if scenario not in _PROVENANCE:
         raise ConfigError(f"unknown scenario {scenario!r}")
-    subject = config.subject(config.subject_seed + seed)
-    mount = _remount_shift(config, derive_seed(config.seed, seed, 81))
-    if prior_calibration is not None:
-        cal = prior_calibration
-    elif scenario == "calibrated":
-        # Calibration happens on the same mount the tasks run on.
-        cal = calibration_phase(config, subject, mount,
-                                derive_seed(config.seed, seed, 82))
-    elif scenario == "same_user_prior":
-        # Same subject, but the headset was re-worn since that calibration.
-        prior_mount = _remount_shift(config, derive_seed(config.seed, seed, 83))
-        cal = calibration_phase(config, subject, prior_mount,
-                                derive_seed(config.seed, seed, 84))
-    else:
-        # Calibration recorded from an entirely different subject.
-        other = config.subject(config.subject_seed + seed + 10_000)
-        prior_mount = _remount_shift(config, derive_seed(config.seed, seed, 85))
-        cal = calibration_phase(config, other, prior_mount,
-                                derive_seed(config.seed, seed, 86))
-    result = run_task_session(config, cal, subject,
-                              derive_seed(config.seed, seed, 87), layout=mount)
+    offset, mount_label, run_label = _PROVENANCE[scenario]
+    cal = calibration_phase(config, config.subject(config.subject_seed + seed + offset),
+                            _remount_shift(config, derive_seed(config.seed, seed, mount_label)),
+                            derive_seed(config.seed, seed, run_label))
+    result = run_task_session(config, cal, config.subject(config.subject_seed + seed),
+                              derive_seed(config.seed, seed, 87),
+                              layout=_remount_shift(config, derive_seed(config.seed, seed, 81)))
     first, second = result.half_rates()
     return {
         "scenario": scenario,
@@ -404,21 +390,18 @@ def run_scenarios(config: SessionConfig, scenarios=SCENARIOS,
     if n_seeds < 1:
         raise ConfigError("need at least one seed")
     rows = []
-    for scenario in scenarios:
-        for s in range(n_seeds):
-            rows.append(run_scenario_session(config, scenario, s))
     summary = {}
     for scenario in scenarios:
-        ratios = [r["success_ratio"] for r in rows if r["scenario"] == scenario]
-        firsts = [r["first_half"] for r in rows if r["scenario"] == scenario]
-        seconds = [r["second_half"] for r in rows if r["scenario"] == scenario]
+        own = [run_scenario_session(config, scenario, s) for s in range(n_seeds)]
+        ratios = [r["success_ratio"] for r in own]
         summary[scenario] = {
             "median": float(np.median(ratios)),
             "mean": float(np.mean(ratios)),
             "q1": float(np.percentile(ratios, 25)),
             "q3": float(np.percentile(ratios, 75)),
-            "first_half_mean": float(np.mean(firsts)),
-            "second_half_mean": float(np.mean(seconds)),
+            "first_half_mean": float(np.mean([r["first_half"] for r in own])),
+            "second_half_mean": float(np.mean([r["second_half"] for r in own])),
         }
+        rows += own
     return {"rows": rows, "summary": summary,
             "config": config.to_dict(), "seed": config.seed}

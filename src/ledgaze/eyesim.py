@@ -34,6 +34,8 @@ _STREAM_SRT = 102
 # Rows per slice of a block's final readings pass; keeps its temporaries in cache.
 _READ_ROWS = 1024
 
+_BLINK_US = 150_000  # length of each blink a random script inserts
+
 
 @dataclass(frozen=True)
 class OpticsModel:
@@ -233,7 +235,7 @@ class GazeScript:
     @staticmethod
     def random(rng: np.random.Generator, geom: DisplayGeometry, margin: int,
                n_fixations: int, fixation_us: tuple[int, int],
-               blink_rate_per_min: float, blink_us: int = 150_000) -> "GazeScript":
+               blink_rate_per_min: float) -> "GazeScript":
         """Random fixation sequence with rate-matched blinks in between."""
         events: list[ScriptEvent] = []
         lo, hi = fixation_us
@@ -245,7 +247,7 @@ class GazeScript:
             dur = int(rng.integers(lo, hi + 1))
             events.append(ScriptEvent("fixation", dur, ScreenPoint(float(x), float(y))))
             if i < n_fixations - 1 and rng.random() < p_blink:
-                events.append(ScriptEvent("blink", int(blink_us)))
+                events.append(ScriptEvent("blink", _BLINK_US))
         return GazeScript(tuple(events))
 
 
@@ -447,7 +449,7 @@ class EyeSimulator:
                     np.empty((0, m)), np.empty((0, 2)), np.empty((0, 2)))
         return tuple(np.concatenate([b[i] for b in blocks]) for i in range(5))
 
-    def snapshot(self, extra_meta: dict | None = None) -> SessionLog:
+    def snapshot(self) -> SessionLog:
         """Session log of everything simulated so far."""
         t, raw, proc, gaze, tgt = self.take_frames()
         self._blocks = [(t, raw, proc, gaze, tgt)]  # keep for later snapshots
@@ -462,14 +464,8 @@ class EyeSimulator:
             "exposure_init_us": self.config.exposure_init_us,
             "exposure_min_us": self.config.exposure_min_us,
             "exposure_max_us": self.config.exposure_max_us,
-            "display": {
-                "width": self.geom.width,
-                "height": self.geom.height,
-                "degrees_per_pixel": self.geom.degrees_per_pixel,
-            },
+            "display": asdict(self.geom),
         }
-        if extra_meta:
-            meta.update(extra_meta)
         return SessionLog(t, raw, proc, gaze, tgt, [dict(e) for e in self.events], meta)
 
 
@@ -564,13 +560,12 @@ def clean_signal(layout: LedLayout, subject: SubjectProfile, geom: DisplayGeomet
 
 def sense(layout: LedLayout, subject: SubjectProfile, geom: DisplayGeometry,
           gaze: ScreenPoint, sensing_channel: int, illuminators_on,
-          exposure_us: float, rng: np.random.Generator | None = None,
-          optics: OpticsModel = OpticsModel()) -> int:
-    """One ADC reading for a single channel and illuminator set.
+          exposure_us: float, optics: OpticsModel = OpticsModel()) -> int:
+    """One noise-free ADC reading for a single channel and illuminator set.
 
     Contract-level entry point mirroring one step of the engine's block
-    path: cosine-lobe response summed over illuminators, exposure-scaled,
-    noise-added, clamped, and quantized to 10 bits.
+    path: cosine-lobe response summed over illuminators, then the block
+    path's own exposure scaling, clamping and quantization to 10 bits.
     """
     if not geom.contains(gaze):
         raise ConfigError("gaze must lie within the display")
@@ -580,12 +575,9 @@ def sense(layout: LedLayout, subject: SubjectProfile, geom: DisplayGeometry,
     steps = ((layout.sensing_indices[step_idx], tuple(sorted(illuminators_on))),)
     gaze_xy = np.array([[gaze.x, gaze.y]], dtype=float)
     acc = _lobe_sums(layout, subject, geom, gaze_xy, eye, steps, optics.lobe_sharpness)[0, 0]
-    pre = optics.signal_scale * subject.corneal_gain[sensing_channel] * acc
-    pre *= exposure_us / optics.reference_exposure_us
-    if rng is not None and subject.noise_std > 0:
-        pre += rng.normal(0.0, subject.noise_std)
-    pre = min(max(pre, 0.0), 1.0)
-    return int(np.rint(pre * ADC_MAX))
+    clean = optics.signal_scale * subject.corneal_gain[sensing_channel] * acc
+    pre = _exposed(clean, exposure_us / optics.reference_exposure_us, 0.0, optics.eyelid_level)
+    return int(_readings(pre, 0.0))
 
 
 def _exposed(clean, scale, blend, eyelid: float):

@@ -221,6 +221,8 @@ class SessionConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SessionConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"a config must be a JSON object, not {type(d).__name__}")
         _check_version("config_version", d.get("config_version", CONFIG_VERSION), CONFIG_VERSION)
         known = {f.name for f in fields(cls)}
         kwargs = {k: v for k, v in d.items() if k in known}
@@ -232,7 +234,11 @@ class SessionConfig:
     @classmethod
     def load(cls, path) -> "SessionConfig":
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                d = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"config file {path} is not valid JSON ({exc})") from None
+        return cls.from_dict(d)
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
@@ -483,8 +489,9 @@ def read_session_log(path):
     or kind of values, a raw count outside [0, ADC_MAX], a number in gaze or
     target too large for a float (1e999), a frame whose t_us is not greater
     than the previous frame's, an event of unknown kind or without its
-    integer times, and a meta record whose signal chain settings are
-    missing or out of range. Records of unknown type are skipped.
+    integer times, and a meta record whose cycle_us is not a positive
+    integer or whose signal chain settings are missing or out of range.
+    Records of unknown type are skipped.
 
     Frame fields move into arrays a slice of _SLICE_ROWS frames at a time,
     where each row's shape and kind are checked; the value checks (raw
@@ -549,6 +556,10 @@ def read_session_log(path):
         raise _malformed(path, lines[bad[0] + 1], "t_us is not greater than the previous frame's")
     if meta_line is None:
         raise ConfigError(f"no meta record found in session log {path}")
+    cycle = meta.get("cycle_us")
+    if type(cycle) is not int or cycle <= 0:  # rejects bool too
+        raise _malformed(path, meta_line,
+                         f"meta field 'cycle_us' is not a positive integer: {cycle!r}")
     try:
         proc = _rebuilt_proc(arrays["raw"], meta)
     except ConfigError as exc:

@@ -141,3 +141,34 @@ def test_sweep_values_must_be_integers(tmp_path, small_config_file, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "argument --values: not a comma-separated list of integers: '4,x'" in err
+
+
+@pytest.mark.parametrize("text, problem", [
+    ('{"seed": 3,', "is not valid JSON"),
+    ("[1]", "a config must be a JSON object, not list"),
+], ids=["truncated", "not-an-object"])
+def test_config_file_that_is_not_a_json_object_is_one_error_line(tmp_path, capsys, text, problem):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and problem in err
+    if problem == "is not valid JSON":
+        assert str(path) in err
+
+
+def test_eval_refuses_a_log_from_another_display(tmp_path, capsys, small_config_file):
+    path = tmp_path / "coarse.json"
+    SessionConfig.load(small_config_file).replace(degrees_per_pixel=0.2).save(path)
+    run_dir = tmp_path / "run"
+    assert main(["run", "--config", str(path), "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    # without --config, eval would score against the default 0.12 degrees per pixel
+    assert main(["eval", "--log", str(run_dir / "session.jsonl"),
+                 "--out", str(tmp_path / "eval")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'degrees_per_pixel': 0.2" in err and "'degrees_per_pixel': 0.12" in err
+    assert not (tmp_path / "eval" / "accuracy.json").exists()
+    assert main(["eval", "--config", str(path), "--log", str(run_dir / "session.jsonl"),
+                 "--out", str(tmp_path / "eval")]) == 0

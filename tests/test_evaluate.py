@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from ledgaze.core import ConfigError, InsufficientDataError
 from ledgaze.evaluate import (
+    HOLDOUT_FRACTION,
     compare_estimators,
     evaluate_accuracy,
     excluded_mask,
@@ -15,10 +18,15 @@ from ledgaze.evaluate import (
     trace_rows,
 )
 from ledgaze.core import CalibrationSet, ScreenPoint
-from ledgaze.eyesim import GazeScript, ScriptEvent, run_script
+from ledgaze.eyesim import GazeScript, ScriptEvent, SessionLog, run_script
 from ledgaze.kernels import MeasureSpec
-from ledgaze.regress import GprModel, SvrModel
-from ledgaze.session import SessionConfig, evaluation_phase, run_benchmark_session
+from ledgaze.regress import GprModel, SvrModel, grid_search_sigma
+from ledgaze.session import (
+    SessionConfig,
+    calibration_phase,
+    evaluation_phase,
+    run_benchmark_session,
+)
 
 from oracles import mean_median_std
 
@@ -200,6 +208,51 @@ def test_compare_reports_match_evaluate_accuracy_of_each_model():
         assert got.keys() == want.keys()
         for field in want:
             assert got[field] == want[field], (want["method"], field)
+
+
+def test_compare_searches_sigma_on_the_kernel_of_the_svr_it_reports():
+    cfg = small_config(augment_points=30, rbf_squared=True)
+    log, cal = run_benchmark_session(cfg)
+    result = compare_estimators(log, cal, cfg)
+    # the same seeded holdout split as compare_estimators
+    P = cal.point_count
+    n_val = max(1, round(P * HOLDOUT_FRACTION))
+    order = np.random.default_rng(np.random.SeedSequence([cfg.seed, 51])).permutation(P)
+    val, fit = np.sort(order[:n_val]), np.sort(order[n_val:])
+    fit_cal = CalibrationSet(cal.means[fit], cal.targets[fit])
+    validation = (cal.means[val], cal.targets[val])
+
+    def search(squared):
+        return grid_search_sigma(fit_cal, validation, cfg.sigma_grid,
+                                 normalize=cfg.svr_normalize, rbf_squared=squared)
+
+    assert search(True) != search(False)  # the kernels disagree on this split
+    assert result["svr_sigma"] == search(True)
+    assert result["sigma_selection"]["fraction"] == HOLDOUT_FRACTION
+
+
+@pytest.mark.parametrize("axis, values", [("led_count", [4, 12]),
+                                          ("calibration_points", [4, 9])])
+def test_sweep_scores_the_configured_estimator(axis, values):
+    cfg = small_config(estimator="svr")
+    result = sweep(cfg, axis, values)
+    if axis == "led_count":
+        log, cal = run_benchmark_session(cfg)
+        cases = [(SessionLog(log.t_us, log.raw[:, row["channels"]], log.proc[:, row["channels"]],
+                             log.gaze, log.target, log.events, log.meta),
+                  cal.select_channels(row["channels"])) for row in result["rows"]]
+    else:
+        log = evaluation_phase(cfg, cfg.subject(), cfg.layout(), cfg.seed)
+        sides = [math.isqrt(v) for v in values]
+        cases = [(log, calibration_phase(cfg.replace(grid_rows=side, grid_cols=side),
+                                         cfg.subject(), cfg.layout(), cfg.seed))
+                 for side in sides]
+    assert [row["value"] for row in result["rows"]] == values
+    for row, (scored_log, cal) in zip(result["rows"], cases):
+        want = evaluate_accuracy(scored_log, cfg.build_estimator(cal), cfg.geometry())
+        assert want.method == "svr-rbf"
+        assert (row["mean_deg"], row["median_deg"], row["std_deg"], row["n_used"]) == (
+            want.mean_deg, want.median_deg, want.std_deg, want.n_used)
 
 
 def test_task_session_requires_calibration():

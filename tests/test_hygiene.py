@@ -2,7 +2,8 @@
 
 Every imported name is used, and every function, method and class defined
 in ``src/``, and every name a ``src/`` module assigns at its top level, is
-read somewhere in ``src/``, ``tests/`` or ``bench/``.
+read somewhere in ``src/``, ``tests/`` or ``bench/``; and some call there
+sets every defaulted parameter of a function or method in ``src/``.
 """
 
 import ast
@@ -104,3 +105,64 @@ def test_no_dead_definitions():
             if not (name.startswith("__") and name.endswith("__")) and name not in read:
                 dead.append(f"{path.relative_to(ROOT)}:{line} {name}")
     assert not dead, "defined in src/ but never read: " + ", ".join(dead)
+
+
+def _defaulted_parameters(tree):
+    """(callee name, parameter, its index among the positional arguments of a call
+    or None for a keyword-only one, line) of every defaulted parameter.
+
+    A method's first parameter is bound by the attribute lookup, so the
+    indices count from the one after it; ``__init__`` is called by its class's name.
+    """
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                bound = owner is not None and not static
+                name = owner if child.name == "__init__" else child.name
+                first = len(positional) - len(args.defaults)
+                for i in range(first, len(positional)):
+                    yield name, positional[i].arg, i - bound, child.lineno
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        yield name, arg.arg, None, child.lineno
+                yield from visit(child, None)
+            elif isinstance(child, ast.ClassDef):
+                yield from visit(child, child.name)
+            else:
+                yield from visit(child, owner)
+    yield from visit(tree, None)
+
+
+def _calls(tree):
+    """(callee name, positional count, keyword names, whether it unpacks *args or **kwargs)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            unpacks = (any(isinstance(a, ast.Starred) for a in node.args)
+                       or any(k.arg is None for k in node.keywords))
+            yield name, len(node.args), {k.arg for k in node.keywords}, unpacks
+
+
+def test_no_default_that_no_call_sets():
+    # A keyword counts whatever the callee: a call may reach a function
+    # through another name (a method picked into a variable, a wrapper).
+    keywords, positional, unpacked = set(), {}, set()
+    for path in READERS:
+        for name, n_args, names, unpacks in _calls(ast.parse(path.read_text(), filename=str(path))):
+            keywords |= names
+            positional[name] = max(positional.get(name, 0), n_args)
+            if unpacks:
+                unpacked.add(name)
+    unset = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name, param, index, line in _defaulted_parameters(tree):
+            set_by_position = index is not None and positional.get(name, 0) > index
+            if not (param in keywords or set_by_position or name in unpacked):
+                unset.append(f"{path.relative_to(ROOT)}:{line} {name}({param}=...)")
+    assert not unset, "defaulted parameters that no call sets: " + ", ".join(unset)

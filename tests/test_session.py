@@ -265,9 +265,9 @@ def codec_logs():
             "t-above-2-53": (_frames_log(3, 4, t0=2**53 + 1), None)}
 
 
-# The meta of a log's signal chain, in the prototype1 defaults.
+# The meta of a log's capture cycle and signal chain, in the prototype1 defaults.
 _CHAIN_META = {"exposure_init_us": 400.0, "exposure_min_us": 25.0, "exposure_max_us": 1600.0,
-               "iir_alpha": 0.3, "optics": {"reference_exposure_us": 400.0}}
+               "iir_alpha": 0.3, "optics": {"reference_exposure_us": 400.0}, "cycle_us": 9996}
 
 
 def _chain_log(t_us, raw, gaze, target, meta: dict) -> SessionLog:
@@ -335,14 +335,15 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def chain_metas(draw):
-    """Signal chain settings as a log's meta holds them: 0 < min <= init <= max."""
+    """Capture cycle and chain settings as a log's meta holds them: 0 < min <= init <= max."""
     emin = draw(st.sampled_from([25.0, 1.0]) | st.floats(0.5, 100.0))
     emax = emin * draw(st.sampled_from([1.0, 2.0, 64.0]) | st.floats(1.0, 1000.0))
     init = draw(st.sampled_from([emin, emax]) | st.floats(emin, emax))
     return {"exposure_init_us": init, "exposure_min_us": emin, "exposure_max_us": emax,
             "iir_alpha": draw(st.sampled_from([0.3, 1.0]) | st.floats(0.01, 1.0)),
             "optics": {"reference_exposure_us": draw(st.sampled_from([400.0, 100.0])
-                                                     | st.floats(1.0, 1000.0))}}
+                                                     | st.floats(1.0, 1000.0))},
+            "cycle_us": 9996}
 
 
 @st.composite
@@ -492,6 +493,9 @@ MALFORMED = {
     "calibration-mean-nan": ("calibration", "means",
                              lambda means: [[means[0][0], float("nan"), *means[0][2:]], *means[1:]]),
     "meta-nan": ("meta", "cycle_us", lambda cycle: float("nan")),
+    "meta-without-cycle": ("meta", "cycle_us", _DELETE),
+    "meta-cycle-not-an-integer": ("meta", "cycle_us", lambda cycle: 9996.5),
+    "meta-cycle-boolean": ("meta", "cycle_us", lambda cycle: True),
     "blink-without-t1": ("event", None, lambda ev: {
         "type": "event", "kind": "blink", "t0_us": ev["t_move_us"]}),
     "blink-t0-not-an-integer": ("event", None, lambda ev: {
