@@ -47,21 +47,6 @@ class CalibrationGridSpec:
         return self.rows * self.cols
 
 
-@dataclass(frozen=True)
-class DwellConfig:
-    """Per-target dwell timing and the variance acceptance gate."""
-
-    fix_duration_ms: float = 1500.0
-    sample_interval_ms: float = 10.0
-    variance_threshold: float = 0.05  # max per-channel std, normalized units
-
-    def __post_init__(self):
-        if self.fix_duration_ms < 2 * self.sample_interval_ms:
-            raise ConfigError("dwell must cover at least two samples")
-        if self.variance_threshold <= 0:
-            raise ConfigError("variance threshold must be positive")
-
-
 def schedule_targets(grid: CalibrationGridSpec, geom: DisplayGeometry,
                      seed: int) -> list[ScreenPoint]:
     """All grid points exactly once, in a seeded-random order."""
@@ -86,17 +71,19 @@ class DwellAggregate:
     bad_channels: tuple[int, ...] = ()
 
 
-def aggregate_point(frames: Sequence, config: DwellConfig) -> DwellAggregate:
+def aggregate_point(frames: Sequence, variance_threshold: float) -> DwellAggregate:
     """Per-channel mean of the dwell samples, gated on per-channel spread.
 
     ``frames`` are processed (n, M) vectors. Spread is the sample standard
-    deviation (n-1 denominator).
+    deviation (n-1 denominator), gated at ``variance_threshold`` (normalized units).
     """
+    if not variance_threshold > 0:  # NaN fails too
+        raise ConfigError(f"variance threshold must be positive, got {variance_threshold!r}")
     X = np.atleast_2d(np.asarray(frames, dtype=float))
     if X.shape[0] < 2:
         raise InsufficientDataError("need at least two samples per dwell")
     stds = np.std(X, axis=0, ddof=1)
-    bad = tuple(int(i) for i in np.nonzero(stds > config.variance_threshold)[0])
+    bad = tuple(int(i) for i in np.nonzero(stds > variance_threshold)[0])
     if bad:
         return DwellAggregate(False, None, stds, bad)
     return DwellAggregate(True, X.mean(axis=0), stds)
@@ -111,7 +98,7 @@ class DwellSource(Protocol):
 
 
 def run_calibration(source: DwellSource, grid: CalibrationGridSpec,
-                    geom: DisplayGeometry, config: DwellConfig,
+                    geom: DisplayGeometry, variance_threshold: float,
                     seed: int) -> CalibrationSet:
     """Build a calibration set by dwelling on every scheduled target.
 
@@ -125,7 +112,7 @@ def run_calibration(source: DwellSource, grid: CalibrationGridSpec,
             break
         rejected = []
         for target, frames in zip(targets, source.acquire(targets)):
-            agg = aggregate_point(frames, config)
+            agg = aggregate_point(frames, variance_threshold)
             if agg.accepted:
                 entries.append((agg.mean, target))
             elif not retry:

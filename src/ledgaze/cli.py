@@ -2,6 +2,8 @@
 
 Every subcommand takes a JSON config file (all fields optional; defaults
 reproduce the standard benchmark), plus ``--seed`` and ``--out`` overrides.
+``eval`` defaults to the config its session log records, and refuses a seed
+other than the log's.
 Outputs are a session log (line-delimited JSON) and CSV/JSON reports whose
 bytes depend only on the config and seed. A package error (a bad config, a
 malformed session log) or a file that cannot be opened ends the command with
@@ -92,16 +94,35 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _scoring_config(args, log) -> SessionConfig:
+    """The config to score a log with: its meta's, or ``--config``; seeds must agree.
+
+    Either way the log's recorded config is read through ``from_dict``, so a
+    meta from another config version is refused, naming the version.
+    """
+    try:
+        recorded = SessionConfig.from_dict(log.meta.get("config"))
+    except ConfigError as exc:
+        raise ConfigError(f"cannot read the config session log {args.log} records: {exc}") from None
+    cfg = SessionConfig.load(args.config) if args.config else recorded
+    if args.seed is not None:
+        cfg = cfg.replace(seed=args.seed)
+    if cfg.seed != recorded.seed:
+        raise ConfigError(f"session log {args.log} was recorded with seed {recorded.seed}, "
+                          f"not the seed {cfg.seed} given")
+    return cfg
+
+
 def cmd_eval(args) -> int:
-    cfg = _load_config(args)
-    out = _outdir(args)
     log, cal = read_session_log(args.log)
     if cal is None:
         raise ConfigError(f"session log {args.log} carries no calibration set")
+    cfg = _scoring_config(args, log)
     geom = cfg.geometry()
     if log.meta.get("display") != asdict(geom):
         raise ConfigError(f"session log {args.log} was simulated on display "
                           f"{log.meta.get('display')}, the config sets {asdict(geom)}")
+    out = _outdir(args)
     estimator = cfg.build_estimator(cal)
     report = evaluate_accuracy(log, estimator, geom)
     _write_json(out / "accuracy.json", report.to_dict(config=cfg, seed=cfg.seed))

@@ -274,6 +274,11 @@ class SimConfig:
         return self.step_us * layout.channels_per_eye
 
 
+def frames_spanned(duration_us: int, cycle_us: int) -> int:
+    """Frames an event of the given duration spans on a capture cycle of ``cycle_us``."""
+    return int(round(duration_us / cycle_us))
+
+
 @dataclass
 class SessionLog:
     """Complete record of one simulated run, column-oriented for speed."""
@@ -364,10 +369,6 @@ class EyeSimulator:
 
     # -- session loop -------------------------------------------------------
 
-    def frame_count(self, duration_us: int) -> int:
-        """Frames an event of the given duration spans."""
-        return int(round(duration_us / self.cycle_us))
-
     def run(self, events: Sequence[ScriptEvent]) -> None:
         """Simulate a timeline of script events in one pass.
 
@@ -378,7 +379,7 @@ class EyeSimulator:
         The frames are drained with ``take_frames()``.
         """
         cycle = self.cycle_us
-        counts = [self.frame_count(ev.duration_us) for ev in events]
+        counts = [frames_spanned(ev.duration_us, cycle) for ev in events]
         n = sum(counts)
         t = (self.frame_index + np.arange(n, dtype=np.int64)) * cycle
         gaze_xy = np.empty((n, 2))

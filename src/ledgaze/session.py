@@ -12,13 +12,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .calib import CalibrationGridSpec, DwellConfig, run_calibration
+from .calib import CalibrationGridSpec, run_calibration
 from .core import ADC_MAX, CalibrationSet, ConfigError, DisplayGeometry, ScreenPoint
 from .eyesim import (
     EyeSimulator,
@@ -29,13 +30,14 @@ from .eyesim import (
     SessionLog,
     SimConfig,
     SubjectProfile,
+    frames_spanned,
     run_script,
 )
 from .kernels import MeasureSpec
 from .regress import GprModel, SvrModel
 from .sigproc import IirFilter, compensate, replay_exposure
 
-CONFIG_VERSION = 1
+CONFIG_VERSION = 2
 LOG_VERSION = 2
 
 DEFAULT_SIGMA_GRID = (0.05, 0.1, 0.2, 0.3, 0.5, 0.8, 1.2, 2.0)
@@ -66,6 +68,44 @@ _FIELD_KINDS = {
     "tuple[float, ...]": (lambda v: isinstance(v, tuple) and all(map(_is_number, v)),
                           "a list of numbers"),
 }
+
+# The bound of each field that no object built from the config checks: the
+# check, and its words.
+_BOUNDS = {
+    "seed": (lambda v: v >= 0, ">= 0"),  # numpy seeds are non-negative
+    "subject_seed": (lambda v: v >= 0, ">= 0"),
+    "noise_std": (lambda v: v >= 0, ">= 0"),
+    "iir_alpha": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "variance_threshold": (lambda v: v > 0, "> 0"),
+    "augment_points": (lambda v: v >= 0, ">= 0"),
+    "eval_fixations": (lambda v: v >= 1, ">= 1"),
+    "eval_fixation_min_ms": (lambda v: v > 0, "> 0"),
+    "jitter": (lambda v: v > 0, "> 0"),
+    "sigma_grid": (lambda v: v and min(v) > 0, "a non-empty list of positive numbers"),
+    "task_count": (lambda v: v >= 1, ">= 1"),
+    "target_radius_deg": (lambda v: v > 0, "> 0"),
+    "task_window_threshold": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "remount_shift_std_mm": (lambda v: v >= 0, ">= 0"),
+}
+
+
+@contextmanager
+def _naming(*names: str):
+    """Name the config fields an object is built from in the ConfigError it raises."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"config field{'s' * (len(names) > 1)} "
+                          f"{', '.join(map(repr, names))}: {exc}") from None
+
+
+def dwell_frames(dwell_ms: float, cycle_us: int) -> int:
+    """Frames a dwell samples; ConfigError below 2, the fewest its mean and spread need."""
+    frames = frames_spanned(int(dwell_ms * 1000.0), cycle_us)
+    if frames < 2:
+        raise ConfigError(f"a {dwell_ms} ms dwell spans {frames} frames of {cycle_us} us, "
+                          "fewer than 2")
+    return frames
 
 
 def iir_settle_frames(alpha: float, attenuation: float) -> int:
@@ -107,7 +147,6 @@ class SessionConfig:
     grid_cols: int = 4
     grid_margin: int = 100
     fix_duration_ms: float = 1500.0
-    sample_interval_ms: float = 10.0
     variance_threshold: float = 0.05
     # online augmentation phase
     augment_points: int = 66
@@ -136,6 +175,7 @@ class SessionConfig:
     remount_shift_std_mm: float = 0.7
 
     def __post_init__(self):
+        """Check every field, then build once the objects that depend only on the config."""
         for f in fields(self):  # json.load reads NaN and Infinity tokens as floats
             value = getattr(self, f.name)
             values = value if isinstance(value, tuple) else (value,)
@@ -144,23 +184,56 @@ class SessionConfig:
             takes, noun = _FIELD_KINDS[f.type]
             if not takes(value):
                 raise ConfigError(f"config field {f.name!r} must be {noun}, got {value!r}")
+            holds, bound = _BOUNDS.get(f.name, (None, None))
+            if holds and not holds(value):
+                raise ConfigError(f"config field {f.name!r} must be {bound}, got {value!r}")
         if self.estimator not in ("gpr", "svr"):
-            raise ConfigError("estimator must be 'gpr' or 'svr'")
+            raise ConfigError("config field 'estimator' must be 'gpr' or 'svr'")
         if self.layout_mode not in ("prototype1", "prototype2"):
-            raise ConfigError("layout_mode must be 'prototype1' or 'prototype2'")
+            raise ConfigError("config field 'layout_mode' must be 'prototype1' or 'prototype2'")
         if not (3 <= self.task_candidates_min <= self.task_candidates_max <= 8):
-            raise ConfigError("task candidate counts must lie in [3, 8]")
+            raise ConfigError("config fields 'task_candidates_min', 'task_candidates_max' "
+                              "must satisfy 3 <= min <= max <= 8")
+        if self.eval_fixation_min_ms > self.eval_fixation_max_ms:
+            raise ConfigError("config field 'eval_fixation_min_ms' must not exceed "
+                              "'eval_fixation_max_ms'")
+        with _naming("display_width", "display_height", "degrees_per_pixel"):
+            geometry = DisplayGeometry(self.display_width, self.display_height,
+                                       self.degrees_per_pixel)
+        maker = LedLayout.prototype1 if self.layout_mode == "prototype1" else LedLayout.prototype2
+        with _naming("eyes", "ring_radius_mm", "eye_relief_mm"):
+            layout = maker(eyes=self.eyes, ring_radius_mm=self.ring_radius_mm,
+                           eye_relief_mm=self.eye_relief_mm)
+        optics = OpticsModel(lobe_sharpness=self.lobe_sharpness, signal_scale=self.signal_scale,
+                             eyelid_level=self.eyelid_level)
+        exposure = self.exposure_init_us
+        if exposure <= 0:
+            # prototype2 sums several illuminators per capture, so it needs a
+            # shorter integration window to stay off the ADC ceiling
+            exposure = 400.0 if self.layout_mode == "prototype1" else 100.0
+        with _naming("step_us", "exposure_init_us", "exposure_min_us", "exposure_max_us"):
+            sim_config = SimConfig(geom=geometry, step_us=self.step_us, iir_alpha=self.iir_alpha,
+                                   exposure_init_us=exposure, exposure_min_us=self.exposure_min_us,
+                                   exposure_max_us=self.exposure_max_us, optics=optics)
+        with _naming("grid_rows", "grid_cols", "grid_margin"):
+            grid = CalibrationGridSpec(self.grid_rows, self.grid_cols, self.grid_margin)
+        with _naming("measure_kind", "minkowski_m", "rbf_sigma"):
+            measure = MeasureSpec(kind=self.measure_kind, m=self.minkowski_m,
+                                  sigma=self.rbf_sigma, rbf_squared=self.rbf_squared)
+        for name in ("fix_duration_ms", "augment_dwell_ms", "task_dwell_ms"):
+            with _naming(name, "step_us"):
+                dwell_frames(getattr(self, name), sim_config.cycle_us(layout))
+        # Not fields: equality, repr and to_dict see only the settings.
+        vars(self).update(_geometry=geometry, _layout=layout, _sim_config=sim_config,
+                          _grid=grid, _measure=measure)
 
-    # -- constructors for the domain objects --------------------------------
+    # -- the domain objects, built once in __post_init__ ---------------------
 
     def geometry(self) -> DisplayGeometry:
-        return DisplayGeometry(self.display_width, self.display_height,
-                               self.degrees_per_pixel)
+        return self._geometry
 
     def layout(self) -> LedLayout:
-        maker = LedLayout.prototype1 if self.layout_mode == "prototype1" else LedLayout.prototype2
-        return maker(eyes=self.eyes, ring_radius_mm=self.ring_radius_mm,
-                     eye_relief_mm=self.eye_relief_mm)
+        return self._layout
 
     def subject(self, seed: int | None = None) -> SubjectProfile:
         return SubjectProfile.generate(
@@ -169,37 +242,14 @@ class SessionConfig:
             noise_std=self.noise_std,
         )
 
-    def optics(self) -> OpticsModel:
-        return OpticsModel(lobe_sharpness=self.lobe_sharpness,
-                           signal_scale=self.signal_scale,
-                           eyelid_level=self.eyelid_level)
-
     def sim_config(self) -> SimConfig:
-        exposure = self.exposure_init_us
-        if exposure <= 0:
-            # prototype2 sums several illuminators per capture, so it needs a
-            # shorter integration window to stay off the ADC ceiling
-            exposure = 400.0 if self.layout_mode == "prototype1" else 100.0
-        return SimConfig(
-            geom=self.geometry(),
-            step_us=self.step_us,
-            iir_alpha=self.iir_alpha,
-            exposure_init_us=exposure,
-            exposure_min_us=self.exposure_min_us,
-            exposure_max_us=self.exposure_max_us,
-            optics=self.optics(),
-        )
+        return self._sim_config
 
     def grid(self) -> CalibrationGridSpec:
-        return CalibrationGridSpec(self.grid_rows, self.grid_cols, self.grid_margin)
-
-    def dwell(self) -> DwellConfig:
-        return DwellConfig(self.fix_duration_ms, self.sample_interval_ms,
-                           self.variance_threshold)
+        return self._grid
 
     def measure(self) -> MeasureSpec:
-        return MeasureSpec(kind=self.measure_kind, m=self.minkowski_m,
-                           sigma=self.rbf_sigma, rbf_squared=self.rbf_squared)
+        return self._measure
 
     def target_radius_px(self) -> float:
         return self.target_radius_deg / self.degrees_per_pixel
@@ -225,7 +275,11 @@ class SessionConfig:
             raise ConfigError(f"a config must be a JSON object, not {type(d).__name__}")
         _check_version("config_version", d.get("config_version", CONFIG_VERSION), CONFIG_VERSION)
         known = {f.name for f in fields(cls)}
-        kwargs = {k: v for k, v in d.items() if k in known}
+        unknown = [k for k in d if k not in known and k != "config_version"]
+        if unknown:
+            raise ConfigError(f"unknown config field{'s' * (len(unknown) > 1)} "
+                              f"{', '.join(map(repr, unknown))}")
+        kwargs = {k: v for k, v in d.items() if k != "config_version"}
         grid = kwargs.get("sigma_grid")
         if isinstance(grid, list) and all(map(_is_number, grid)):
             kwargs["sigma_grid"] = tuple(float(s) for s in grid)
@@ -272,9 +326,8 @@ class SimulatorDwellSource:
     def acquire(self, targets: Sequence[ScreenPoint]) -> list[np.ndarray]:
         """Dwell on each target in turn, in one engine run; the sampled frames per target."""
         settle_us, dwell_us = self.settle_us(), int(self.dwell_ms * 1000.0)
-        settle, dwell = self.engine.frame_count(settle_us), self.engine.frame_count(dwell_us)
-        if dwell < 2:  # the fewest samples a dwell mean and spread need
-            raise ConfigError(f"a {self.dwell_ms} ms dwell spans {dwell} frames, fewer than 2")
+        settle = frames_spanned(settle_us, self.engine.cycle_us)
+        dwell = dwell_frames(self.dwell_ms, self.engine.cycle_us)
         self.engine.run([ScriptEvent("fixation", us, target)
                          for target in targets for us in (settle_us, dwell_us)])
         _, _, proc, _, _ = self.engine.take_frames()
@@ -289,7 +342,7 @@ def calibration_phase(config: SessionConfig, subject: SubjectProfile,
     engine = EyeSimulator(layout, subject, config.sim_config(), derive_seed(seed, 21))
     source = SimulatorDwellSource(engine, config.fix_duration_ms)
     return run_calibration(source, config.grid(), config.geometry(),
-                           config.dwell(), seed=derive_seed(seed, 22))
+                           config.variance_threshold, seed=derive_seed(seed, 22))
 
 
 def augmentation_phase(config: SessionConfig, subject: SubjectProfile,

@@ -5,7 +5,6 @@ import pytest
 
 from ledgaze.calib import (
     CalibrationGridSpec,
-    DwellConfig,
     aggregate_point,
     run_calibration,
     schedule_targets,
@@ -18,7 +17,7 @@ from ledgaze.core import (
 )
 
 GEOM = DisplayGeometry(1000, 1000)
-DWELL = DwellConfig(fix_duration_ms=100, sample_interval_ms=10, variance_threshold=0.2)
+THRESHOLD = 0.2
 
 
 # -- target scheduling ----------------------------------------------------------
@@ -60,25 +59,26 @@ def test_grid_spec_bounds():
         CalibrationGridSpec(4, 4, margin=0)
 
 
-def test_dwell_config_validation():
-    with pytest.raises(ConfigError):
-        DwellConfig(fix_duration_ms=15, sample_interval_ms=10)
-    with pytest.raises(ConfigError):
-        DwellConfig(variance_threshold=0.0)
+@pytest.mark.parametrize("threshold", [0.0, -0.1, float("nan")], ids=["zero", "negative", "nan"])
+def test_variance_threshold_must_be_positive(threshold):
+    with pytest.raises(ConfigError, match="variance threshold must be positive"):
+        aggregate_point([[0.3, 0.7]] * 5, threshold)
+    with pytest.raises(ConfigError, match="variance threshold must be positive"):
+        run_calibration(CleanSource(), CalibrationGridSpec(2, 2), GEOM, threshold, seed=1)
 
 
 # -- dwell aggregation -------------------------------------------------------------
 
 
 def test_aggregate_identical_frames_accepted():
-    agg = aggregate_point([[0.3, 0.7]] * 5, DWELL)
+    agg = aggregate_point([[0.3, 0.7]] * 5, THRESHOLD)
     assert agg.accepted
     assert np.allclose(agg.mean, [0.3, 0.7])
     assert np.allclose(agg.stds, 0.0)
 
 
 def test_aggregate_hand_arithmetic():
-    agg = aggregate_point([[0.2, 0.4], [0.4, 0.6]], DWELL)
+    agg = aggregate_point([[0.2, 0.4], [0.4, 0.6]], THRESHOLD)
     assert agg.accepted
     assert np.allclose(agg.mean, [0.3, 0.5])
     # sample standard deviation with the n-1 denominator
@@ -87,7 +87,7 @@ def test_aggregate_hand_arithmetic():
 
 def test_aggregate_alternating_channel_rejected():
     frames = [[0.0, 0.5], [1.0, 0.5]] * 4
-    agg = aggregate_point(frames, DwellConfig(100, 10, 0.1))
+    agg = aggregate_point(frames, 0.1)
     assert not agg.accepted
     assert agg.bad_channels == (0,)
     assert agg.mean is None
@@ -95,14 +95,14 @@ def test_aggregate_alternating_channel_rejected():
 
 def test_aggregate_needs_two_frames():
     with pytest.raises(InsufficientDataError):
-        aggregate_point([[0.1, 0.2]], DWELL)
+        aggregate_point([[0.1, 0.2]], THRESHOLD)
 
 
 def test_aggregate_mean_within_channel_extremes():
     rng = np.random.default_rng(61)
     for _ in range(50):
         X = rng.uniform(0, 1, (int(rng.integers(2, 20)), 5))
-        agg = aggregate_point(X, DwellConfig(100, 10, 10.0))
+        agg = aggregate_point(X, 10.0)
         assert agg.accepted
         assert np.all(agg.mean >= X.min(axis=0) - 1e-15)
         assert np.all(agg.mean <= X.max(axis=0) + 1e-15)
@@ -112,7 +112,7 @@ def test_rejection_monotone_in_threshold():
     rng = np.random.default_rng(62)
     X = rng.uniform(0, 1, (12, 3))
     thresholds = np.linspace(0.01, 1.0, 25)
-    accepted = [aggregate_point(X, DwellConfig(100, 10, float(t))).accepted
+    accepted = [aggregate_point(X, float(t)).accepted
                 for t in thresholds]
     # once accepted at some threshold, accepted at every larger one
     first = accepted.index(True)
@@ -149,7 +149,7 @@ class CleanSource:
 def test_run_calibration_clean_4x4_yields_16_points():
     grid = CalibrationGridSpec(4, 4)
     src = CleanSource()
-    cal = run_calibration(src, grid, GEOM, DWELL, seed=1)
+    cal = run_calibration(src, grid, GEOM, THRESHOLD, seed=1)
     assert cal.point_count == 16
     assert cal.channel_count == 3
     assert src.rounds == [16]  # nothing rejected, so no retry round
@@ -157,7 +157,7 @@ def test_run_calibration_clean_4x4_yields_16_points():
 
 
 def test_run_calibration_2x2_minimal():
-    cal = run_calibration(CleanSource(), CalibrationGridSpec(2, 2), GEOM, DWELL, seed=1)
+    cal = run_calibration(CleanSource(), CalibrationGridSpec(2, 2), GEOM, THRESHOLD, seed=1)
     assert cal.point_count == 4
 
 
@@ -165,7 +165,7 @@ def test_run_calibration_retries_transient_rejection():
     grid = CalibrationGridSpec(2, 2)
     noisy = schedule_targets(grid, GEOM, seed=3)[0]
     src = CleanSource(noisy_targets=[noisy])
-    cal = run_calibration(src, grid, GEOM, DWELL, seed=3)
+    cal = run_calibration(src, grid, GEOM, THRESHOLD, seed=3)
     assert cal.point_count == 4  # recovered on the retry
     assert src.visits.count((noisy.x, noisy.y)) == 2
     # the retried target was dwelt on again after the whole schedule
@@ -178,7 +178,7 @@ def test_run_calibration_retry_round_keeps_schedule_order():
     schedule = schedule_targets(grid, GEOM, seed=4)
     noisy = [schedule[1], schedule[4], schedule[7]]
     src = CleanSource(noisy_targets=noisy)
-    cal = run_calibration(src, grid, GEOM, DWELL, seed=4)
+    cal = run_calibration(src, grid, GEOM, THRESHOLD, seed=4)
     assert cal.point_count == 9
     assert src.rounds == [9, 3]
     assert src.visits[9:] == [(t.x, t.y) for t in noisy]
@@ -200,7 +200,7 @@ def test_run_calibration_drops_persistently_noisy_target(caplog):
     bad = schedule_targets(grid, GEOM, seed=5)[2]
     src = TwiceNoisy(bad)
     with caplog.at_level(logging.WARNING, logger="ledgaze.calib"):
-        cal = run_calibration(src, grid, GEOM, DWELL, seed=5)
+        cal = run_calibration(src, grid, GEOM, THRESHOLD, seed=5)
     assert cal.point_count == 15
     assert src.rounds == [16, 1]
     assert any("rejected twice" in r.message for r in caplog.records)
@@ -209,13 +209,13 @@ def test_run_calibration_drops_persistently_noisy_target(caplog):
 def test_run_calibration_all_rejected_raises():
     src = CleanSource(fail_always=True)
     with pytest.raises(CalibrationError):
-        run_calibration(src, CalibrationGridSpec(2, 2), GEOM, DWELL, seed=1)
+        run_calibration(src, CalibrationGridSpec(2, 2), GEOM, THRESHOLD, seed=1)
     assert src.rounds == [4, 4]
 
 
 def test_run_calibration_deterministic():
     grid = CalibrationGridSpec(3, 3)
-    c1 = run_calibration(CleanSource(), grid, GEOM, DWELL, seed=9)
-    c2 = run_calibration(CleanSource(), grid, GEOM, DWELL, seed=9)
+    c1 = run_calibration(CleanSource(), grid, GEOM, THRESHOLD, seed=9)
+    c2 = run_calibration(CleanSource(), grid, GEOM, THRESHOLD, seed=9)
     assert np.array_equal(c1.means, c2.means)
     assert np.array_equal(c1.targets, c2.targets)

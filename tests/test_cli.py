@@ -163,12 +163,86 @@ def test_eval_refuses_a_log_from_another_display(tmp_path, capsys, small_config_
     run_dir = tmp_path / "run"
     assert main(["run", "--config", str(path), "--out", str(run_dir)]) == 0
     capsys.readouterr()
-    # without --config, eval would score against the default 0.12 degrees per pixel
-    assert main(["eval", "--log", str(run_dir / "session.jsonl"),
+    # a config of the default 0.12 degrees per pixel would score the log wrongly
+    assert main(["eval", "--config", small_config_file, "--log", str(run_dir / "session.jsonl"),
                  "--out", str(tmp_path / "eval")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "'degrees_per_pixel': 0.2" in err and "'degrees_per_pixel': 0.12" in err
-    assert not (tmp_path / "eval" / "accuracy.json").exists()
+    assert not (tmp_path / "eval").exists()
     assert main(["eval", "--config", str(path), "--log", str(run_dir / "session.jsonl"),
                  "--out", str(tmp_path / "eval")]) == 0
+    # without --config, eval scores on the display the log's config records
+    assert main(["eval", "--log", str(run_dir / "session.jsonl"),
+                 "--out", str(tmp_path / "eval2")]) == 0
+    assert ((tmp_path / "eval2" / "accuracy.json").read_bytes()
+            == (tmp_path / "eval" / "accuracy.json").read_bytes())
+
+
+def test_eval_names_the_run_it_scored(tmp_path, capsys, small_config_file):
+    run_dir = tmp_path / "run"
+    assert main(["run", "--config", small_config_file, "--seed", "7", "--out", str(run_dir)]) == 0
+    log_path = str(run_dir / "session.jsonl")
+    assert main(["eval", "--log", log_path, "--out", str(tmp_path / "eval")]) == 0
+    payload = json.loads((tmp_path / "eval" / "accuracy.json").read_text())
+    assert payload["seed"] == 7 and payload["config"]["seed"] == 7
+    assert payload["config"] == SessionConfig.load(small_config_file).replace(seed=7).to_dict()
+    assert main(["eval", "--log", log_path, "--seed", "7", "--out", str(tmp_path / "eval7")]) == 0
+    assert ((tmp_path / "eval7" / "accuracy.json").read_bytes()
+            == (tmp_path / "eval" / "accuracy.json").read_bytes())
+    capsys.readouterr()
+    for extra in (["--seed", "8"], ["--config", small_config_file]):  # the file's seed is 4
+        assert main(["eval", "--log", log_path, *extra, "--out", str(tmp_path / "bad")]) == 2
+        err = capsys.readouterr().err
+        given = extra[1] if extra[0] == "--seed" else "4"
+        assert err == (f"error: session log {log_path} was recorded with seed 7, "
+                       f"not the seed {given} given\n")
+    assert not (tmp_path / "bad").exists()
+
+
+def test_eval_refuses_a_log_whose_config_has_another_version(tmp_path, capsys, small_config_file):
+    run_dir = tmp_path / "run"
+    assert main(["run", "--config", small_config_file, "--out", str(run_dir)]) == 0
+    log_path = run_dir / "session.jsonl"
+    meta, rest = log_path.read_text().split("\n", 1)
+    meta = json.loads(meta)
+    meta["config"].update(config_version=1, sample_interval_ms=10.0)  # as version 1 saved it
+    log_path.write_text(json.dumps(meta, sort_keys=True) + "\n" + rest)
+    capsys.readouterr()
+    for extra in ([], ["--config", small_config_file]):
+        assert main(["eval", "--log", str(log_path), *extra, "--out", str(tmp_path / "ev")]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: cannot read the config session log {log_path} records: "
+                       "config_version 1 is not readable here (this code reads 2)\n")
+
+
+@pytest.mark.parametrize("text, field", [
+    ('{"noise_sd": 0.2}', "noise_sd"),
+    ('{"task_count": -3}', "task_count"),
+    ('{"augment_points": -5}', "augment_points"),
+    ('{"eval_fixations": -1}', "eval_fixations"),
+    ('{"seed": 1.5}', "seed"),
+    ('{"minkowski_m": true}', "minkowski_m"),
+    ('{"target_radius_deg": -1}', "target_radius_deg"),
+    ('{"task_window_threshold": 2.0}', "task_window_threshold"),
+    ('{"remount_shift_std_mm": -1}', "remount_shift_std_mm"),
+    ('{"eval_fixation_min_ms": 900.0, "eval_fixation_max_ms": 800.0}', "eval_fixation_min_ms"),
+    ('{"sample_interval_ms": 10.0}', "sample_interval_ms"),
+    ('{"fix_duration_ms": 14.0}', "fix_duration_ms"),
+])
+def test_config_file_with_a_bad_field_is_one_error_line(tmp_path, capsys, text, field):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and repr(field) in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_file_of_version_1_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    saved = {**SessionConfig().to_dict(), "config_version": 1, "sample_interval_ms": 10.0}
+    path.write_text(json.dumps(saved, indent=2, sort_keys=True) + "\n")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == ("error: config_version 1 is not readable here "
+                                       "(this code reads 2)\n")

@@ -276,11 +276,8 @@ def test_task_session_counts_and_augmentation():
 
 def test_task_dwell_too_short_to_sample_rejected():
     # a zero-length dwell would judge each task on an empty window
-    cfg = small_config(task_dwell_ms=0.0)
-    from ledgaze.session import calibration_phase
-    cal = calibration_phase(cfg, cfg.subject(), cfg.layout(), cfg.seed)
-    with pytest.raises(ConfigError, match="dwell"):
-        run_task_session(cfg, cal, cfg.subject(), seed=0)
+    with pytest.raises(ConfigError, match="'task_dwell_ms', 'step_us': a 0.0 ms dwell"):
+        small_config(task_dwell_ms=0.0)
 
 
 def test_task_success_never_leaks_truth_without_failure():

@@ -17,6 +17,7 @@ from ledgaze.eyesim import (
     SubjectProfile,
     clean_signal,
     expose_block,
+    frames_spanned,
     run_script,
     sense,
 )
@@ -517,7 +518,7 @@ def test_dwell_source_windows_match_stepwise_acquire(phase):
         assert len(windows) == len(targets)
         for target, got in zip(targets, windows):
             want = ref.acquire(target, settle_us, dwell_us)
-            assert want.shape[0] == source.engine.frame_count(dwell_us)
+            assert want.shape[0] == frames_spanned(dwell_us, source.engine.cycle_us)
             assert np.array_equal(got, want)
     assert source.engine.events == ref.sim.events
 
@@ -578,7 +579,7 @@ def test_run_returns_none_and_counts_its_frames():
     events = [ScriptEvent("fixation", 250_000, ScreenPoint(200, 200)),
               ScriptEvent("blink", 120_000), ScriptEvent("saccade", 0, ScreenPoint(600, 400)),
               ScriptEvent("fixation", 1_000, ScreenPoint(600, 400))]
-    expected = sum(sim.frame_count(ev.duration_us) for ev in events)
+    expected = sum(frames_spanned(ev.duration_us, sim.cycle_us) for ev in events)
     assert expected == 25 + 12
     for _ in range(2):
         before = sim.frame_index

@@ -1,13 +1,33 @@
 import dataclasses
 import json
 import math
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ledgaze.core import ADC_MAX, CalibrationSet, ConfigError, ScreenPoint, SensorFrame
-from ledgaze.eyesim import EyeSimulator, GazeScript, ScriptEvent, SessionLog, run_script
+from ledgaze.calib import CalibrationGridSpec
+from ledgaze.core import (
+    ADC_MAX,
+    CalibrationSet,
+    ConfigError,
+    DisplayGeometry,
+    ScreenPoint,
+    SensorFrame,
+)
+from ledgaze.eyesim import (
+    EyeSimulator,
+    GazeScript,
+    LedLayout,
+    OpticsModel,
+    ScriptEvent,
+    SessionLog,
+    SimConfig,
+    run_script,
+)
+from ledgaze.kernels import MeasureSpec
 from ledgaze.session import (
     _SLICE_ROWS,
     CONFIG_VERSION,
@@ -44,12 +64,33 @@ def test_config_roundtrip_json(tmp_path):
     loaded = SessionConfig.load(path)
     assert loaded == cfg
     raw = json.loads(path.read_text())
-    assert raw["config_version"] == 1
+    assert raw["config_version"] == CONFIG_VERSION
 
 
-def test_config_from_dict_ignores_unknown_keys():
-    cfg = SessionConfig.from_dict({"seed": 3, "future_field": "whatever"})
-    assert cfg.seed == 3
+GOLDEN_CONFIG = Path(__file__).parent / "data" / "config_v2.json"
+
+
+def test_config_golden_file_pins_the_saved_format(tmp_path):
+    # A field added, removed or renamed changes these bytes: bump CONFIG_VERSION
+    # and write the fixture again with SessionConfig().save().
+    path = tmp_path / "config.json"
+    SessionConfig().save(path)
+    assert path.read_bytes() == GOLDEN_CONFIG.read_bytes()
+    assert SessionConfig.load(GOLDEN_CONFIG) == SessionConfig()
+    old = json.loads(GOLDEN_CONFIG.read_text())
+    old["config_version"] = 1
+    path.write_text(json.dumps(old))
+    with pytest.raises(ConfigError, match="config_version 1 is not readable here"):
+        SessionConfig.load(path)
+
+
+@pytest.mark.parametrize("keys", [["future_field"], ["noise_sd"], ["sample_interval_ms"],
+                                  ["noise_sd", "sample_interval_ms"]],
+                         ids=["future-field", "misspelt", "version-1-field", "two-keys"])
+def test_config_from_dict_rejects_unknown_keys(keys):
+    with pytest.raises(ConfigError, match="unknown config field") as err:
+        SessionConfig.from_dict({"seed": 3, **{k: 0.2 for k in keys}})
+    assert all(repr(k) in str(err.value) for k in keys)
 
 
 def test_config_from_dict_rejects_newer_version():
@@ -59,12 +100,134 @@ def test_config_from_dict_rejects_newer_version():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="'estimator'"):
         SessionConfig(estimator="mlp")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="'layout_mode'"):
         SessionConfig(layout_mode="prototype9")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="'task_candidates_min'"):
         SessionConfig(task_candidates_min=2)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", -1), ("subject_seed", -1), ("noise_std", -0.01), ("iir_alpha", 0.0),
+    ("iir_alpha", 1.5), ("variance_threshold", 0.0), ("augment_points", -5),
+    ("eval_fixations", -1), ("eval_fixations", 0), ("eval_fixation_min_ms", 0.0),
+    ("jitter", 0.0), ("sigma_grid", ()), ("sigma_grid", (0.1, -0.2)), ("task_count", -3),
+    ("task_count", 0), ("target_radius_deg", -1.0), ("target_radius_deg", 0.0),
+    ("task_window_threshold", 2.0), ("task_window_threshold", 0.0),
+    ("remount_shift_std_mm", -1.0),
+])
+def test_config_from_dict_rejects_a_value_out_of_range(field, value):
+    d = {field: list(value) if isinstance(value, tuple) else value}
+    with pytest.raises(ConfigError, match=f"config field {field!r} must be"):
+        SessionConfig.from_dict(d)
+
+
+def test_config_accepts_the_edges_of_each_range():
+    SessionConfig(seed=0, subject_seed=0, noise_std=0.0, iir_alpha=1.0, augment_points=0,
+                  eval_fixations=1, eval_fixation_min_ms=800.0, eval_fixation_max_ms=800.0,
+                  task_count=1, task_window_threshold=1.0, remount_shift_std_mm=0.0)
+
+
+def test_config_rejects_eval_fixation_bounds_out_of_order():
+    with pytest.raises(ConfigError, match="'eval_fixation_min_ms' must not exceed "
+                                          "'eval_fixation_max_ms'"):
+        SessionConfig.from_dict({"eval_fixation_min_ms": 900.0, "eval_fixation_max_ms": 800.0})
+
+
+_SIM_FIELDS = "'step_us', 'exposure_init_us', 'exposure_min_us', 'exposure_max_us'"
+_MEASURE_FIELDS = "'measure_kind', 'minkowski_m', 'rbf_sigma'"
+
+
+@pytest.mark.parametrize("field, value, names", [
+    ("display_width", 0, "'display_width', 'display_height', 'degrees_per_pixel'"),
+    ("eyes", 3, "'eyes', 'ring_radius_mm', 'eye_relief_mm'"),
+    ("step_us", 0, _SIM_FIELDS),
+    ("exposure_min_us", 500.0, _SIM_FIELDS),
+    ("grid_rows", 9, "'grid_rows', 'grid_cols', 'grid_margin'"),
+    ("measure_kind", "chebyshev", _MEASURE_FIELDS),
+    ("minkowski_m", 0.5, _MEASURE_FIELDS),
+    ("rbf_sigma", 0.0, _MEASURE_FIELDS),
+])
+def test_config_builds_its_objects_at_load_naming_their_fields(field, value, names):
+    with pytest.raises(ConfigError, match=f"^config fields {names}: "):
+        SessionConfig.from_dict({field: value})
+
+
+def test_config_builds_each_object_once():
+    cfg = small_config(layout_mode="prototype2")
+    for build in (cfg.geometry, cfg.layout, cfg.sim_config, cfg.grid, cfg.measure):
+        assert build() is build()
+    assert cfg.sim_config().geom is cfg.geometry()
+    assert cfg.layout() == LedLayout.prototype2()
+    assert cfg.replace(grid_rows=3).grid() == CalibrationGridSpec(3, 2, cfg.grid_margin)
+    assert cfg.replace(grid_rows=3) == small_config(layout_mode="prototype2", grid_rows=3)
+
+
+@pytest.mark.parametrize("field", ["fix_duration_ms", "augment_dwell_ms", "task_dwell_ms"])
+@pytest.mark.parametrize("layout_mode, step_us", [("prototype1", 1666), ("prototype2", 1000)])
+def test_dwell_too_short_to_sample_is_refused_at_load(field, layout_mode, step_us):
+    # The load check and SimulatorDwellSource.acquire apply one rule, on the
+    # capture cycle of the configured layout: at least two frames per dwell.
+    base = small_config(layout_mode=layout_mode, step_us=step_us)
+    cycle_us = base.sim_config().cycle_us(base.layout())
+    engine = EyeSimulator(base.layout(), base.subject(), base.sim_config(), seed=1)
+    for frames in (0, 1.0, 1.4, 1.6, 2.0, 3.0):
+        dwell_ms = frames * cycle_us / 1000.0
+        source = SimulatorDwellSource(engine, dwell_ms=dwell_ms)
+        if round(frames) < 2:
+            with pytest.raises(ConfigError, match=rf"^config fields {field!r}, 'step_us': "
+                                                  rf"a {dwell_ms} ms dwell spans \d frames"):
+                base.replace(**{field: dwell_ms})
+            with pytest.raises(ConfigError, match="fewer than 2"):
+                source.acquire([ScreenPoint(200, 200)])
+        else:
+            assert getattr(base.replace(**{field: dwell_ms}), field) == dwell_ms
+            x, = source.acquire([ScreenPoint(200, 200)])
+            assert x.shape[0] == round(frames)
+
+
+_FIELD_TYPES = {f.name: f.type for f in fields(SessionConfig)}
+# Values of another JSON type than each field's annotation takes.
+_WRONG_TYPES = {"int": ["x", 1.5, True, None, [1]], "float": ["x", True, None, [1.0]],
+                "bool": [1, 0, "true", None], "str": [1, None, True, ["gpr"]],
+                "tuple[float, ...]": [0.1, "0.1", ["0.1"], [True], None]}
+# Values that lie outside some field's range, of the type the field takes.
+_OUT_OF_RANGE = {"int": [-1, 0, 1, 2, 9, 10**6], "float": [-1.0, 0.0, 0.5, 2.0, 1e6],
+                 "bool": [False, True], "str": ["", "bogus", "prototype2", "svr", "cosine"],
+                 "tuple[float, ...]": [[], [0.0], [-1.0, 0.5], [1e6]]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(sorted(_FIELD_TYPES)),
+       mutation=st.sampled_from(["wrong-type", "nan", "out-of-range", "misspelt"]),
+       data=st.data())
+def test_config_mutation_is_refused_naming_its_field_or_loads_whole(field, mutation, data):
+    d = SessionConfig().to_dict()
+    kind = _FIELD_TYPES[field]
+    named = field
+    if mutation == "wrong-type":
+        d[field] = data.draw(st.sampled_from(_WRONG_TYPES[kind]))
+    elif mutation == "nan":
+        d[field] = [0.1, math.nan] if kind.startswith("tuple") else math.nan
+    elif mutation == "out-of-range":
+        d[field] = data.draw(st.sampled_from(_OUT_OF_RANGE[kind]))
+    else:
+        i = data.draw(st.integers(0, len(field) - 1))
+        named = field[:i] + field[i + 1:]
+        assert named not in _FIELD_TYPES
+        d[named] = d.pop(field)
+    try:
+        cfg = SessionConfig.from_dict(d)
+    except ConfigError as exc:
+        assert repr(named) in str(exc)
+        return
+    assert mutation == "out-of-range"  # the others are always refused
+    sim = cfg.sim_config()
+    built = (cfg.geometry(), cfg.layout(), sim.optics, sim, cfg.grid(), cfg.measure())
+    kinds = (DisplayGeometry, LedLayout, OpticsModel, SimConfig, CalibrationGridSpec, MeasureSpec)
+    assert all(type(obj) is kind for obj, kind in zip(built, kinds))
+    assert SessionConfig.from_dict(cfg.to_dict()) == cfg
 
 
 @pytest.mark.parametrize("field, value", [("noise_std", math.nan), ("degrees_per_pixel", math.inf),
@@ -156,10 +319,8 @@ def test_dwell_source_needs_two_samples_per_dwell():
 
 def test_augmentation_dwell_too_short_to_sample_rejected():
     # a zero-length dwell has no samples, so its mean would be NaN
-    cfg = small_config(augment_dwell_ms=0.0)
-    cal = calibration_phase(cfg, cfg.subject(), cfg.layout(), cfg.seed)
-    with pytest.raises(ConfigError, match="dwell"):
-        augmentation_phase(cfg, cfg.subject(), cfg.layout(), cal, cfg.seed)
+    with pytest.raises(ConfigError, match="'augment_dwell_ms', 'step_us': a 0.0 ms dwell"):
+        small_config(augment_dwell_ms=0.0)
 
 
 def test_calibration_phase_counts():
