@@ -47,6 +47,14 @@ class OpticsModel:
     reference_exposure_us: float = 400.0
     blink_ramp_ms: float = 50.0       # eyelid close/open ramp duration
 
+    def __post_init__(self):
+        if not self.lobe_sharpness > 0:
+            raise ConfigError(f"lobe sharpness must be positive, got {self.lobe_sharpness!r}")
+        if not self.signal_scale > 0:
+            raise ConfigError(f"signal scale must be positive, got {self.signal_scale!r}")
+        if not 0 <= self.eyelid_level <= 1:
+            raise ConfigError(f"eyelid level must be in [0, 1], got {self.eyelid_level!r}")
+
     def as_dict(self) -> dict:
         return asdict(self)
 

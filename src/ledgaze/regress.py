@@ -9,7 +9,8 @@ Two estimators share the same kernel machinery (``kernels.pairwise``):
     generally not positive definite, so a small diagonal jitter keeps the
     solve honest; it escalates tenfold on failure up to a hard cap before
     giving up. A model factors once, solves for the predictive weights, and
-    every estimate is one kernel evaluation and one product.
+    every estimate is one kernel evaluation and one product. A model grown
+    by one calibration point borders the stored C with one kernel row.
   - SVR: e = k . U with RBF similarities, optionally normalized by sum(k)
     so the output is a convex combination of stored targets.
 """
@@ -19,8 +20,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import lu_factor
-from scipy.linalg.lapack import dgecon, dgetrs
+from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
 from .core import (
     CalibrationSet,
@@ -34,9 +34,12 @@ from .kernels import MeasureSpec, pairwise
 
 JITTER_CAP = 1e-2
 _SUM_EPS = 1e-300  # below this, normalized SVR weights are considered vanished
+# Up to this many frame and estimate values, a Python float sum is cheaper
+# than two numpy reductions (a one-frame call holds a few dozen).
+_FEW_VALUES = 64
 
 
-def _require_finite(X: np.ndarray, E: np.ndarray) -> None:
+def _require_finite(X, E: np.ndarray) -> None:
     """Raise instead of returning a number for a non-finite frame or estimate.
 
     Checking the frames as well as the estimates matters: an infinite reading
@@ -45,12 +48,17 @@ def _require_finite(X: np.ndarray, E: np.ndarray) -> None:
 
     One sum covers both in the common case: a NaN or an infinity makes it
     non-finite (inf - inf is NaN). Finite entries can also overflow it, so
-    only a non-finite sum is checked entry by entry. In those two cases
-    numpy also warns of the overflow or of inf - inf in the sum.
+    only a non-finite sum is checked entry by entry. A few values are summed
+    as Python floats, a batch by numpy, which also warns of the overflow or
+    of inf - inf in the sum.
     """
-    if not math.isfinite(np.add.reduce(X, None) + np.add.reduce(E, None)):
-        if not (np.isfinite(X).all() and np.isfinite(E).all()):
-            raise EstimationError("frame or gaze estimate is not finite")
+    X = np.asarray(X)
+    if X.size + E.size <= _FEW_VALUES:
+        total = sum(X.ravel().tolist()) + sum(E.ravel().tolist())
+    else:
+        total = np.add.reduce(X, None) + np.add.reduce(E, None)
+    if not math.isfinite(total) and not (np.isfinite(X).all() and np.isfinite(E).all()):
+        raise EstimationError("frame or gaze estimate is not finite")
 
 
 class _KernelRegressor:
@@ -73,17 +81,17 @@ class _KernelRegressor:
 class GprModel(_KernelRegressor):
     """Gaussian-process-style regressor over a calibration set.
 
-    Construction factors (C + eps*I) once and keeps only the predictive
-    weights alpha (P, 2); build a new model after augmenting the calibration
-    set. A calibration row with a non-finite mean or target raises
-    EstimationError here, before any factorization: no jitter makes alpha
-    finite. ``effective_jitter`` is the eps accepted and ``rcond`` the
-    reciprocal 1-norm condition number of (C + eps*I), from LAPACK ``dgecon``
-    on the factors: near 0 means the estimates amplify rounding in the
-    kernel values.
+    Construction factors (C + eps*I) once, keeps the kernel C (P, P) and the
+    predictive weights alpha (P, 2). A calibration row with a non-finite mean
+    or target raises EstimationError here, before any factorization: no
+    jitter makes alpha finite. ``effective_jitter`` is the eps accepted and
+    ``rcond`` the reciprocal 1-norm condition number of (C + eps*I), from
+    LAPACK ``dgecon`` on the factors: near 0 means the estimates amplify
+    rounding in the kernel values.
     """
 
-    def __init__(self, calibration: CalibrationSet, measure: MeasureSpec, jitter: float = 1e-8):
+    def __init__(self, calibration: CalibrationSet, measure: MeasureSpec, jitter: float = 1e-8,
+                 *, _kernel: np.ndarray | None = None):
         if jitter <= 0:
             raise ConfigError("jitter must be positive")
         self.calibration = calibration
@@ -93,7 +101,8 @@ class GprModel(_KernelRegressor):
         finite = np.isfinite(calibration.means).all(axis=1) & np.isfinite(calibration.targets).all(axis=1)
         if not finite.all():
             raise EstimationError(f"calibration row {int(finite.argmin())} is not finite")
-        C = pairwise(measure, calibration.means, calibration.means)
+        C = pairwise(measure, calibration.means, calibration.means) if _kernel is None else _kernel
+        self._kernel = C
         # Jitter scales with the magnitude of C so normalized and raw-unit
         # calibrations behave alike; an all-zero C falls back to absolute.
         base = float(np.mean(np.abs(C)))
@@ -101,25 +110,30 @@ class GprModel(_KernelRegressor):
         self._factorize(C)
 
     def _factorize(self, C: np.ndarray) -> None:
+        """LU-factor (C + eps*I), escalating eps until factors and alpha are finite.
+
+        LAPACK is called directly, with the arithmetic of ``scipy.linalg.lu_factor``,
+        ``C + eps*np.eye(n)`` and ``np.linalg.norm(A, 1)``.
+        """
         n = C.shape[0]
         scale = self.jitter
         while True:
             eps = scale * self._jitter_base
-            A = C + eps * np.eye(n)
-            try:
-                lu = lu_factor(A, check_finite=False)
-                ok = np.all(np.isfinite(lu[0]))
-            except (ValueError, np.linalg.LinAlgError):
-                ok = False
+            A = C.copy()
+            A.ravel()[:: n + 1] += eps  # the diagonal, through a view of the fresh copy
+            lu, piv, info = dgetrf(A)
+            if info < 0:
+                raise EstimationError(f"LAPACK dgetrf rejected argument {-info}")
+            ok = bool(np.isfinite(lu).all())
             if ok:
-                alpha, info = dgetrs(*lu, self.calibration.targets)
+                alpha, info = dgetrs(lu, piv, self.calibration.targets)
                 if info != 0:
                     raise EstimationError(f"LAPACK dgetrs rejected argument {-info}")
-                ok = bool(np.all(np.isfinite(alpha)))
+                ok = bool(np.isfinite(alpha).all())
             if ok:
                 self._alpha = alpha
                 self.effective_jitter = eps
-                self.rcond = float(dgecon(lu[0], np.linalg.norm(A, 1))[0])
+                self.rcond = float(dgecon(lu, np.abs(A).sum(axis=0).max())[0])
                 return
             scale *= 10.0
             if scale > JITTER_CAP:
@@ -134,9 +148,21 @@ class GprModel(_KernelRegressor):
         return E
 
     def augmented(self, frame_vector, true_target: ScreenPoint) -> "GprModel":
-        """New model over the augmented calibration set (refactorized)."""
-        return GprModel(self.calibration.append(frame_vector, true_target),
-                        self.measure, self.jitter)
+        """New model over the calibration set grown by one point, refactorized.
+
+        The new kernel is the stored C bordered by the new point's kernel row,
+        equal bit for bit to a fresh ``pairwise`` of the grown means: every
+        measure is symmetric in its two vectors.
+        """
+        calibration = self.calibration.append(frame_vector, true_target)
+        means = calibration.means
+        row = pairwise(self.measure, means[-1:], means)[0]
+        p = self._kernel.shape[0]
+        C = np.empty((p + 1, p + 1))
+        C[:p, :p] = self._kernel
+        C[p] = row
+        C[:p, p] = row[:p]
+        return GprModel(calibration, self.measure, self.jitter, _kernel=C)
 
 
 class SvrModel(_KernelRegressor):

@@ -204,8 +204,9 @@ class SessionConfig:
         with _naming("eyes", "ring_radius_mm", "eye_relief_mm"):
             layout = maker(eyes=self.eyes, ring_radius_mm=self.ring_radius_mm,
                            eye_relief_mm=self.eye_relief_mm)
-        optics = OpticsModel(lobe_sharpness=self.lobe_sharpness, signal_scale=self.signal_scale,
-                             eyelid_level=self.eyelid_level)
+        with _naming("lobe_sharpness", "signal_scale", "eyelid_level"):
+            optics = OpticsModel(lobe_sharpness=self.lobe_sharpness,
+                                 signal_scale=self.signal_scale, eyelid_level=self.eyelid_level)
         exposure = self.exposure_init_us
         if exposure <= 0:
             # prototype2 sums several illuminators per capture, so it needs a
@@ -215,6 +216,10 @@ class SessionConfig:
             sim_config = SimConfig(geom=geometry, step_us=self.step_us, iir_alpha=self.iir_alpha,
                                    exposure_init_us=exposure, exposure_min_us=self.exposure_min_us,
                                    exposure_max_us=self.exposure_max_us, optics=optics)
+        if 2 * self.grid_margin >= min(self.display_width, self.display_height):
+            raise ConfigError(f"config field 'grid_margin' must be less than half of "
+                              f"'display_width' ({self.display_width}) and 'display_height' "
+                              f"({self.display_height}), got {self.grid_margin!r}")
         with _naming("grid_rows", "grid_cols", "grid_margin"):
             grid = CalibrationGridSpec(self.grid_rows, self.grid_cols, self.grid_margin)
         with _naming("measure_kind", "minkowski_m", "rbf_sigma"):

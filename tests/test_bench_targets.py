@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ledgaze import evaluate, eyesim, regress, session, sigproc, wire
-from ledgaze.core import CalibrationSet, SensorFrame
+from ledgaze.core import CalibrationSet, ScreenPoint, SensorFrame
 from ledgaze.kernels import MeasureSpec
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -73,3 +73,22 @@ def test_traced_device_path_spans_every_layer_it_crosses():
         tracer.uninstall()
     assert {"wire.decode", "sigproc.iir_step", "regress.estimate", "kernels.pairwise"} <= set(tracer.names)
     assert tracer.counts["wire.frames_decoded"] == tracer.counts["regress.estimate.frames"] == 1
+
+
+def test_traced_gpr_builds_count_jitter_steps_and_span_every_rebuild():
+    # the tracer reads GprModel._jitter_base by name and falls back to 1.0,
+    # so a renamed attribute would miscount escalations without an error; a
+    # kernel scale far from 1 makes that fallback count a different number
+    rng = np.random.default_rng(43)
+    means = rng.uniform(0, 1e-3, (12, 4))
+    edge = 1e298  # targets this large overflow alpha at the first jitter level
+    cal = CalibrationSet(means, rng.uniform(0, 1, (12, 2)) * edge)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        model = regress.GprModel(cal, MeasureSpec())
+        model.augmented(means[0] + 1e-12, ScreenPoint(-edge, edge))
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["regress.gpr_jitter_steps"] == 1
+    assert tracer.names.count("regress.gpr_build") == 2  # augmented() rebuilds through __init__

@@ -229,6 +229,10 @@ def test_eval_refuses_a_log_whose_config_has_another_version(tmp_path, capsys, s
     ('{"eval_fixation_min_ms": 900.0, "eval_fixation_max_ms": 800.0}', "eval_fixation_min_ms"),
     ('{"sample_interval_ms": 10.0}', "sample_interval_ms"),
     ('{"fix_duration_ms": 14.0}', "fix_duration_ms"),
+    ('{"signal_scale": -1.0}', "signal_scale"),
+    ('{"lobe_sharpness": 0}', "lobe_sharpness"),
+    ('{"eyelid_level": 1.5}', "eyelid_level"),
+    ('{"grid_margin": 300}', "grid_margin"),
 ])
 def test_config_file_with_a_bad_field_is_one_error_line(tmp_path, capsys, text, field):
     path = tmp_path / "config.json"

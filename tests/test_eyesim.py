@@ -131,6 +131,16 @@ def test_subject_validation():
         SubjectProfile(srt_mean_ms=0.0, corneal_gain=(1.0,) * 12)
 
 
+@pytest.mark.parametrize("kw, words", [
+    ({"lobe_sharpness": 0.0}, "lobe sharpness"), ({"lobe_sharpness": math.nan}, "lobe sharpness"),
+    ({"signal_scale": -1.0}, "signal scale"), ({"signal_scale": 0.0}, "signal scale"),
+    ({"eyelid_level": -0.01}, "eyelid level"), ({"eyelid_level": 1.01}, "eyelid level"),
+])
+def test_optics_validation(kw, words):
+    with pytest.raises(ConfigError, match=words):
+        OpticsModel(**kw)
+
+
 def test_subjects_with_different_eye_offsets_have_distinct_signals():
     lay = LedLayout.prototype1()
     a = quiet_subject(1)

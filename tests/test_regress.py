@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from ledgaze.core import (
     ScreenPoint,
 )
 from ledgaze.kernels import MeasureSpec, pairwise
+from ledgaze import regress
 from ledgaze.regress import GprModel, SvrModel, _require_finite, grid_search_sigma
 from ledgaze.session import SessionConfig, run_benchmark_session
 
@@ -169,6 +171,17 @@ def test_gpr_predictive_weights_agree_with_per_frame_solve(kind, measure):
     assert np.max(np.abs(model.estimate_batch(X) - per_frame)) <= bound
 
 
+@GPR_MEASURES
+@GPR_KINDS
+def test_gpr_rcond_equals_the_scipy_reference_bit_for_bit(kind, measure):
+    # the direct LAPACK calls keep the arithmetic of lu_factor, C + eps*I and norm(A, 1)
+    from scipy.linalg.lapack import dgecon
+    model, lu, _ = _gpr_case(kind, measure)
+    cal = model.calibration
+    A = pairwise(measure, cal.means, cal.means) + model.effective_jitter * np.eye(cal.point_count)
+    assert model.rcond == float(dgecon(lu[0], np.linalg.norm(A, 1))[0])
+
+
 def test_gpr_one_frame_estimate_within_1e9_px_of_batch_row():
     # BLAS may sum a (1, P) and an (n, P) product in different orders, so the
     # two paths agree to a stated tolerance, not bit for bit
@@ -235,18 +248,23 @@ def test_gpr_unrecoverable_solve_raises_after_escalation():
 def test_gpr_escalation_stops_at_jitter_cap(monkeypatch):
     # finite data whose factors are never finite: one factorization per
     # jitter level, 1e-8 up to the 1e-2 cap, then the cap error
-    import ledgaze.regress as regress
     calls = []
 
-    def lu_factor(A, check_finite):
+    def dgetrf(A):
         calls.append(A)
-        return np.full_like(A, np.nan), np.arange(A.shape[0], dtype=np.int32)
+        return np.full_like(A, np.nan), np.arange(1, A.shape[0] + 1, dtype=np.int32), 0
 
-    monkeypatch.setattr(regress, "lu_factor", lu_factor)
+    monkeypatch.setattr(regress, "dgetrf", dgetrf)
     cal = _random_calibration(np.random.default_rng(41), 6, 4)
     with pytest.raises(EstimationError, match="maximum diagonal jitter"):
         GprModel(cal, MINK)
     assert len(calls) == 7
+
+
+def test_gpr_factorization_argument_error_raises_estimation_error(monkeypatch):
+    monkeypatch.setattr(regress, "dgetrf", lambda A: (A, np.zeros(A.shape[0], np.int32), -4))
+    with pytest.raises(EstimationError, match="dgetrf rejected argument 4"):
+        GprModel(_random_calibration(np.random.default_rng(42), 6, 4), MINK)
 
 
 def test_gpr_rebuild_required_after_augment():
@@ -445,6 +463,30 @@ def test_require_finite_raises_iff_an_entry_is_not_finite(xs, es):
                 _require_finite(X, E)
 
 
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.lists(_ENTRY, min_size=1, max_size=8), st.lists(_ENTRY, min_size=1, max_size=4),
+       st.integers(1, 12))
+@example([1e308, 1e308], [0.5, 0.5], 1)
+@example([math.nan], [0.5, 0.5], 1)
+@example([0.5, math.inf], [0.5, 0.5], 12)
+@example([0.5], [-math.inf, 0.5], 12)
+def test_require_finite_small_and_batch_routes_agree(xs, es, rows):
+    # the Python float sum of a few values and the numpy sums of a batch
+    # raise on the same inputs, whichever route the size would choose
+    X, E = np.tile(xs, (rows, 1)), np.tile(es, (rows, 1))
+    raised = []
+    for few in (0, 10**6):  # every input a batch, every input small
+        with mock.patch.object(regress, "_FEW_VALUES", few), \
+                np.errstate(over="ignore", invalid="ignore"):
+            try:
+                _require_finite(X, E)
+            except EstimationError:
+                raised.append(True)
+            else:
+                raised.append(False)
+    assert raised[0] == raised[1] == (not all(map(math.isfinite, xs + es)))
+
+
 # -- augmentation -----------------------------------------------------------------
 
 
@@ -467,6 +509,66 @@ def test_augment_sixteen_plus_sixtysix_is_eightytwo():
     for _ in range(66):
         cal = cal.append(rng.uniform(0, 1, 4), ScreenPoint(3, 4))
     assert cal.point_count == 82
+
+
+_RANGE_EDGE = 1e302  # targets this large overflow alpha at the first jitter levels
+
+BORDER_MEASURES = pytest.mark.parametrize("measure", [
+    *(MeasureSpec(kind="minkowski", m=m) for m in (2.0, 3.0, 1.5, math.inf)),
+    MeasureSpec(kind="minkowski", m=3.0, weights=tuple(np.linspace(0.2, 2.0, 12))),
+    MeasureSpec(kind="rbf", sigma=0.5), MeasureSpec(kind="rbf", sigma=0.5, rbf_squared=True),
+    MeasureSpec(kind="cosine"), MeasureSpec(kind="manhattan"), MeasureSpec(kind="canberra"),
+], ids=["m2", "m3", "m1.5", "minf", "weighted", "rbf", "rbf-squared", "cosine", "manhattan",
+        "canberra"])
+
+
+@BORDER_MEASURES
+def test_bordered_kernel_equals_fresh_pairwise_bit_for_bit(measure):
+    # augmented() borders the stored kernel with one row, which holds only
+    # because every measure is symmetric in its two vectors, bit for bit
+    rng = np.random.default_rng(44)
+    for trial in range(200):
+        cal = _random_calibration(rng, int(rng.integers(1, 40)), 12)
+        frame = rng.uniform(0, 1, 12)
+        if trial % 4 == 0:  # a near-duplicate of a stored row
+            frame = cal.means[rng.integers(cal.point_count)] + rng.uniform(-1e-9, 1e-9, 12)
+        grown = GprModel(cal, measure).augmented(frame, ScreenPoint(1.0, 2.0))
+        means = grown.calibration.means
+        assert np.array_equal(grown._kernel, pairwise(measure, means, means))
+
+
+def _same_model(a, b):
+    return (np.array_equal(a._alpha, b._alpha) and a.rcond == b.rcond
+            and a.effective_jitter == b.effective_jitter)
+
+
+@pytest.mark.parametrize("kind", ["minkowski", "rbf", "cosine", "canberra"])
+def test_augmented_model_equals_a_fresh_model(kind):
+    rng = np.random.default_rng(45)
+    measure = MeasureSpec(kind=kind, sigma=0.5)
+    model = GprModel(_random_calibration(rng, 10, 12), measure)
+    for step in range(30):
+        frame = rng.uniform(0, 1, 12)
+        if step % 5 == 0:
+            frame = model.calibration.means[step] + 1e-9
+        model = model.augmented(frame, ScreenPoint(*rng.uniform(0, 600, 2)))
+        assert _same_model(model, GprModel(model.calibration, measure))
+
+
+def test_augmented_model_equals_a_fresh_model_when_the_jitter_escalates():
+    rng = np.random.default_rng(43)
+    cal = CalibrationSet(rng.uniform(0, 1, (12, 4)), rng.uniform(0, 1, (12, 2)) * _RANGE_EDGE)
+    model = GprModel(cal, MINK)
+    assert model.effective_jitter == model.jitter * model._jitter_base
+    grown = model.augmented(cal.means[0] + 1e-9, ScreenPoint(-_RANGE_EDGE, _RANGE_EDGE))
+    assert grown.effective_jitter >= 100 * grown.jitter * grown._jitter_base
+    assert _same_model(grown, GprModel(grown.calibration, MINK))
+
+
+def test_augmented_with_a_non_finite_frame_names_the_new_row():
+    model = GprModel(_random_calibration(np.random.default_rng(46), 6, 4), MINK)
+    with pytest.raises(EstimationError, match="calibration row 6 is not finite"):
+        model.augmented([0.5, math.nan, 0.5, 0.5], ScreenPoint(1.0, 2.0))
 
 
 def test_augment_duplicate_entry_barely_perturbs_estimates():

@@ -115,7 +115,7 @@ def test_config_validation():
     ("jitter", 0.0), ("sigma_grid", ()), ("sigma_grid", (0.1, -0.2)), ("task_count", -3),
     ("task_count", 0), ("target_radius_deg", -1.0), ("target_radius_deg", 0.0),
     ("task_window_threshold", 2.0), ("task_window_threshold", 0.0),
-    ("remount_shift_std_mm", -1.0),
+    ("remount_shift_std_mm", -1.0), ("grid_margin", 300), ("grid_margin", 400),
 ])
 def test_config_from_dict_rejects_a_value_out_of_range(field, value):
     d = {field: list(value) if isinstance(value, tuple) else value}
@@ -137,6 +137,7 @@ def test_config_rejects_eval_fixation_bounds_out_of_order():
 
 _SIM_FIELDS = "'step_us', 'exposure_init_us', 'exposure_min_us', 'exposure_max_us'"
 _MEASURE_FIELDS = "'measure_kind', 'minkowski_m', 'rbf_sigma'"
+_OPTICS_FIELDS = "'lobe_sharpness', 'signal_scale', 'eyelid_level'"
 
 
 @pytest.mark.parametrize("field, value, names", [
@@ -148,10 +149,21 @@ _MEASURE_FIELDS = "'measure_kind', 'minkowski_m', 'rbf_sigma'"
     ("measure_kind", "chebyshev", _MEASURE_FIELDS),
     ("minkowski_m", 0.5, _MEASURE_FIELDS),
     ("rbf_sigma", 0.0, _MEASURE_FIELDS),
+    ("lobe_sharpness", 0.0, _OPTICS_FIELDS),
+    ("signal_scale", -1.0, _OPTICS_FIELDS),
+    ("eyelid_level", -0.1, _OPTICS_FIELDS),
+    ("eyelid_level", 1.5, _OPTICS_FIELDS),
 ])
 def test_config_builds_its_objects_at_load_naming_their_fields(field, value, names):
     with pytest.raises(ConfigError, match=f"^config fields {names}: "):
         SessionConfig.from_dict({field: value})
+
+
+def test_config_accepts_the_edges_of_the_optics_and_margin_ranges():
+    for eyelid in (0.0, 1.0):
+        assert SessionConfig(eyelid_level=eyelid).sim_config().optics.eyelid_level == eyelid
+    assert SessionConfig(grid_margin=299).grid().margin == 299  # 2 * 299 < 600
+    assert SessionConfig(display_height=1000, grid_margin=399).grid().margin == 399
 
 
 def test_config_builds_each_object_once():
