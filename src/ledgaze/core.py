@@ -150,13 +150,6 @@ class CalibrationSet:
     def point_count(self) -> int:
         return self.means.shape[0]
 
-    def __len__(self) -> int:
-        return self.point_count
-
-    def entries(self):
-        for vec, (tx, ty) in zip(self.means, self.targets):
-            yield vec.copy(), ScreenPoint(float(tx), float(ty))
-
     def append(self, mean_vector, target: ScreenPoint) -> "CalibrationSet":
         """New set with one appended entry; the original is unchanged."""
         vec = np.asarray(mean_vector, dtype=float).reshape(-1)

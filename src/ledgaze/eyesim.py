@@ -200,7 +200,8 @@ class SubjectProfile:
         return -ox + ax, oy + ay
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        """The profile with its tuples as lists, as a session log's meta reads back."""
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
 @dataclass(frozen=True)
@@ -343,6 +344,7 @@ class EyeSimulator:
         self.exposure_changes = np.zeros(layout.total_channels, dtype=np.int64)
         self.iir = IirFilter(config.iir_alpha)
         start = start_target if start_target is not None else self.geom.center
+        self.start_target = start
         self.stim_target = start
         self.gaze_target = start
         # A move the eye has not followed yet: (switch time, its event, target).
@@ -474,6 +476,9 @@ class EyeSimulator:
             "exposure_min_us": self.config.exposure_min_us,
             "exposure_max_us": self.config.exposure_max_us,
             "display": asdict(self.geom),
+            # The stimulus and the eye start here; the target_move events
+            # give every later position of both.
+            "start_target": [self.start_target.x, self.start_target.y],
         }
         return SessionLog(t, raw, proc, gaze, tgt, [dict(e) for e in self.events], meta)
 

@@ -10,6 +10,8 @@ session seed, so every artifact is replayable bit for bit.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import itertools
 import json
 import math
 from contextlib import contextmanager
@@ -38,7 +40,7 @@ from .regress import GprModel, SvrModel
 from .sigproc import IirFilter, compensate, replay_exposure
 
 CONFIG_VERSION = 2
-LOG_VERSION = 2
+LOG_VERSION = 3
 
 DEFAULT_SIGMA_GRID = (0.05, 0.1, 0.2, 0.3, 0.5, 0.8, 1.2, 2.0)
 
@@ -397,17 +399,16 @@ def run_benchmark_session(config: SessionConfig):
 
 # -- session log serialization (line-delimited JSON) --------------------------
 
-# The fields of a frame record; the writer and the reader both iterate this tuple.
-# A frame's processed vector is not one: the reader rebuilds it from raw.
-_FRAME_FIELDS = ("t_us", "raw", "gaze", "target")
-_INTEGER_FIELDS = ("t_us", "raw")
+# The fields of a frame record, both integers; the reader iterates this tuple.
+# A frame's proc, gaze and target are not fields: the reader rebuilds them
+# from the raw counts, the events and the meta (_rebuilt_columns).
+_FRAME_FIELDS = ("t_us", "raw")
 
-# A frame record's line as json.dumps(sort_keys=True) writes it: keys sorted,
-# t_us a bare number, every other field a list. Each frame field fills one
-# str.format slot; _FRAME_SLOTS names them in slot order.
-_FRAME_SLOTS = sorted(_FRAME_FIELDS)
-_FRAME_LINE = "{{" + ", ".join(f'"{key}": ' + {"type": '"frame"', "t_us": "{}"}.get(key, "[{}]")
-                               for key in sorted((*_FRAME_FIELDS, "type"))) + "}}\n"
+# A frame record's line as json.dumps(sort_keys=True) writes it.
+_FRAME_LINE = '{{"raw": [{}], "t_us": {}, "type": "frame"}}\n'
+
+# The last line of a log: the sha256 of every byte before it.
+_DIGEST_LINE = '{{"sha256": "{}", "type": "digest"}}\n'
 
 # Frames per slice, in both directions: the writer formats a field's rows a
 # slice at a time, and the reader moves a slice's parsed rows into arrays, so
@@ -416,31 +417,39 @@ _SLICE_ROWS = 128
 
 
 def write_session_log(log: SessionLog, path, calibration: CalibrationSet | None = None) -> None:
-    """One JSON record per line: meta, calibration, events, then frames.
+    """One JSON record per line: meta, calibration, events, frames, then the digest.
 
-    A frame record holds the frame's time, raw counts, gaze and target. Its
-    processed vector is not written: the reader rebuilds it from the raw
-    counts through the signal chain that the meta sets (``_rebuilt_proc``).
-    Frames are formatted a slice of _SLICE_ROWS at a time, one json.dumps
-    per field; a row equal bit for bit to the one before it reuses its text.
+    A frame record holds the frame's time and raw counts. Its proc, gaze and
+    target are not written: the reader rebuilds them (``_rebuilt_columns``),
+    proc from the raw counts through the signal chain that the meta sets,
+    target and gaze from the meta's ``start_target`` and the target_move
+    events. Frames are formatted a slice of _SLICE_ROWS at a time, one
+    json.dumps per field. The last line is a ``digest`` record holding the
+    sha256 of every line before it.
 
     A log the file cannot hold faithfully raises ConfigError before the file
     is opened: frame fields of unequal length, or a non-finite number, which
     JSON cannot express, naming the field and the frame; a non-finite number
-    in the meta, calibration or an event record, naming the record's line;
-    and a proc other than the one its raw counts and meta give, naming the
-    first frame that differs.
+    in the meta, calibration or an event record, or an event that cannot be
+    scored, naming the record's line; and a proc, gaze or target other than
+    the one the reader rebuilds, down to a zero's sign, naming the first
+    frame that differs.
     """
-    columns = {f: getattr(log, f) for f in _FRAME_FIELDS}
-    _check_writable(path, columns)
+    _check_writable(path, {f: getattr(log, f) for f in ("t_us", "raw", "gaze", "target")})
     head = [_header_line(path, n, rec) for n, rec in enumerate(_records(log, calibration), 1)]
-    _check_proc(path, log)
-    with open(path, "w") as fh:
-        fh.writelines(head)
-        for start in range(0, log.n_frames, _SLICE_ROWS):
-            rows = slice(start, start + _SLICE_ROWS)
-            fh.writelines(map(_FRAME_LINE.format,
-                              *(_row_texts(columns[f][rows]) for f in _FRAME_SLOTS)))
+    fault = _event_fault(log.events)
+    if fault:
+        event, problem = fault
+        line = len(head) - len(log.events) + event + 1
+        raise ConfigError(f"cannot write session log {path}: line {line}, {problem}")
+    _check_rebuilt(path, log)
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for text in itertools.chain(["".join(head)], _frame_texts(log)):
+            data = text.encode()
+            digest.update(data)
+            fh.write(data)
+        fh.write(_DIGEST_LINE.format(digest.hexdigest()).encode())
 
 
 def _records(log: SessionLog, calibration: CalibrationSet | None):
@@ -460,8 +469,19 @@ def _header_line(path, line: int, rec: dict) -> str:
                           f"record, holds a value JSON cannot express ({exc})") from None
 
 
+def _frame_texts(log: SessionLog):
+    """The frame records' lines, a slice at a time. Splitting one json.dumps of a
+    slice's raw rows is exact because the rows hold only integers, whose text
+    has no bracket."""
+    for start in range(0, log.n_frames, _SLICE_ROWS):
+        rows = slice(start, start + _SLICE_ROWS)
+        yield "".join(map(_FRAME_LINE.format,
+                          json.dumps(log.raw[rows].tolist())[2:-2].split("], ["),
+                          json.dumps(log.t_us[rows].tolist())[1:-1].split(", ")))
+
+
 def _check_writable(path, columns: dict[str, np.ndarray]) -> None:
-    """Raise ConfigError for frame columns that no log line could hold as written."""
+    """Raise ConfigError for frame columns that no log could hold as given."""
     lengths = {f: len(column) for f, column in columns.items()}
     short, long = min(lengths, key=lengths.get), max(lengths, key=lengths.get)
     if lengths[short] != lengths[long]:
@@ -474,19 +494,40 @@ def _check_writable(path, columns: dict[str, np.ndarray]) -> None:
             raise _unwritable(path, int(bad[0]), f"holds a non-finite number in {f!r}")
 
 
-def _check_proc(path, log: SessionLog) -> None:
-    """Raise ConfigError unless reading the log back gives its proc."""
+# What the reader rebuilds each derived column from, in the words of the
+# writer's refusal.
+_REBUILT_FROM = {"proc": "raw counts give through the meta's signal chain",
+                 "gaze": "events give", "target": "events give"}
+
+
+def _check_rebuilt(path, log: SessionLog) -> None:
+    """Raise ConfigError unless reading the log back gives its proc, gaze and target."""
     try:
-        proc = _rebuilt_proc(log.raw, log.meta)
+        rebuilt = _rebuilt_columns(log.t_us, log.raw, log.events, log.meta)
     except ConfigError as exc:
         raise ConfigError(f"cannot write session log {path}: {exc}") from None
-    if np.shape(log.proc) != proc.shape:
-        raise ConfigError(f"cannot write session log {path}: its proc has shape "
-                          f"{np.shape(log.proc)}, its raw counts give {proc.shape}")
-    bad = np.flatnonzero((log.proc != proc).any(axis=1))
-    if bad.size:
-        raise _unwritable(path, int(bad[0]), "holds a proc row other than the one its raw "
-                          "counts give through the meta's signal chain")
+    for name, column in rebuilt.items():
+        held = getattr(log, name)
+        if np.shape(held) != column.shape:
+            raise ConfigError(f"cannot write session log {path}: its {name} has shape "
+                              f"{np.shape(held)}, its {_REBUILT_FROM[name]} {column.shape}")
+        # The signs as well: a 0.0 where the reader gives -0.0 would read back as -0.0.
+        bad = np.flatnonzero(((held != column) | (np.signbit(held) != np.signbit(column)))
+                             .any(axis=1))
+        if bad.size:
+            raise _unwritable(path, int(bad[0]), f"holds a {name} row other than the one its "
+                              f"{_REBUILT_FROM[name]}")
+
+
+def _rebuilt_columns(t_us: np.ndarray, raw: np.ndarray, events: list[dict],
+                     meta: dict) -> dict[str, np.ndarray]:
+    """The columns a log does not store: proc, gaze and target, from what it does.
+
+    The events must be scorable (``_event_fault``). A meta setting that is
+    missing or out of range raises ConfigError naming it.
+    """
+    gaze, target = _rebuilt_gaze_target(t_us, events, meta)
+    return {"proc": _rebuilt_proc(raw, meta), "gaze": gaze, "target": target}
 
 
 def _rebuilt_proc(raw: np.ndarray, meta: dict) -> np.ndarray:
@@ -513,58 +554,81 @@ def _rebuilt_proc(raw: np.ndarray, meta: dict) -> np.ndarray:
     return iir.filter_block(compensate(raw, scales, out=scales))
 
 
+def _rebuilt_gaze_target(t_us: np.ndarray, events: list[dict], meta: dict):
+    """Each frame's gaze and target: the rule ``EyeSimulator.run`` applies.
+
+    Both start at the meta's ``start_target``. The target takes a move's
+    ``to`` from the first frame at or after its t_move_us, the gaze from the
+    first frame at or after its t_settle_us. A move that the next one
+    superseded before the eye switched has its t_settle_us at that move's
+    t_move_us: the eye never went to its target, so the gaze stays where it
+    was. Scorable events keep both kinds of switch times in order.
+    """
+    start = meta.get("start_target")
+    if not _is_point(start):
+        raise ConfigError(f"meta field 'start_target' is not a pair of finite numbers: {start!r}")
+    moves = [ev for ev in events if ev["kind"] == "target_move"]
+    # Row 0 is the start; row i is the i-th move's target.
+    points = np.array([start, *(ev["to"] for ev in moves)], dtype=float)
+    target = points[np.searchsorted([ev["t_move_us"] for ev in moves], t_us, side="right")]
+    settles, rows = [], [0]
+    for i, ev in enumerate(moves, 1):
+        settle = ev["t_settle_us"]
+        if settle is not None and (i == len(moves) or settle != moves[i]["t_move_us"]):
+            settles.append(settle)
+            rows.append(i)
+    gaze = points[np.asarray(rows)[np.searchsorted(settles, t_us, side="right")]]
+    return gaze, target
+
+
+def _is_point(value) -> bool:
+    """Whether a record's value is a screen point: a list of two finite numbers."""
+    return (type(value) is list and len(value) == 2
+            and all(_is_number(v) and math.isfinite(v) for v in value))
+
+
 def _unwritable(path, frame: int, problem: str) -> ConfigError:
     return ConfigError(f"cannot write session log {path}: frame {frame} {problem}")
-
-
-def _row_texts(rows: np.ndarray) -> list[str]:
-    """The JSON text of each row, without a vector's brackets, from one json.dumps.
-
-    Only the rows that differ bit for bit from the row before them are
-    formatted; a repeat reuses the text before it. Comparing bits, not
-    values, keeps a -0.0 after a 0.0 apart. Splitting is exact because the
-    rows hold only numbers, whose text has no comma or bracket.
-    """
-    if rows.ndim == 1:
-        return json.dumps(rows.tolist())[1:-1].split(", ")
-    bits = np.ascontiguousarray(rows).view(f"i{rows.itemsize}")
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
-    texts = json.dumps(rows[new].tolist())[2:-2].split("], [")
-    return [texts[i] for i in (np.cumsum(new) - 1).tolist()]
 
 
 def read_session_log(path):
     """Inverse of write_session_log; returns (log, calibration-or-None).
 
-    Each frame's proc is rebuilt from the raw counts through the signal
-    chain that the meta record sets (``_rebuilt_proc``). A log of any other
-    ``log_version`` than LOG_VERSION raises ConfigError naming the version.
+    Each frame's proc, gaze and target are rebuilt (``_rebuilt_columns``):
+    proc from the raw counts through the signal chain that the meta record
+    sets, target and gaze from the meta's ``start_target`` and the
+    target_move events. A log of any other ``log_version`` than LOG_VERSION
+    raises ConfigError naming the version.
 
     A malformed log raises ConfigError naming the file and line: invalid
     JSON (a truncated write, or a NaN or Infinity token in any record), a
     record with no type, a frame missing a field or holding the wrong number
-    or kind of values, a raw count outside [0, ADC_MAX], a number in gaze or
-    target too large for a float (1e999), a frame whose t_us is not greater
-    than the previous frame's, an event of unknown kind or without its
-    integer times, and a meta record whose cycle_us is not a positive
-    integer or whose signal chain settings are missing or out of range.
-    Records of unknown type are skipped.
+    or kind of values, a raw count outside [0, ADC_MAX], a frame whose t_us
+    is not greater than the previous frame's, an event that cannot be scored
+    (``_event_problem``), and a meta record whose cycle_us is not a positive
+    integer, whose signal chain settings are missing or out of range, or
+    whose start_target is not a pair of finite numbers. Records of unknown
+    type are skipped. Once every line has passed, a log whose last line is
+    not a digest of the lines before it raises ConfigError: it was cut
+    short, or changed after it was written.
 
     Frame fields move into arrays a slice of _SLICE_ROWS frames at a time,
     where each row's shape and kind are checked; the value checks (raw
-    range, non-finite numbers, t_us order) run once on the whole columns.
-    A log with one fault is named by its line whatever the slicing; with
-    several, the faults of the earlier slices are reported first.
+    range, t_us order) run once on the whole columns. A log with one fault
+    is named by its line whatever the slicing; with several, the faults of
+    the earlier slices are reported first.
     """
     meta: dict = {}
     meta_line = None
     events: list[dict] = []
+    event_lines: list[int] = []
     cal = None
     columns: dict[str, list] = {f: [] for f in _FRAME_FIELDS}  # the current slice's rows
     parts: dict[str, list] = {f: [] for f in _FRAME_FIELDS}  # the arrays of the slices before
     lines: list[int] = []  # file line of each frame record
-    with open(path) as fh:
+    # A byte that is not UTF-8 reads as U+FFFD: the line then fails as JSON,
+    # or the log against its digest, each a ConfigError.
+    with open(path, encoding="utf-8", errors="replace") as fh:
         for n, line in enumerate(fh, 1):
             if not line.strip():
                 continue
@@ -583,10 +647,8 @@ def read_session_log(path):
                 if len(lines) % _SLICE_ROWS == 0:
                     _take_slice(path, lines, columns, parts)
             elif kind == "event":
-                problem = _event_problem(rec)
-                if problem:
-                    raise _malformed(path, n, problem)
                 events.append(rec)
+                event_lines.append(n)
             elif kind == "meta":
                 _check_version("log_version", rec.pop("log_version", LOG_VERSION), LOG_VERSION)
                 meta, meta_line = rec, n
@@ -597,19 +659,18 @@ def read_session_log(path):
                     raise _malformed(path, n, f"bad calibration ({exc})") from None
             elif kind is None:
                 raise _malformed(path, n, "record has no type")
+    fault = _event_fault(events)
+    if fault:
+        raise _malformed(path, event_lines[fault[0]], fault[1])
     if not lines:
         raise ConfigError(f"no frames found in session log {path}")
     if columns["t_us"]:
         _take_slice(path, lines, columns, parts)
-    arrays = {f: np.concatenate(parts[f]) for f in _FRAME_FIELDS}
-    bad = np.flatnonzero(((arrays["raw"] < 0) | (arrays["raw"] > ADC_MAX)).any(axis=1))
+    t_us, raw = (np.concatenate(parts[f]) for f in _FRAME_FIELDS)
+    bad = np.flatnonzero(((raw < 0) | (raw > ADC_MAX)).any(axis=1))
     if bad.size:
         raise _malformed(path, lines[bad[0]], f"raw count outside [0, {ADC_MAX}]")
-    for f in ("gaze", "target"):  # JSON integers are finite already
-        bad = np.flatnonzero(~np.isfinite(arrays[f]).all(axis=1))
-        if bad.size:
-            raise _malformed(path, lines[bad[0]], f"frame field {f!r} holds a non-finite number")
-    bad = np.flatnonzero(np.diff(arrays["t_us"]) <= 0)
+    bad = np.flatnonzero(np.diff(t_us) <= 0)
     if bad.size:
         raise _malformed(path, lines[bad[0] + 1], "t_us is not greater than the previous frame's")
     if meta_line is None:
@@ -619,10 +680,28 @@ def read_session_log(path):
         raise _malformed(path, meta_line,
                          f"meta field 'cycle_us' is not a positive integer: {cycle!r}")
     try:
-        proc = _rebuilt_proc(arrays["raw"], meta)
+        rebuilt = _rebuilt_columns(t_us, raw, events, meta)
     except ConfigError as exc:
         raise _malformed(path, meta_line, str(exc)) from None
-    return SessionLog(**arrays, proc=proc, events=events, meta=meta), cal
+    _check_digest(path)
+    return SessionLog(t_us, raw, events=events, meta=meta, **rebuilt), cal
+
+
+def _check_digest(path) -> None:
+    """Raise ConfigError unless the log's last line is the digest of every byte before it."""
+    data = Path(path).read_bytes()
+    end = data.rstrip()
+    cut = end.rfind(b"\n") + 1
+    try:
+        trailer = json.loads(end[cut:])
+    except ValueError:
+        trailer = None
+    if not (isinstance(trailer, dict) and trailer.get("type") == "digest"):
+        raise ConfigError(f"session log {path} does not end with its digest record: "
+                          "it was cut short")
+    if trailer.get("sha256") != hashlib.sha256(data[:cut]).hexdigest():
+        raise ConfigError(f"session log {path} does not match its digest: it was changed "
+                          "after it was written")
 
 
 def _take_slice(path, lines: list[int], columns: dict[str, list],
@@ -639,7 +718,7 @@ def _take_slice(path, lines: list[int], columns: dict[str, list],
         m = len(first)
     else:
         m = parts["raw"][0].shape[1]
-    shapes = {"t_us": (), "raw": (m,), "gaze": (2,), "target": (2,)}
+    shapes = {"t_us": (), "raw": (m,)}
     for f, values in columns.items():
         parts[f].append(_frame_column(path, rows, f, values, shapes[f]))
         values.clear()
@@ -664,40 +743,66 @@ def _malformed(path, line: int, problem: str) -> ConfigError:
 _EVENT_TIMES = {"blink": ("t0_us", "t1_us"), "target_move": ("t_move_us",)}
 
 
-def _event_problem(ev: dict) -> str | None:
-    """Why an event record cannot be scored, or None if it can."""
+def _event_fault(events: list[dict]) -> tuple[int, str] | None:
+    """The first event that cannot be scored, as (its index, why), or None."""
+    last_move = None
+    for i, ev in enumerate(events):
+        problem = _event_problem(ev, last_move)
+        if problem:
+            return i, problem
+        if ev["kind"] == "target_move":
+            last_move = ev
+    return None
+
+
+def _event_problem(ev: dict, last_move: dict | None) -> str | None:
+    """Why an event record cannot be scored after the target_move ``last_move``, or None.
+
+    A target_move's target and gaze are scoring data (``_rebuilt_gaze_target``):
+    it must hold ``from`` and ``to`` as screen points, settle at or after it
+    moves, and move at or after the move before it settled.
+    """
     kind = ev.get("kind")
     if kind not in _EVENT_TIMES:
         return f"unknown event kind {kind!r}"
     missing = [f for f in _EVENT_TIMES[kind] if type(ev.get(f)) is not int]  # rejects bool too
     if missing:
         return f"{kind} event has no integer {', '.join(missing)}"
-    if kind == "target_move" and type(ev.get("t_settle_us", "absent")) not in (int, type(None)):
+    if kind == "blink":
+        return None
+    settle = ev.get("t_settle_us", "absent")
+    if type(settle) not in (int, type(None)):
         return "target_move event t_settle_us is neither an integer nor null"
+    for f in ("from", "to"):
+        if not _is_point(ev.get(f)):
+            return f"target_move event {f!r} is not a pair of finite numbers"
+    if settle is not None and settle < ev["t_move_us"]:
+        return "target_move event t_settle_us is before its t_move_us"
+    if last_move is not None and (last_move["t_settle_us"] is None
+                                  or last_move["t_settle_us"] > ev["t_move_us"]):
+        return (f"target_move event t_move_us {ev['t_move_us']} is before the previous move "
+                f"settled (t_settle_us {json.dumps(last_move['t_settle_us'])})")
     return None
 
 
 def _frame_column(path, lines: list[int], name: str, values: list, row_shape: tuple) -> np.ndarray:
-    """One frame field as an array; a row of the wrong shape or kind names its line.
+    """One frame field as an int64 array; a row of the wrong shape or kind names its line.
 
-    Integer fields must hold JSON integers: converting a float there to the
-    integer dtype would truncate it rather than reject it.
+    The fields must hold JSON integers: converting a float to the integer
+    dtype would truncate it rather than reject it.
     """
-    integer = name in _INTEGER_FIELDS
-    kinds = "i" if integer else "if"
-    arr = _fitting(values, kinds, (len(values), *row_shape))
+    arr = _fitting(values, (len(values), *row_shape))
     if arr is None:
-        line = next(n for n, v in zip(lines, values) if _fitting(v, kinds, row_shape) is None)
-        noun = "integer" if integer else "number"
-        what = f"a list of {row_shape[0]} {noun}s" if row_shape else f"a single {noun}"
+        line = next(n for n, v in zip(lines, values) if _fitting(v, row_shape) is None)
+        what = f"a list of {row_shape[0]} integers" if row_shape else "a single integer"
         raise _malformed(path, line, f"frame field {name!r} is not {what}")
-    return arr.astype(np.int64 if integer else float, copy=False)
+    return arr.astype(np.int64, copy=False)
 
 
-def _fitting(values, kinds: str, shape: tuple) -> np.ndarray | None:
-    """``values`` as an array if it has this shape and dtype kind, else None."""
+def _fitting(values, shape: tuple) -> np.ndarray | None:
+    """``values`` as an array if it has this shape and holds integers, else None."""
     try:
         arr = np.asarray(values)
     except ValueError:  # ragged nesting
         return None
-    return arr if arr.dtype.kind in kinds and arr.shape == shape else None
+    return arr if arr.dtype.kind == "i" and arr.shape == shape else None

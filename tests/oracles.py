@@ -26,11 +26,14 @@ resolved inside each span.
 ``write_session_log_reference`` and ``read_session_log_reference`` are the
 session-log codec that the column-wise one replaces: a hand-built dict per
 frame with per-element conversion, a recursive ``_plain`` for meta and
-events, and one hand-named accumulator list per frame field. The reader
-rebuilds each frame's processed vector with ``chain_reference``, the signal
-chain one frame and channel at a time.
+events, one hand-named accumulator list per frame field, and a digest
+record built with ``sealed``. The reader rebuilds each frame's processed
+vector with ``chain_reference``, the signal chain one frame and channel at
+a time, and its gaze and target with ``gaze_target_reference``, which
+replays every target move at every frame.
 """
 
+import hashlib
 import json
 import math
 
@@ -380,66 +383,95 @@ class StepwiseSimulator:
 
 
 def write_session_log_reference(log, path, calibration=None):
-    """One JSON record per line: meta, calibration, events, then frames."""
-    with open(path, "w") as fh:
-        meta = {"type": "meta", "log_version": LOG_VERSION}
-        meta.update(_plain(log.meta))
-        fh.write(json.dumps(meta, sort_keys=True) + "\n")
-        if calibration is not None:
-            fh.write(json.dumps({"type": "calibration", **calibration.to_dict()},
+    """One JSON record per line: meta, calibration, events, frames, then the digest."""
+    meta = {"type": "meta", "log_version": LOG_VERSION}
+    meta.update(_plain(log.meta))
+    lines = [json.dumps(meta, sort_keys=True) + "\n"]
+    if calibration is not None:
+        lines.append(json.dumps({"type": "calibration", **calibration.to_dict()},
                                 sort_keys=True) + "\n")
-        for ev in log.events:
-            fh.write(json.dumps({"type": "event", **_plain(ev)}, sort_keys=True) + "\n")
-        for i in range(log.n_frames):
-            rec = {
-                "type": "frame",
-                "t_us": int(log.t_us[i]),
-                "raw": [int(v) for v in log.raw[i]],
-                "gaze": [float(log.gaze[i, 0]), float(log.gaze[i, 1])],
-                "target": [float(log.target[i, 0]), float(log.target[i, 1])],
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    for ev in log.events:
+        lines.append(json.dumps({"type": "event", **_plain(ev)}, sort_keys=True) + "\n")
+    for i in range(log.n_frames):
+        rec = {"type": "frame", "t_us": int(log.t_us[i]), "raw": [int(v) for v in log.raw[i]]}
+        lines.append(json.dumps(rec, sort_keys=True) + "\n")
+    with open(path, "w") as fh:
+        fh.write(sealed("".join(lines)))
+
+
+def sealed(body: str) -> str:
+    """``body``, the lines of a session log before its digest record, and that record."""
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    return body + json.dumps({"type": "digest", "sha256": digest}, sort_keys=True) + "\n"
 
 
 def read_session_log_reference(path):
     """Inverse of write_session_log; returns (log, calibration-or-None).
 
     The processed vectors come from ``chain_reference`` with the settings in
-    the meta record.
+    the meta record, the gaze and target from ``gaze_target_reference``. A
+    log whose last line is not the digest of the lines before it raises
+    ConfigError.
     """
+    with open(path) as fh:
+        lines = fh.readlines()
+    if sealed("".join(lines[:-1])) != "".join(lines):
+        raise ConfigError(f"session log {path} does not match its digest")
     meta: dict = {}
     events: list[dict] = []
     cal = None
-    t, raw, gaze, target = [], [], [], []
-    with open(path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            kind = rec.pop("type")
-            if kind == "meta":
-                _check_version("log_version", rec.pop("log_version", LOG_VERSION), LOG_VERSION)
-                meta = rec
-            elif kind == "calibration":
-                cal = CalibrationSet.from_dict(rec)
-            elif kind == "event":
-                events.append(rec)
-            elif kind == "frame":
-                t.append(rec["t_us"])
-                raw.append(rec["raw"])
-                gaze.append(rec["gaze"])
-                target.append(rec["target"])
+    t, raw = [], []
+    for line in lines[:-1]:
+        if not line.strip():
+            continue
+        rec = json.loads(line)
+        kind = rec.pop("type")
+        if kind == "meta":
+            _check_version("log_version", rec.pop("log_version", LOG_VERSION), LOG_VERSION)
+            meta = rec
+        elif kind == "calibration":
+            cal = CalibrationSet.from_dict(rec)
+        elif kind == "event":
+            events.append(rec)
+        elif kind == "frame":
+            t.append(rec["t_us"])
+            raw.append(rec["raw"])
     if not t:
         raise ConfigError(f"no frames found in session log {path}")
     proc = chain_reference(raw, meta["exposure_init_us"], meta["exposure_min_us"],
                            meta["exposure_max_us"], meta["optics"]["reference_exposure_us"],
                            meta["iir_alpha"])
+    gaze, target = gaze_target_reference(t, events, meta["start_target"])
     log = SessionLog(
         np.asarray(t, dtype=np.int64), np.asarray(raw, dtype=np.int64),
         np.asarray(proc, dtype=float), np.asarray(gaze, dtype=float),
         np.asarray(target, dtype=float), events, meta,
     )
     return log, cal
+
+
+def gaze_target_reference(t_us, events, start):
+    """Each frame's gaze and target, replaying every target_move event at every frame.
+
+    The target is the ``to`` of the last move whose t_move_us is at or before
+    the frame, the gaze that of the last such move by t_settle_us, skipping a
+    move whose t_settle_us is the next move's t_move_us: that move was
+    superseded before the eye went to its target. Both start at ``start``.
+    """
+    moves = [ev for ev in events if ev["kind"] == "target_move"]
+    gaze, target = [], []
+    for t in t_us:
+        eye = tgt = start
+        for i, ev in enumerate(moves):
+            settle = ev["t_settle_us"]
+            superseded = i + 1 < len(moves) and settle == moves[i + 1]["t_move_us"]
+            if ev["t_move_us"] <= t:
+                tgt = ev["to"]
+            if settle is not None and not superseded and settle <= t:
+                eye = ev["to"]
+        gaze.append([float(eye[0]), float(eye[1])])
+        target.append([float(tgt[0]), float(tgt[1])])
+    return gaze, target
 
 
 def _plain(obj):

@@ -5,6 +5,8 @@ import pytest
 from ledgaze.cli import main
 from ledgaze.session import SessionConfig
 
+from oracles import sealed
+
 
 @pytest.fixture
 def small_config_file(tmp_path):
@@ -115,14 +117,37 @@ def test_malformed_log_is_one_error_line(tmp_path, small_config_file, capsys):
     assert main(["run", "--config", small_config_file, "--out", str(run_dir)]) == 0
     log_path = run_dir / "session.jsonl"
     text = log_path.read_text()
-    log_path.write_text(text[:len(text) - 40])  # a write cut short inside the last frame
-    n_lines = text.count("\n")
+    body = text[:text.rstrip("\n").rfind("\n") + 1]  # the lines before the digest record
+    log_path.write_text(body[:len(body) - 40])  # a write cut short inside the last frame
+    n_lines = body.count("\n")
     capsys.readouterr()
     assert main(["eval", "--config", small_config_file, "--log", str(log_path),
                  "--out", str(tmp_path / "eval")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: malformed session log {log_path}, line {n_lines}: invalid JSON")
     assert err.count("\n") == 1
+
+
+def test_eval_refuses_a_log_with_one_raw_digit_changed(tmp_path, capsys):
+    # Without the digest, eval scored this log and reported a mean error in
+    # the seventh digit away from the written log's.
+    run_dir = tmp_path / "run"
+    assert main(["run", "--seed", "1", "--out", str(run_dir)]) == 0
+    log_path = run_dir / "session.jsonl"
+    lines = log_path.read_text().splitlines(keepends=True)
+    k = [i for i, line in enumerate(lines) if '"type": "frame"' in line][1000]
+    rec = json.loads(lines[k])
+    count = rec["raw"][3]
+    rec["raw"][3] = count - 1 if count % 10 else count + 1  # one digit, still a valid count
+    lines[k] = json.dumps(rec, sort_keys=True) + "\n"
+    log_path.write_text("".join(lines))
+    capsys.readouterr()
+    eval_dir = tmp_path / "eval"
+    assert main(["eval", "--log", str(log_path), "--out", str(eval_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: session log {log_path} does not match its digest: it was changed "
+                   "after it was written\n")
+    assert not (eval_dir / "accuracy.json").exists()
 
 
 def test_non_finite_config_value_is_one_error_line(tmp_path, capsys):
@@ -207,7 +232,8 @@ def test_eval_refuses_a_log_whose_config_has_another_version(tmp_path, capsys, s
     meta, rest = log_path.read_text().split("\n", 1)
     meta = json.loads(meta)
     meta["config"].update(config_version=1, sample_interval_ms=10.0)  # as version 1 saved it
-    log_path.write_text(json.dumps(meta, sort_keys=True) + "\n" + rest)
+    body = rest[:rest.rstrip("\n").rfind("\n") + 1]  # the lines before the digest record
+    log_path.write_text(sealed(json.dumps(meta, sort_keys=True) + "\n" + body))
     capsys.readouterr()
     for extra in ([], ["--config", small_config_file]):
         assert main(["eval", "--log", str(log_path), *extra, "--out", str(tmp_path / "ev")]) == 2

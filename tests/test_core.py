@@ -106,8 +106,8 @@ def test_calibration_set_basics():
         ((0.3, 0.4), ScreenPoint(30, 40)),
     ])
     assert cal.point_count == 2 and cal.channel_count == 2
-    entries = list(cal.entries())
-    assert entries[1][1] == ScreenPoint(30, 40)
+    assert cal.means.tolist() == [[0.1, 0.2], [0.3, 0.4]]
+    assert cal.targets.tolist() == [[10.0, 20.0], [30.0, 40.0]]
 
     grown = cal.append((0.5, 0.6), ScreenPoint(50, 60))
     assert grown.point_count == 3 and cal.point_count == 2  # original untouched

@@ -45,7 +45,13 @@ from ledgaze.session import (
 )
 from ledgaze.sigproc import SATURATION_HIGH, SATURATION_LOW
 
-from oracles import chain_reference, read_session_log_reference, write_session_log_reference
+from oracles import (
+    chain_reference,
+    gaze_target_reference,
+    read_session_log_reference,
+    sealed,
+    write_session_log_reference,
+)
 
 
 def small_config(**kw):
@@ -371,6 +377,7 @@ def test_session_log_roundtrip(tmp_path):
     assert np.array_equal(back.gaze, log.gaze)
     assert np.array_equal(back.target, log.target)
     assert back.events == log.events
+    assert back.meta == log.meta
     assert np.array_equal(back_cal.means, cal.means)
     assert np.array_equal(back_cal.targets, cal.targets)
 
@@ -428,7 +435,7 @@ def codec_logs():
             "slice-less-one": (_frames_log(_SLICE_ROWS - 1, 12), None),
             "one-slice": (_frames_log(_SLICE_ROWS, 12), None),
             "slice-and-one": (_frames_log(_SLICE_ROWS + 1, 12), None),
-            # consecutive gaze and target rows equal under == but not bit for bit
+            # consecutive targets equal under == but not bit for bit
             "signed-zero-rows": (_frames_log(6, 2, values=[0.0, 5.0, -0.0, 5.0]), None),
             "row-held-across-slice": (_held_log(_SLICE_ROWS + 4, 2,
                                                 slice(_SLICE_ROWS - 2, _SLICE_ROWS + 3)), None),
@@ -443,33 +450,47 @@ _CHAIN_META = {"exposure_init_us": 400.0, "exposure_min_us": 25.0, "exposure_max
                "iir_alpha": 0.3, "optics": {"reference_exposure_us": 400.0}, "cycle_us": 9996}
 
 
-def _chain_log(t_us, raw, gaze, target, meta: dict) -> SessionLog:
-    """A log whose proc is what ``chain_reference`` gives for ``raw`` under ``meta``."""
+def _chain_log(t_us, raw, start: list, events: list[dict], meta: dict) -> SessionLog:
+    """A log whose proc, gaze and target are what the reference oracles give for its
+    raw counts under ``meta``, and for its events from ``start``."""
     proc = chain_reference(raw.tolist(), meta["exposure_init_us"], meta["exposure_min_us"],
                            meta["exposure_max_us"], meta["optics"]["reference_exposure_us"],
                            meta["iir_alpha"])
     proc = np.reshape(np.asarray(proc, dtype=float), raw.shape)
-    return SessionLog(t_us, raw, proc, gaze, target, [], meta)
+    gaze, target = gaze_target_reference(t_us.tolist(), events, start)
+    gaze, target = (np.reshape(np.asarray(c, dtype=float), (len(t_us), 2)) for c in (gaze, target))
+    return SessionLog(t_us, raw, proc, gaze, target, events, {**meta, "start_target": start})
+
+
+def _move(t_move: int, t_settle: int | None, frm: list, to: list) -> dict:
+    return {"kind": "target_move", "t_move_us": t_move, "t_settle_us": t_settle,
+            "from": frm, "to": to}
+
+
+def _counts(n: int, m: int) -> np.ndarray:
+    """Raw counts that run through every reading, so exposures adapt often."""
+    return np.arange(n * m, dtype=np.int64).reshape(n, m) % (ADC_MAX + 1)
 
 
 def _frames_log(n: int, m: int, values=(0.25, -1.5, 3.0), t0: int = 0) -> SessionLog:
-    """A log of ``n`` frames over ``m`` channels whose gaze and target cycle through ``values``.
-
-    Its raw counts run through every reading, so exposures adapt often.
-    """
-    floats = np.resize(np.asarray(values, dtype=float), n * 4)
-    gaze, target = np.split(floats.reshape(n, 4), [2], axis=1)
-    raw = np.arange(n * m, dtype=np.int64).reshape(n, m) % (ADC_MAX + 1)
+    """A log of ``n`` frames over ``m`` channels whose target moves at every odd frame,
+    through points that cycle through ``values``, with the gaze one frame behind."""
+    points = np.resize(np.asarray(values, dtype=float), 2 * (n + 1)).reshape(-1, 2).tolist()
     t_us = t0 + 1666 * np.arange(n, dtype=np.int64)
-    return _chain_log(t_us, raw, gaze, target, {"phase": "synthetic", **_CHAIN_META})
+    times = t_us.tolist()
+    events = [_move(times[i], times[i + 1] if i + 1 < n else None, points[k], points[k + 1])
+              for k, i in enumerate(range(1, n, 2))]
+    return _chain_log(t_us, _counts(n, m), points[0], events, {"phase": "synthetic", **_CHAIN_META})
 
 
 def _held_log(n: int, m: int, held: slice) -> SessionLog:
-    """A signed-zero _frames_log whose float rows in ``held`` repeat the row before them."""
-    log = _frames_log(n, m, values=[0.0, 5.0, -0.0, 5.0])
-    for column in (log.gaze, log.target):
-        column[held] = column[held.start - 1]
-    return log
+    """A log whose raw rows in ``held`` repeat the row before them, and whose target
+    moves, to a point that differs only by a zero's sign, at the first held frame."""
+    raw = _counts(n, m)
+    raw[held] = raw[held.start - 1]
+    t_us = 1666 * np.arange(n, dtype=np.int64)
+    move = _move(int(t_us[held.start]), int(t_us[held.stop - 1]), [0.0, 5.0], [-0.0, 5.0])
+    return _chain_log(t_us, raw, [0.0, 5.0], [move], {"phase": "synthetic", **_CHAIN_META})
 
 
 @pytest.mark.parametrize("case", ["seed1-with-calibration", "seed1-no-calibration",
@@ -520,6 +541,31 @@ def chain_metas(draw):
 
 
 @st.composite
+def target_moves(draw, t_us: list[int]):
+    """A start point and target_move events over frames at ``t_us``: moves at frame
+    times or between them, each settled, superseded by the next, or (the last) unsettled."""
+    point = st.lists(_finite, min_size=2, max_size=2)
+    lo, hi = t_us[0] - 3, t_us[-1] + 3
+    times = sorted(draw(st.lists(st.sampled_from(t_us) | st.integers(lo, hi), max_size=4)))
+    start = here = draw(point)
+    events = []
+    for i, t in enumerate(times):
+        last = i + 1 == len(times)
+        upper = hi if last else times[i + 1] - 1  # a settled move settles before the next
+        ways = (["settled"] if upper >= t else []) + (["unsettled"] if last else ["superseded"])
+        how = draw(st.sampled_from(ways))
+        if how == "settled":
+            settle = draw(st.sampled_from([v for v in t_us if t <= v <= upper] or [t])
+                          | st.integers(t, upper))
+        else:
+            settle = None if last else times[i + 1]
+        to = draw(point)
+        events.append(_move(t, settle, here, to))
+        here = to
+    return start, events
+
+
+@st.composite
 def small_logs(draw):
     n, m = draw(st.integers(1, 6)), draw(st.integers(1, 4))
     steps = draw(st.lists(st.integers(1, 2**40), min_size=n, max_size=n))
@@ -527,17 +573,9 @@ def small_logs(draw):
     # readings at either end of the range adapt the exposure
     reading = st.integers(0, 30) | st.integers(990, ADC_MAX) | st.integers(0, ADC_MAX)
     raw = draw(st.lists(reading, min_size=n * m, max_size=n * m))
-    floats = draw(st.lists(_finite, min_size=n * 4, max_size=n * 4))
-    gaze, target = np.split(np.reshape(floats, (n, 4)), [2], axis=1)
-    # a float row may repeat the row before it, exactly or with its zeros' signs flipped
-    repeats = st.lists(st.sampled_from(("new", "copy", "flip")), min_size=n - 1, max_size=n - 1)
-    for column in (gaze, target):
-        for i, how in enumerate(draw(repeats), 1):
-            if how != "new":
-                prev = column[i - 1]
-                column[i] = prev if how == "copy" else np.where(prev == 0, -prev, prev)
     raw = np.reshape(raw, (n, m)).astype(np.int64)
-    return _chain_log(t_us, raw, gaze, target, draw(chain_metas()))
+    start, events = draw(target_moves(t_us.tolist()))
+    return _chain_log(t_us, raw, start, events, draw(chain_metas()))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
@@ -604,6 +642,135 @@ def test_write_session_log_rejects_proc_its_raw_counts_do_not_give(seed5_log, ed
     assert not path.exists()
 
 
+def _one_ulp(field: str):
+    def edit(log: SessionLog) -> SessionLog:
+        column = getattr(log, field).copy()
+        column[150, 1] = np.nextafter(column[150, 1], np.inf)
+        return dataclasses.replace(log, **{field: column})
+    return edit
+
+
+def _gaze_switched_early(log: SessionLog) -> SessionLog:
+    """The log with the eye on its first move's target one frame before it settled."""
+    move = next(ev for ev in log.events if ev["kind"] == "target_move")
+    frame = int(np.searchsorted(log.t_us, move["t_settle_us"])) - 1
+    gaze = log.gaze.copy()
+    gaze[frame] = move["to"]
+    return dataclasses.replace(log, gaze=gaze)
+
+
+@pytest.mark.parametrize("edit, field", [(_one_ulp("gaze"), "gaze"), (_one_ulp("target"), "target"),
+                                         (_gaze_switched_early, "gaze")],
+                         ids=["gaze-one-ulp", "target-one-ulp", "gaze-switched-early"])
+def test_write_session_log_rejects_gaze_or_target_its_events_do_not_give(seed5_log, edit, field,
+                                                                       tmp_path):
+    log = edit(seed5_log)
+    frame = int(np.flatnonzero((log.gaze != seed5_log.gaze).any(axis=1)
+                               | (log.target != seed5_log.target).any(axis=1))[0])
+    path = tmp_path / "edited.jsonl"
+    with pytest.raises(ConfigError, match=rf"frame {frame} holds a {field} row other than the one "
+                                          "its events give"):
+        write_session_log(log, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("field", ["proc", "target"])
+def test_write_session_log_rejects_a_zero_of_the_other_sign(codec_logs, field, tmp_path):
+    log, _ = codec_logs["signed-zero-rows"]
+    column = getattr(log, field).copy()
+    frame = int(np.flatnonzero((column == 0).any(axis=1))[0])
+    column[frame] = np.where(column[frame] == 0, -column[frame], column[frame])
+    path = tmp_path / "signs.jsonl"
+    with pytest.raises(ConfigError, match=rf"frame {frame} holds a {field} row other than"):
+        write_session_log(dataclasses.replace(log, **{field: column}), path)
+    assert not path.exists()
+
+
+def _moves_swapped(log: SessionLog) -> SessionLog:
+    events = [dict(ev) for ev in log.events]
+    first, second = [i for i, ev in enumerate(events) if ev["kind"] == "target_move"][:2]
+    events[first], events[second] = events[second], events[first]
+    return dataclasses.replace(log, events=events)
+
+
+def _without_start_target(log: SessionLog) -> SessionLog:
+    return dataclasses.replace(log, meta={k: v for k, v in log.meta.items() if k != "start_target"})
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (_moves_swapped, r"line \d+, target_move event t_move_us \d+ is before the previous move settled"),
+    (_without_start_target, "meta field 'start_target' is not a pair of finite numbers"),
+], ids=["moves-swapped", "no-start-target"])
+def test_write_session_log_rejects_events_it_cannot_rebuild_from(seed5_log, edit, problem, tmp_path):
+    path = tmp_path / "edited.jsonl"
+    with pytest.raises(ConfigError, match=rf"cannot write session log {path}: {problem}"):
+        write_session_log(edit(seed5_log), path)
+    assert not path.exists()
+
+
+_A, _B, _C = ScreenPoint(200, 200), ScreenPoint(600, 400), ScreenPoint(300, 450)
+
+
+@pytest.mark.parametrize("events", [
+    # B is on screen for about 5 frames, well inside the subject's reaction time
+    (ScriptEvent("fixation", 300_000, _A), ScriptEvent("fixation", 50_000, _B),
+     ScriptEvent("fixation", 400_000, _C)),
+    # B spans no frame: the stimulus moves to B and on to C at the same time
+    (ScriptEvent("fixation", 300_000, _A), ScriptEvent("fixation", 1_000, _B),
+     ScriptEvent("fixation", 400_000, _C)),
+], ids=["second-target-before-the-reaction", "zero-frame-event-between-moves"])
+def test_session_log_rebuilds_gaze_past_a_superseded_move(events, tmp_path):
+    cfg = small_config()
+    log = run_script(cfg.layout(), cfg.subject(), GazeScript(events), cfg.sim_config(), seed=3)
+    moves = [ev for ev in log.events if ev["kind"] == "target_move"]
+    assert [ev["to"] for ev in moves] == [[_B.x, _B.y], [_C.x, _C.y]]
+    assert moves[0]["t_settle_us"] == moves[1]["t_move_us"]  # superseded
+    assert not (log.gaze == [_B.x, _B.y]).all(axis=1).any()  # the eye never went to B
+    path = tmp_path / "superseded.jsonl"
+    write_session_log(log, path)
+    back, _ = read_session_log(path)
+    for field in ("t_us", "raw", "proc", "gaze", "target"):
+        column, written = getattr(back, field), getattr(log, field)
+        assert column.dtype == written.dtype
+        assert column.tobytes() == written.tobytes()
+    assert back.events == log.events
+    assert back.meta == log.meta
+
+
+def test_read_session_log_refuses_a_log_with_one_raw_digit_changed(codec_logs, tmp_path):
+    log, cal = codec_logs["seed1-with-calibration"]
+    path = tmp_path / "seed1.jsonl"
+    write_session_log(log, path, calibration=cal)
+    lines = path.read_text().splitlines(keepends=True)
+    k = [i for i, line in enumerate(lines) if '"type": "frame"' in line][1000]
+    rec = json.loads(lines[k])
+    count = rec["raw"][3]
+    rec["raw"][3] = count - 1 if count % 10 else count + 1  # one digit, still a valid count
+    changed = json.dumps(rec, sort_keys=True) + "\n"
+    assert len(changed) == len(lines[k]) and changed != lines[k]
+    lines[k] = changed
+    path.write_text("".join(lines))
+    with pytest.raises(ConfigError, match=f"session log {path} does not match its digest"):
+        read_session_log(path)
+
+
+def test_read_session_log_refuses_a_log_cut_short_before_its_digest(small_log_lines, tmp_path):
+    path = tmp_path / "cut.jsonl"
+    path.write_text("".join(small_log_lines[:-1]))
+    with pytest.raises(ConfigError, match=f"session log {path} does not end with its digest"):
+        read_session_log(path)
+
+
+def test_read_session_log_refuses_a_byte_that_is_not_utf8(small_log_lines, tmp_path):
+    # inside a JSON string, so every line still parses: only the digest sees it
+    data = "".join(small_log_lines).encode()
+    k = data.index(b'"phase": "evaluation"') + len(b'"phase": "eval')
+    path = tmp_path / "byte.jsonl"
+    path.write_bytes(data[:k] + b"\xff" + data[k + 1:])
+    with pytest.raises(ConfigError, match=f"session log {path} does not match its digest"):
+        read_session_log(path)
+
+
 def test_session_log_rebuilds_proc_where_exposures_adapt_often(tmp_path):
     cfg = small_config(layout_mode="prototype2", noise_std=0.2, signal_scale=3.0)
     log = evaluation_phase(cfg, cfg.subject(), cfg.layout(), cfg.seed)
@@ -654,14 +821,14 @@ _DELETE = object()
 # with no field, the replacement of the whole record
 MALFORMED = {
     "no-type": ("frame", "type", _DELETE),
-    "frame-missing-field": ("frame", "gaze", _DELETE),
+    "frame-missing-field": ("frame", "raw", _DELETE),
     "ragged-raw": ("frame", "raw", lambda raw: raw[:-1]),
-    "gaze-not-a-pair": ("frame", "gaze", lambda gaze: gaze[:1]),
+    "gaze-not-a-pair": ("event", "to", lambda to: to[:1]),
     "raw-above-adc-max": ("frame", "raw", lambda raw: raw[:-1] + [ADC_MAX + 1]),
     "raw-negative": ("frame", "raw", lambda raw: [-1] + raw[1:]),
     "raw-not-an-integer": ("frame", "raw", lambda raw: [raw[0] + 0.5] + raw[1:]),
     "t-not-an-integer": ("frame", "t_us", float),
-    "target-infinity": ("frame", "target", lambda target: [target[0], float("inf")]),
+    "target-infinity": ("event", "to", lambda to: [to[0], float("inf")]),
     "calibration-missing-means": ("calibration", "means", _DELETE),
     "calibration-mean-nan": ("calibration", "means",
                              lambda means: [[means[0][0], float("nan"), *means[0][2:]], *means[1:]]),
@@ -680,6 +847,12 @@ MALFORMED = {
     "move-settle-neither-integer-nor-null": ("event", "t_settle_us", str),
     "move-without-settle": ("event", "t_settle_us", _DELETE),
     "event-kind-misspelt": ("event", "kind", lambda kind: "target_mvoe"),
+    "move-from-not-a-pair": ("event", "from", lambda point: [*point, 0.0]),
+    "move-to-a-string": ("event", "to", lambda point: [str(point[0]), point[1]]),
+    "move-settles-before-it-moves": ("event", None, lambda ev: {
+        **ev, "t_settle_us": ev["t_move_us"] - 1}),
+    "meta-without-start-target": ("meta", "start_target", _DELETE),
+    "meta-start-target-not-a-pair": ("meta", "start_target", lambda point: point[:1]),
 }
 
 
@@ -688,9 +861,12 @@ def _corrupted(lines: list[str], case: str, frame: int) -> tuple[list[str], int]
     and the index of the line the reader must name.
 
     A duplicated frame is inserted as frame ``frame``, a copy of the frame before it.
+    The digest record is rebuilt after the fault, so the fault is the log's only one;
+    a truncated write ends halfway through its last frame, before the digest record.
     """
     lines = list(lines)
     if case == "truncated-write":
+        lines.pop()
         k = len(lines) - 1
         lines[k] = lines[k][:len(lines[k]) // 2]
         return lines, k
@@ -699,7 +875,7 @@ def _corrupted(lines: list[str], case: str, frame: int) -> tuple[list[str], int]
     k = of_kind[frame if kind == "frame" else 0]
     if case == "duplicated-frame":  # the copy repeats its original's t_us
         lines.insert(k, lines[k - 1])
-        return lines, k
+        return _resealed(lines), k
     rec = json.loads(lines[k])
     if field is None:
         rec = edit(rec)
@@ -708,7 +884,12 @@ def _corrupted(lines: list[str], case: str, frame: int) -> tuple[list[str], int]
     else:
         rec[field] = edit(rec[field])
     lines[k] = json.dumps(rec) + "\n"
-    return lines, k
+    return _resealed(lines), k
+
+
+def _resealed(lines: list[str]) -> list[str]:
+    """A written log's ``lines``, edited since, with its digest record rebuilt."""
+    return sealed("".join(lines[:-1])).splitlines(keepends=True)
 
 
 def _assert_names_line(lines: list[str], k: int, tmp_path) -> None:
@@ -735,15 +916,27 @@ def test_read_session_log_rejects_duplicated_frame_across_a_slice_seam(small_log
 
 
 def test_read_session_log_rejects_a_number_too_large_for_a_float(small_log_lines, tmp_path):
-    # 1e999 is valid JSON that parses to inf: only the column check catches it
+    # 1e999 is valid JSON that parses to inf: only the event check catches it
     lines = list(small_log_lines)
-    k = [i for i, line in enumerate(lines) if '"type": "frame"' in line][3]
+    k = [i for i, line in enumerate(lines) if '"kind": "target_move"' in line][0]
     rec = json.loads(lines[k])
-    lines[k] = lines[k].replace(json.dumps(rec["gaze"]), f"[1e999, {rec['gaze'][1]!r}]")
-    assert json.loads(lines[k])["gaze"][0] == float("inf")
+    lines[k] = lines[k].replace(json.dumps(rec["to"]), f"[1e999, {rec['to'][1]!r}]")
+    assert json.loads(lines[k])["to"][0] == float("inf")
     path = tmp_path / "overflow.jsonl"
-    path.write_text("".join(lines))
-    with pytest.raises(ConfigError, match=rf"line {k + 1}: frame field 'gaze' holds a non-finite"):
+    path.write_text("".join(_resealed(lines)))
+    with pytest.raises(ConfigError, match=rf"line {k + 1}: target_move event 'to' is not a pair "
+                                          "of finite numbers"):
+        read_session_log(path)
+
+
+def test_read_session_log_rejects_moves_out_of_order(small_log_lines, tmp_path):
+    lines = list(small_log_lines)
+    first, second = [i for i, line in enumerate(lines) if '"kind": "target_move"' in line][:2]
+    lines[first], lines[second] = lines[second], lines[first]
+    path = tmp_path / "swapped.jsonl"
+    path.write_text("".join(_resealed(lines)))
+    with pytest.raises(ConfigError, match=rf"line {second + 1}: target_move event t_move_us "
+                                          r"\d+ is before the previous move settled"):
         read_session_log(path)
 
 
@@ -764,19 +957,27 @@ def test_read_session_log_refuses_version_1(small_log_lines, tmp_path):
         read_session_log(path)
 
 
+def test_read_session_log_refuses_version_2(small_log_lines, tmp_path):
+    # version 2 logs stored gaze and target in every frame and had no digest record
+    path = _meta_edited(small_log_lines, lambda meta: meta.update(log_version=2), tmp_path)
+    with pytest.raises(ConfigError, match=r"log_version 2 is not readable here \(this code reads 3\)"):
+        read_session_log(path)
+
+
 def _meta_edited(lines: list[str], edit, tmp_path):
     """The log ``lines`` written out with ``edit`` applied to its meta record, on line 1."""
     meta = json.loads(lines[0])
     edit(meta)
     path = tmp_path / "meta.jsonl"
-    path.write_text(json.dumps(meta) + "\n" + "".join(lines[1:]))
+    path.write_text("".join(_resealed([json.dumps(meta) + "\n", *lines[1:]])))
     return path
 
 
 def test_read_session_log_skips_unknown_record_types(small_log_lines, tmp_path):
     path = tmp_path / "extra.jsonl"
-    path.write_text(small_log_lines[0] + '{"type": "annotation", "note": "later format"}\n'
-                    + "".join(small_log_lines[1:]))
+    path.write_text("".join(_resealed([small_log_lines[0],
+                                       '{"type": "annotation", "note": "later format"}\n',
+                                       *small_log_lines[1:]])))
     log, cal = read_session_log(path)
     assert log.n_frames == sum('"type": "frame"' in line for line in small_log_lines)
     assert cal is not None
