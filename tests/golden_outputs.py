@@ -1,0 +1,95 @@
+"""The sha256 of every file the CLI writes, for a small config and its variants.
+
+``digests(workdir)`` runs ``run``, ``eval --trace``, ``calibrate``,
+``compare --all-measures``, ``sweep`` on both axes, ``scenarios`` and
+``wire-test`` once per config in ``VARIANTS`` and returns the digest of each
+file written, keyed by ``variant/command/file``. The base config is the one
+the c10 determinism check uses; each variant changes one setting the default
+run never exercises.
+
+The pinned digests in ``tests/data/golden_outputs.json`` hold only for the
+numpy and scipy versions recorded there. A change that alters an output on
+purpose rewrites the file with
+
+    PYTHONPATH=src python tests/golden_outputs.py
+
+and names each changed file; a change that keeps every output leaves it as
+it is.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import numpy
+import scipy
+
+from ledgaze.cli import main
+from ledgaze.session import SessionConfig
+
+GOLDEN_PATH = Path(__file__).parent / "data" / "golden_outputs.json"
+
+SMALL_CONFIG = dict(seed=10, grid_rows=3, grid_cols=3, augment_points=5,
+                    eval_fixations=8, fix_duration_ms=400.0,
+                    eval_fixation_min_ms=300.0, eval_fixation_max_ms=500.0,
+                    augment_dwell_ms=200.0, task_count=5, task_dwell_ms=700.0)
+
+VARIANTS = {
+    "base": {},
+    "prototype2": {"layout_mode": "prototype2"},
+    "svr": {"estimator": "svr"},
+    "cosine": {"measure_kind": "cosine"},
+    "rbf_squared": {"rbf_squared": True},
+}
+
+# Each command's arguments after the subcommand; "{log}" is the run's session log.
+COMMANDS = {
+    "run": ["run"],
+    "eval": ["eval", "--log", "{log}", "--trace"],
+    "calibrate": ["calibrate"],
+    "compare": ["compare", "--all-measures"],
+    "sweep_led_count": ["sweep", "--axis", "led_count", "--values", "4,12"],
+    "sweep_calibration_points": ["sweep", "--axis", "calibration_points", "--values", "4,9"],
+    "scenarios": ["scenarios", "--seeds", "1"],
+    "wire_test": ["wire-test", "--frames", "500"],
+}
+
+
+def versions() -> dict:
+    """The versions of the numerical libraries the digests depend on."""
+    return {"numpy": numpy.__version__, "scipy": scipy.__version__}
+
+
+def digests(workdir) -> dict:
+    """{"variant/command/file": sha256} of every file the commands write under ``workdir``."""
+    workdir = Path(workdir)
+    out = {}
+    for variant, settings in VARIANTS.items():
+        config = workdir / variant / "config.json"
+        config.parent.mkdir(parents=True)
+        SessionConfig(**SMALL_CONFIG, **settings).save(config)
+        log = workdir / variant / "run" / "session.jsonl"
+        for command, argv in COMMANDS.items():
+            dest = workdir / variant / command
+            args = [a.format(log=log) for a in argv] + ["--config", str(config), "--out", str(dest)]
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(args)
+            if code != 0:
+                raise RuntimeError(f"ledgaze {' '.join(args)} exited {code}")
+            for path in sorted(dest.iterdir()):
+                out[f"{variant}/{command}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return out
+
+
+def regenerate() -> None:
+    with tempfile.TemporaryDirectory() as workdir:
+        golden = {"versions": versions(), "sha256": digests(workdir)}
+    GOLDEN_PATH.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
+    print(f"{len(golden['sha256'])} digests -> {GOLDEN_PATH}")
+
+
+if __name__ == "__main__":
+    regenerate()
