@@ -246,8 +246,7 @@ def sweep(config: SessionConfig, axis: str, values) -> dict:
         ranked = rank_channels_by_variance(cal)
         for v in values:
             idx = sorted(ranked[:int(v)])
-            sliced = SessionLog(log.t_us, log.raw[:, idx], log.proc[:, idx],
-                                log.gaze, log.target, log.events, log.meta)
+            sliced = SessionLog(log.t_us, log.raw[:, idx], log.proc[:, idx], log.events, log.meta)
             rep = evaluate_accuracy(sliced, config.build_estimator(cal.select_channels(idx)), geom)
             rows.append({"value": int(v), "channels": idx, **_sweep_stats(rep)})
     elif axis == "calibration_points":

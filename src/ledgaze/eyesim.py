@@ -18,7 +18,7 @@ needed for evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -288,17 +288,64 @@ def frames_spanned(duration_us: int, cycle_us: int) -> int:
     return int(round(duration_us / cycle_us))
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_point(value) -> bool:
+    """Whether a record's value is a screen point: a list of two finite numbers."""
+    return (type(value) is list and len(value) == 2
+            and all(_is_number(v) and math.isfinite(v) for v in value))
+
+
+def gaze_target(t_us: np.ndarray, events: list[dict], start) -> tuple[np.ndarray, np.ndarray]:
+    """Each frame's gaze and stimulus target, (n, 2) each: the session timeline's rule.
+
+    Both start at ``start``. The target takes a move's ``to`` from the first
+    frame at or after its t_move_us, the gaze from the first frame at or
+    after its t_settle_us. A move that the next one superseded before the
+    eye switched has its t_settle_us at that move's t_move_us
+    (``EyeSimulator._move``): the eye never went to its target, so the gaze
+    stays where it was. A move not settled yet (t_settle_us null) moves no
+    gaze. Scorable events keep both kinds of switch times in order.
+    """
+    moves = [ev for ev in events if ev["kind"] == "target_move"]
+    # Row 0 is the start; row i is the i-th move's target.
+    points = np.array([start, *(ev["to"] for ev in moves)], dtype=float)
+    target = points[np.searchsorted([ev["t_move_us"] for ev in moves], t_us, side="right")]
+    settles, rows = [], [0]
+    for i, ev in enumerate(moves, 1):
+        settle = ev["t_settle_us"]
+        if settle is not None and (i == len(moves) or settle != moves[i]["t_move_us"]):
+            settles.append(settle)
+            rows.append(i)
+    gaze = points[np.asarray(rows)[np.searchsorted(settles, t_us, side="right")]]
+    return gaze, target
+
+
 @dataclass
 class SessionLog:
-    """Complete record of one simulated run, column-oriented for speed."""
+    """Complete record of one simulated run, column-oriented for speed.
+
+    ``gaze`` and ``target`` are not arguments: they follow from ``t_us``, the
+    target_move events and the meta's ``start_target`` (``gaze_target``),
+    which must be a pair of finite numbers, else ConfigError names it. The
+    events must be scorable (``session._event_fault``).
+    """
 
     t_us: np.ndarray        # (N,) int64 frame timestamps
     raw: np.ndarray         # (N, M) int ADC counts
     proc: np.ndarray        # (N, M) float regression-ready vectors
-    gaze: np.ndarray        # (N, 2) ground-truth gaze, px
-    target: np.ndarray      # (N, 2) stimulus target, px
     events: list[dict]
     meta: dict
+    gaze: np.ndarray = field(init=False)    # (N, 2) ground-truth gaze, px
+    target: np.ndarray = field(init=False)  # (N, 2) stimulus target, px
+
+    def __post_init__(self):
+        start = self.meta.get("start_target")
+        if not _is_point(start):
+            raise ConfigError(f"meta field 'start_target' is not a pair of finite numbers: {start!r}")
+        self.gaze, self.target = gaze_target(self.t_us, self.events, start)
 
     @property
     def n_frames(self) -> int:
@@ -310,11 +357,8 @@ class SessionLog:
 
     def subset(self, mask: np.ndarray) -> "SessionLog":
         """Log restricted to the masked frames (events kept verbatim)."""
-        return SessionLog(
-            self.t_us[mask], self.raw[mask], self.proc[mask],
-            self.gaze[mask], self.target[mask],
-            [dict(e) for e in self.events], dict(self.meta),
-        )
+        return SessionLog(self.t_us[mask], self.raw[mask], self.proc[mask],
+                          [dict(e) for e in self.events], dict(self.meta))
 
 
 class EyeSimulator:
@@ -346,9 +390,8 @@ class EyeSimulator:
         start = start_target if start_target is not None else self.geom.center
         self.start_target = start
         self.stim_target = start
-        self.gaze_target = start
-        # A move the eye has not followed yet: (switch time, its event, target).
-        self._unsettled: tuple[float, dict, ScreenPoint] | None = None
+        # A move the eye has not followed yet: (switch time, its event).
+        self._unsettled: tuple[float, dict] | None = None
         self.frame_index = 0
         self._blocks: list[tuple] = []
         self.events: list[dict] = []
@@ -386,14 +429,13 @@ class EyeSimulator:
         draws the subject's reaction time; the eye lands on the target at the
         first frame past it, unless the next move comes first. A move whose
         reaction time outlasts the timeline carries over to the next call.
-        The frames are drained with ``take_frames()``.
+        The eye's gaze on each frame then follows from the events
+        (``gaze_target``). The frames are drained with ``take_frames()``.
         """
         cycle = self.cycle_us
         counts = [frames_spanned(ev.duration_us, cycle) for ev in events]
         n = sum(counts)
         t = (self.frame_index + np.arange(n, dtype=np.int64)) * cycle
-        gaze_xy = np.empty((n, 2))
-        tgt = np.empty((n, 2))
         blend = np.zeros(n)
         ramp_us = self.config.optics.blink_ramp_ms * 1000.0
         f = 0
@@ -409,25 +451,21 @@ class EyeSimulator:
                 self.events.append({"kind": "blink", "t0_us": t0, "t1_us": t1})
                 blend[span] = np.clip(np.minimum((t[span] - t0) / ramp_us,
                                                  (t1 - t[span]) / ramp_us), 0.0, 1.0)
-            tgt[span] = [self.stim_target.x, self.stim_target.y]
-            gaze_xy[span] = [self.gaze_target.x, self.gaze_target.y]
             if self._unsettled is not None:
-                switch_us, event, to = self._unsettled
+                switch_us, event = self._unsettled
                 after = t[span] >= switch_us
                 if after.any():
-                    switch = f + int(after.argmax())
-                    event["t_settle_us"] = int(t[switch])
-                    gaze_xy[switch:f + k] = [to.x, to.y]
-                    self.gaze_target = to
+                    event["t_settle_us"] = int(t[f + int(after.argmax())])
                     self._unsettled = None
             f += k
         if n == 0:
             return
+        gaze_xy, _ = gaze_target(t, self.events, [self.start_target.x, self.start_target.y])
         raw, scales = self._sense_block(gaze_xy, blend)
         # The scales are not kept, so their buffer holds the compensated
         # readings and a whole phase needs one less array.
         proc = self.iir.filter_block(compensate(raw, scales, out=scales))
-        self._blocks.append((t, raw, proc, gaze_xy, tgt))
+        self._blocks.append((t, raw, proc))
         self.frame_index += n
 
     def _move(self, target: ScreenPoint, t_us: int) -> None:
@@ -446,24 +484,24 @@ class EyeSimulator:
             "to": [target.x, target.y],
         }
         self.events.append(event)
-        self._unsettled = (t_us + srt_us, event, target)
+        self._unsettled = (t_us + srt_us, event)
         self.stim_target = target
 
-    def take_frames(self) -> tuple[np.ndarray, ...]:
-        """Drain and return frames logged since the last call."""
+    def take_frames(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Drain and return the (t, raw, proc) of the frames simulated since the last call."""
         blocks, self._blocks = self._blocks, []
         if len(blocks) == 1:
             return blocks[0]
         if not blocks:
             m = self.layout.total_channels
             return (np.empty(0, dtype=np.int64), np.empty((0, m), dtype=np.int64),
-                    np.empty((0, m)), np.empty((0, 2)), np.empty((0, 2)))
-        return tuple(np.concatenate([b[i] for b in blocks]) for i in range(5))
+                    np.empty((0, m)))
+        return tuple(np.concatenate([b[i] for b in blocks]) for i in range(3))
 
     def snapshot(self) -> SessionLog:
         """Session log of everything simulated so far."""
-        t, raw, proc, gaze, tgt = self.take_frames()
-        self._blocks = [(t, raw, proc, gaze, tgt)]  # keep for later snapshots
+        t, raw, proc = self.take_frames()
+        self._blocks = [(t, raw, proc)]  # keep for later snapshots
         meta = {
             "seed": self.seed,
             "cycle_us": self.cycle_us,
@@ -480,7 +518,7 @@ class EyeSimulator:
             # give every later position of both.
             "start_target": [self.start_target.x, self.start_target.y],
         }
-        return SessionLog(t, raw, proc, gaze, tgt, [dict(e) for e in self.events], meta)
+        return SessionLog(t, raw, proc, [dict(e) for e in self.events], meta)
 
 
 def gaze_directions(geom: DisplayGeometry, gaze_xy: np.ndarray, eye: int) -> np.ndarray:

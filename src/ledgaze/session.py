@@ -32,6 +32,8 @@ from .eyesim import (
     SessionLog,
     SimConfig,
     SubjectProfile,
+    _is_number,
+    _is_point,
     frames_spanned,
     run_script,
 )
@@ -55,10 +57,6 @@ def _check_version(name: str, found, supported: int) -> None:
     """Reject files written by any other format than the one this code reads."""
     if type(found) is not int or found != supported:
         raise ConfigError(f"{name} {found!r} is not readable here (this code reads {supported})")
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 # What a config field of each annotated type takes: the check, and its noun.
@@ -337,7 +335,7 @@ class SimulatorDwellSource:
         dwell = dwell_frames(self.dwell_ms, self.engine.cycle_us)
         self.engine.run([ScriptEvent("fixation", us, target)
                          for target in targets for us in (settle_us, dwell_us)])
-        _, _, proc, _, _ = self.engine.take_frames()
+        _, _, proc = self.engine.take_frames()
         step = settle + dwell
         # Settle-in frames are not sampled.
         return [proc[i * step + settle:(i + 1) * step] for i in range(len(targets))]
@@ -400,8 +398,8 @@ def run_benchmark_session(config: SessionConfig):
 # -- session log serialization (line-delimited JSON) --------------------------
 
 # The fields of a frame record, both integers; the reader iterates this tuple.
-# A frame's proc, gaze and target are not fields: the reader rebuilds them
-# from the raw counts, the events and the meta (_rebuilt_columns).
+# A frame's proc is not a field: the reader rebuilds it from the raw counts
+# and the meta (_rebuilt_proc). Its gaze and target follow from the events.
 _FRAME_FIELDS = ("t_us", "raw")
 
 # A frame record's line as json.dumps(sort_keys=True) writes it.
@@ -419,30 +417,30 @@ _SLICE_ROWS = 128
 def write_session_log(log: SessionLog, path, calibration: CalibrationSet | None = None) -> None:
     """One JSON record per line: meta, calibration, events, frames, then the digest.
 
-    A frame record holds the frame's time and raw counts. Its proc, gaze and
-    target are not written: the reader rebuilds them (``_rebuilt_columns``),
-    proc from the raw counts through the signal chain that the meta sets,
-    target and gaze from the meta's ``start_target`` and the target_move
-    events. Frames are formatted a slice of _SLICE_ROWS at a time, one
-    json.dumps per field. The last line is a ``digest`` record holding the
-    sha256 of every line before it.
+    A frame record holds the frame's time and raw counts. Its proc is not
+    written: the reader rebuilds it from the raw counts through the signal
+    chain that the meta sets (``_rebuilt_proc``). Its gaze and target follow
+    from the meta's ``start_target`` and the target_move events, in a
+    ``SessionLog`` in memory as on disk. Frames are formatted a slice of
+    _SLICE_ROWS at a time, one json.dumps per field. The last line is a
+    ``digest`` record holding the sha256 of every line before it.
 
     A log the file cannot hold faithfully raises ConfigError before the file
     is opened: frame fields of unequal length, or a non-finite number, which
     JSON cannot express, naming the field and the frame; a non-finite number
     in the meta, calibration or an event record, or an event that cannot be
-    scored, naming the record's line; and a proc, gaze or target other than
-    the one the reader rebuilds, down to a zero's sign, naming the first
-    frame that differs.
+    scored, naming the record's line; and a proc other than the one the
+    reader rebuilds, down to a zero's sign, naming the first frame that
+    differs.
     """
-    _check_writable(path, {f: getattr(log, f) for f in ("t_us", "raw", "gaze", "target")})
+    _check_writable(path, {"t_us": log.t_us, "raw": log.raw})
     head = [_header_line(path, n, rec) for n, rec in enumerate(_records(log, calibration), 1)]
     fault = _event_fault(log.events)
     if fault:
         event, problem = fault
         line = len(head) - len(log.events) + event + 1
         raise ConfigError(f"cannot write session log {path}: line {line}, {problem}")
-    _check_rebuilt(path, log)
+    _check_proc(path, log)
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
         for text in itertools.chain(["".join(head)], _frame_texts(log)):
@@ -494,40 +492,21 @@ def _check_writable(path, columns: dict[str, np.ndarray]) -> None:
             raise _unwritable(path, int(bad[0]), f"holds a non-finite number in {f!r}")
 
 
-# What the reader rebuilds each derived column from, in the words of the
-# writer's refusal.
-_REBUILT_FROM = {"proc": "raw counts give through the meta's signal chain",
-                 "gaze": "events give", "target": "events give"}
-
-
-def _check_rebuilt(path, log: SessionLog) -> None:
-    """Raise ConfigError unless reading the log back gives its proc, gaze and target."""
+def _check_proc(path, log: SessionLog) -> None:
+    """Raise ConfigError unless reading the log back gives its proc."""
     try:
-        rebuilt = _rebuilt_columns(log.t_us, log.raw, log.events, log.meta)
+        rebuilt = _rebuilt_proc(log.raw, log.meta)
     except ConfigError as exc:
         raise ConfigError(f"cannot write session log {path}: {exc}") from None
-    for name, column in rebuilt.items():
-        held = getattr(log, name)
-        if np.shape(held) != column.shape:
-            raise ConfigError(f"cannot write session log {path}: its {name} has shape "
-                              f"{np.shape(held)}, its {_REBUILT_FROM[name]} {column.shape}")
-        # The signs as well: a 0.0 where the reader gives -0.0 would read back as -0.0.
-        bad = np.flatnonzero(((held != column) | (np.signbit(held) != np.signbit(column)))
-                             .any(axis=1))
-        if bad.size:
-            raise _unwritable(path, int(bad[0]), f"holds a {name} row other than the one its "
-                              f"{_REBUILT_FROM[name]}")
-
-
-def _rebuilt_columns(t_us: np.ndarray, raw: np.ndarray, events: list[dict],
-                     meta: dict) -> dict[str, np.ndarray]:
-    """The columns a log does not store: proc, gaze and target, from what it does.
-
-    The events must be scorable (``_event_fault``). A meta setting that is
-    missing or out of range raises ConfigError naming it.
-    """
-    gaze, target = _rebuilt_gaze_target(t_us, events, meta)
-    return {"proc": _rebuilt_proc(raw, meta), "gaze": gaze, "target": target}
+    chain = "raw counts give through the meta's signal chain"
+    if np.shape(log.proc) != rebuilt.shape:
+        raise ConfigError(f"cannot write session log {path}: its proc has shape "
+                          f"{np.shape(log.proc)}, its {chain} {rebuilt.shape}")
+    # The signs as well: a 0.0 where the reader gives -0.0 would read back as -0.0.
+    bad = (log.proc != rebuilt) | (np.signbit(log.proc) != np.signbit(rebuilt))
+    bad = np.flatnonzero(bad.any(axis=1))
+    if bad.size:
+        raise _unwritable(path, int(bad[0]), f"holds a proc row other than the one its {chain}")
 
 
 def _rebuilt_proc(raw: np.ndarray, meta: dict) -> np.ndarray:
@@ -554,39 +533,6 @@ def _rebuilt_proc(raw: np.ndarray, meta: dict) -> np.ndarray:
     return iir.filter_block(compensate(raw, scales, out=scales))
 
 
-def _rebuilt_gaze_target(t_us: np.ndarray, events: list[dict], meta: dict):
-    """Each frame's gaze and target: the rule ``EyeSimulator.run`` applies.
-
-    Both start at the meta's ``start_target``. The target takes a move's
-    ``to`` from the first frame at or after its t_move_us, the gaze from the
-    first frame at or after its t_settle_us. A move that the next one
-    superseded before the eye switched has its t_settle_us at that move's
-    t_move_us: the eye never went to its target, so the gaze stays where it
-    was. Scorable events keep both kinds of switch times in order.
-    """
-    start = meta.get("start_target")
-    if not _is_point(start):
-        raise ConfigError(f"meta field 'start_target' is not a pair of finite numbers: {start!r}")
-    moves = [ev for ev in events if ev["kind"] == "target_move"]
-    # Row 0 is the start; row i is the i-th move's target.
-    points = np.array([start, *(ev["to"] for ev in moves)], dtype=float)
-    target = points[np.searchsorted([ev["t_move_us"] for ev in moves], t_us, side="right")]
-    settles, rows = [], [0]
-    for i, ev in enumerate(moves, 1):
-        settle = ev["t_settle_us"]
-        if settle is not None and (i == len(moves) or settle != moves[i]["t_move_us"]):
-            settles.append(settle)
-            rows.append(i)
-    gaze = points[np.asarray(rows)[np.searchsorted(settles, t_us, side="right")]]
-    return gaze, target
-
-
-def _is_point(value) -> bool:
-    """Whether a record's value is a screen point: a list of two finite numbers."""
-    return (type(value) is list and len(value) == 2
-            and all(_is_number(v) and math.isfinite(v) for v in value))
-
-
 def _unwritable(path, frame: int, problem: str) -> ConfigError:
     return ConfigError(f"cannot write session log {path}: frame {frame} {problem}")
 
@@ -594,10 +540,10 @@ def _unwritable(path, frame: int, problem: str) -> ConfigError:
 def read_session_log(path):
     """Inverse of write_session_log; returns (log, calibration-or-None).
 
-    Each frame's proc, gaze and target are rebuilt (``_rebuilt_columns``):
-    proc from the raw counts through the signal chain that the meta record
-    sets, target and gaze from the meta's ``start_target`` and the
-    target_move events. A log of any other ``log_version`` than LOG_VERSION
+    Each frame's proc is rebuilt from the raw counts through the signal
+    chain that the meta record sets (``_rebuilt_proc``); its gaze and target
+    follow from the meta's ``start_target`` and the target_move events
+    (``SessionLog``). A log of any other ``log_version`` than LOG_VERSION
     raises ConfigError naming the version.
 
     A malformed log raises ConfigError naming the file and line: invalid
@@ -680,11 +626,11 @@ def read_session_log(path):
         raise _malformed(path, meta_line,
                          f"meta field 'cycle_us' is not a positive integer: {cycle!r}")
     try:
-        rebuilt = _rebuilt_columns(t_us, raw, events, meta)
+        log = SessionLog(t_us, raw, _rebuilt_proc(raw, meta), events, meta)
     except ConfigError as exc:
         raise _malformed(path, meta_line, str(exc)) from None
     _check_digest(path)
-    return SessionLog(t_us, raw, events=events, meta=meta, **rebuilt), cal
+    return log, cal
 
 
 def _check_digest(path) -> None:
@@ -758,7 +704,7 @@ def _event_fault(events: list[dict]) -> tuple[int, str] | None:
 def _event_problem(ev: dict, last_move: dict | None) -> str | None:
     """Why an event record cannot be scored after the target_move ``last_move``, or None.
 
-    A target_move's target and gaze are scoring data (``_rebuilt_gaze_target``):
+    A target_move's target and gaze are scoring data (``eyesim.gaze_target``):
     it must hold ``from`` and ``to`` as screen points, settle at or after it
     moves, and move at or after the move before it settled.
     """

@@ -21,7 +21,8 @@ the path that the one ``dgtsv`` solve in ``IirFilter.filter_block`` replaces.
 ``StepwiseSimulator`` is the per-event session path that
 ``EyeSimulator.run(events)`` replaces: one ``move_target`` and one
 ``run(duration)`` span per script event, with the reaction-time switch
-resolved inside each span.
+resolved inside each span. It keeps its own per-frame gaze and target,
+where the engine derives both from its events.
 
 ``write_session_log_reference`` and ``read_session_log_reference`` are the
 session-log codec that the column-wise one replaces: a hand-built dict per
@@ -30,18 +31,19 @@ events, one hand-named accumulator list per frame field, and a digest
 record built with ``sealed``. The reader rebuilds each frame's processed
 vector with ``chain_reference``, the signal chain one frame and channel at
 a time, and its gaze and target with ``gaze_target_reference``, which
-replays every target move at every frame.
+replays every target move at every frame; it returns the columns without
+building a ``SessionLog``, which would derive gaze and target itself.
 """
 
 import hashlib
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.signal import lfilter
 
 from ledgaze.core import ADC_MAX, CalibrationSet, ConfigError, DegenerateInputError, DimensionError
-from ledgaze.eyesim import SessionLog
 from ledgaze.session import LOG_VERSION, _check_version
 from ledgaze.sigproc import SATURATION_HIGH, SATURATION_LOW
 
@@ -304,12 +306,20 @@ class StepwiseSimulator:
 
     Uses the engine's generators, exposures, filter and frame buffer, so a
     fresh engine driven here and an identical one driven by ``run(events)``
-    must produce the same bytes.
+    must produce the same bytes. The eye's position and each frame's gaze
+    and target are kept here, apart from the engine: ``columns()``.
     """
 
     def __init__(self, sim):
         self.sim = sim
         self.pending = None  # {"switch_us", "event", "to"}
+        self.eye = sim.start_target
+        self.gaze, self.target = [], []  # one (n, 2) block per run span
+
+    def columns(self):
+        """Every simulated frame's gaze and target, (N, 2) each."""
+        return tuple(np.concatenate(blocks) if blocks else np.empty((0, 2))
+                     for blocks in (self.gaze, self.target))
 
     @property
     def t_us(self):
@@ -349,7 +359,7 @@ class StepwiseSimulator:
         else:
             blend = np.zeros(n)
         gaze_xy = np.empty((n, 2))
-        gaze_xy[:] = [sim.gaze_target.x, sim.gaze_target.y]
+        gaze_xy[:] = [self.eye.x, self.eye.y]
         if self.pending is not None:
             after = t >= self.pending["switch_us"]
             if after.any():
@@ -357,12 +367,13 @@ class StepwiseSimulator:
                 gaze_xy[after] = [to.x, to.y]
                 self.pending["event"]["t_settle_us"] = int(t[after][0])
                 self.pending = None
-                sim.gaze_target = to
+                self.eye = to
         raw, scales = sim._sense_block(gaze_xy, blend)
         proc = sim.iir.filter_block(raw / ADC_MAX / scales)
-        tgt = np.tile([sim.stim_target.x, sim.stim_target.y], (n, 1))
-        sim._blocks.append((t, raw, proc, gaze_xy, tgt))
+        sim._blocks.append((t, raw, proc))
         sim.frame_index += n
+        self.gaze.append(gaze_xy)
+        self.target.append(np.tile([sim.stim_target.x, sim.stim_target.y], (n, 1)))
 
     def run_event(self, ev):
         if ev.kind == "saccade":
@@ -406,11 +417,12 @@ def sealed(body: str) -> str:
 
 
 def read_session_log_reference(path):
-    """Inverse of write_session_log; returns (log, calibration-or-None).
+    """Inverse of write_session_log; returns (log columns, calibration-or-None).
 
-    The processed vectors come from ``chain_reference`` with the settings in
-    the meta record, the gaze and target from ``gaze_target_reference``. A
-    log whose last line is not the digest of the lines before it raises
+    The log's columns, events and meta are attributes of a namespace. The
+    processed vectors come from ``chain_reference`` with the settings in the
+    meta record, the gaze and target from ``gaze_target_reference``. A log
+    whose last line is not the digest of the lines before it raises
     ConfigError.
     """
     with open(path) as fh:
@@ -442,10 +454,10 @@ def read_session_log_reference(path):
                            meta["exposure_max_us"], meta["optics"]["reference_exposure_us"],
                            meta["iir_alpha"])
     gaze, target = gaze_target_reference(t, events, meta["start_target"])
-    log = SessionLog(
-        np.asarray(t, dtype=np.int64), np.asarray(raw, dtype=np.int64),
-        np.asarray(proc, dtype=float), np.asarray(gaze, dtype=float),
-        np.asarray(target, dtype=float), events, meta,
+    log = SimpleNamespace(
+        t_us=np.asarray(t, dtype=np.int64), raw=np.asarray(raw, dtype=np.int64),
+        proc=np.asarray(proc, dtype=float), gaze=np.asarray(gaze, dtype=float),
+        target=np.asarray(target, dtype=float), events=events, meta=meta,
     )
     return log, cal
 

@@ -239,7 +239,7 @@ def test_sweep_scores_the_configured_estimator(axis, values):
     if axis == "led_count":
         log, cal = run_benchmark_session(cfg)
         cases = [(SessionLog(log.t_us, log.raw[:, row["channels"]], log.proc[:, row["channels"]],
-                             log.gaze, log.target, log.events, log.meta),
+                             log.events, log.meta),
                   cal.select_channels(row["channels"])) for row in result["rows"]]
     else:
         log = evaluation_phase(cfg, cfg.subject(), cfg.layout(), cfg.seed)

@@ -18,6 +18,7 @@ from ledgaze.eyesim import (
     clean_signal,
     expose_block,
     frames_spanned,
+    gaze_target,
     run_script,
     sense,
 )
@@ -429,14 +430,19 @@ def test_run_output_does_not_depend_on_how_a_span_is_split():
     assert changes[0] == changes[1] == changes[2] and sum(changes[0]) > 0
 
 
-def _assert_same_log(got, want):
-    for col in ("t_us", "raw", "proc", "gaze", "target"):
+def _assert_same_log(got, want, ref):
+    """``got`` equals ``want``, and its gaze and target equal the stepwise path's own columns."""
+    for col in ("t_us", "raw", "proc"):
         assert np.array_equal(getattr(got, col), getattr(want, col)), col
+    gaze, target = ref.columns()
+    assert np.array_equal(got.gaze, gaze)
+    assert np.array_equal(got.target, target)
     assert got.events == want.events
 
 
 def _simulate_rounds(lay, subj, config, rounds, stepwise, start=None):
-    """Engine after the rounds, each simulated as one run() call or by the per-event path."""
+    """Engine after the rounds, each simulated as one run() call or by the per-event
+    path, and that path's driver."""
     sim = EyeSimulator(lay, subj, config, seed=21, start_target=start)
     ref = StepwiseSimulator(sim)
     for events in rounds:
@@ -445,7 +451,7 @@ def _simulate_rounds(lay, subj, config, rounds, stepwise, start=None):
                 ref.run_event(ev)
         else:
             sim.run(events)
-    return sim
+    return sim, ref
 
 
 def _dwell_targets(phase):
@@ -503,12 +509,12 @@ def test_run_timeline_matches_stepwise_reference(phase, make_layout, case):
         settle_us = SimulatorDwellSource(probe, dwell_ms).settle_us()
         rounds = [[ScriptEvent("fixation", us, t) for t in targets
                    for us in (settle_us, int(dwell_ms * 1000))] for targets in target_rounds]
-    got = _simulate_rounds(lay, subj, config, rounds, stepwise=False)
-    want = _simulate_rounds(lay, subj, config, rounds, stepwise=True)
+    got, _ = _simulate_rounds(lay, subj, config, rounds, stepwise=False)
+    want, ref = _simulate_rounds(lay, subj, config, rounds, stepwise=True)
     assert got.frame_index == want.frame_index > 0
     assert np.array_equal(got.exposure_us, want.exposure_us)
     assert np.array_equal(got.exposure_changes, want.exposure_changes)
-    _assert_same_log(got.snapshot(), want.snapshot())
+    _assert_same_log(got.snapshot(), want.snapshot(), ref)
     assert got.exposure_changes.sum() > 0  # every case walks some exposure changes
     if case == "noise0.05-bright":
         assert np.any(got.exposure_us != config.exposure_init_us)
@@ -530,7 +536,14 @@ def test_dwell_source_windows_match_stepwise_acquire(phase):
             want = ref.acquire(target, settle_us, dwell_us)
             assert want.shape[0] == frames_spanned(dwell_us, source.engine.cycle_us)
             assert np.array_equal(got, want)
-    assert source.engine.events == ref.sim.events
+    engine = source.engine
+    assert engine.events == ref.sim.events
+    # The windows were drained; the engine's gaze and target over every frame
+    # follow from its events, as its session log's would.
+    t_us = engine.cycle_us * np.arange(engine.frame_index, dtype=np.int64)
+    start = [engine.start_target.x, engine.start_target.y]
+    for got, want in zip(gaze_target(t_us, engine.events, start), ref.columns()):
+        assert np.array_equal(got, want)
 
 
 # (mean, std) reaction times in ms: 300 ms is exactly 50 cycles of 6 ms, so
@@ -552,10 +565,10 @@ def test_random_timelines_match_stepwise_reference(seed, n, srt, cuts):
     lay = LedLayout.prototype1()
     subj = replace(quiet_subject(noise=0.05), srt_mean_ms=srt[0], srt_std_ms=srt[1])
     config = SimConfig(geom=GEOM, step_us=1000, optics=OpticsModel(signal_scale=3.0))
-    got = _simulate_rounds(lay, subj, config, rounds, stepwise=False, start=start)
-    want = _simulate_rounds(lay, subj, config, rounds, stepwise=True, start=start)
+    got, _ = _simulate_rounds(lay, subj, config, rounds, stepwise=False, start=start)
+    want, ref = _simulate_rounds(lay, subj, config, rounds, stepwise=True, start=start)
     assert got.frame_index == want.frame_index
-    _assert_same_log(got.snapshot(), want.snapshot())
+    _assert_same_log(got.snapshot(), want.snapshot(), ref)
 
 
 def test_move_superseded_before_the_eye_switches():
@@ -564,17 +577,23 @@ def test_move_superseded_before_the_eye_switches():
     a, b, c = ScreenPoint(150, 150), ScreenPoint(650, 450), ScreenPoint(400, 100)
     sim = EyeSimulator(lay, subj, cfg(), seed=3, start_target=a)
     # b is shown for 200 ms, shorter than the 500 ms reaction time
-    sim.run([ScriptEvent("fixation", 300_000, a), ScriptEvent("fixation", 200_000, b),
-             ScriptEvent("fixation", 800_000, c)])
+    events = [ScriptEvent("fixation", 300_000, a), ScriptEvent("fixation", 200_000, b),
+              ScriptEvent("fixation", 800_000, c)]
+    sim.run(events)
     to_b, to_c = sim.events
     assert to_b["to"] == [b.x, b.y] and to_c["to"] == [c.x, c.y]
     # 30 + 20 frames in, before b's switch at 30 frames + 500 ms
     assert to_b["t_settle_us"] == to_c["t_move_us"] == 50 * sim.cycle_us
-    t, _, _, gaze, target = sim.take_frames()
+    log = sim.snapshot()
+    t, gaze, target = log.t_us, log.gaze, log.target
     assert not np.any(np.all(gaze == [b.x, b.y], axis=1))
     assert np.all(gaze[t < to_c["t_settle_us"]] == [a.x, a.y])
     assert np.all(gaze[t >= to_c["t_settle_us"]] == [c.x, c.y])
     assert np.any(target == [b.x, b.y])
+    ref = StepwiseSimulator(EyeSimulator(lay, subj, cfg(), seed=3, start_target=a))
+    for ev in events:
+        ref.run_event(ev)
+    _assert_same_log(log, ref.sim.snapshot(), ref)
     # a fixation on the current stimulus target draws no reaction time and logs nothing
     state = sim._srt_rng.bit_generator.state
     sim.run([ScriptEvent("fixation", 100_000, c), ScriptEvent("saccade", 0, c)])
