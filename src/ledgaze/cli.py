@@ -233,6 +233,16 @@ def _integers(text: str) -> list[int]:
             f"not a comma-separated list of integers: {text!r}") from None
 
 
+def _count(text: str) -> int:
+    """An integer of at least 1, as an argparse type."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not an integer of at least 1: {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="ledgaze",
@@ -279,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("wire-test", help="serial-format round-trip and resync check")
     common(sp)
-    sp.add_argument("--frames", type=int, default=1000)
+    sp.add_argument("--frames", type=_count, default=1000)
     sp.set_defaults(func=cmd_wire_test)
 
     return p

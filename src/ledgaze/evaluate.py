@@ -252,7 +252,7 @@ def sweep(config: SessionConfig, axis: str, values) -> dict:
     elif axis == "calibration_points":
         log = evaluation_phase(config, subject, layout, config.seed)
         for v in values:
-            side = math.isqrt(int(v))
+            side = math.isqrt(max(int(v), 0))
             if side * side != int(v):
                 raise ConfigError(f"calibration_points value {v} is not a square grid")
             cal = calibration_phase(config.replace(grid_rows=side, grid_cols=side),

@@ -312,14 +312,16 @@ def gaze_target(t_us: np.ndarray, events: list[dict], start) -> tuple[np.ndarray
     moves = [ev for ev in events if ev["kind"] == "target_move"]
     # Row 0 is the start; row i is the i-th move's target.
     points = np.array([start, *(ev["to"] for ev in moves)], dtype=float)
-    target = points[np.searchsorted([ev["t_move_us"] for ev in moves], t_us, side="right")]
     settles, rows = [], [0]
     for i, ev in enumerate(moves, 1):
         settle = ev["t_settle_us"]
         if settle is not None and (i == len(moves) or settle != moves[i]["t_move_us"]):
             settles.append(settle)
             rows.append(i)
-    gaze = points[np.asarray(rows)[np.searchsorted(settles, t_us, side="right")]]
+    # np.take, because indexing a 2-D array with an index array costs about ten times more.
+    gaze = np.take(points[rows], np.searchsorted(settles, t_us, side="right"), axis=0)
+    target = np.take(points, np.searchsorted([ev["t_move_us"] for ev in moves], t_us, side="right"),
+                     axis=0)
     return gaze, target
 
 

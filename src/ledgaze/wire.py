@@ -11,8 +11,10 @@ Layout (little-endian, 7 + 2M bytes total):
 
 The decoder is an incremental state machine: it scans to the next sync
 byte, validates length, reserved bits, and checksum, and on any failure
-discards a single byte and resynchronizes. Corruption therefore costs
-frames but never produces a mis-decoded one.
+discards a single byte and resynchronizes. A single-bit error therefore
+costs frames but never produces a mis-decoded one. Two flips of one bit
+position in two bytes pass the XOR checksum: two random flips per frame
+mis-decoded 218 of 4,000 benchmark-session frames.
 """
 
 from __future__ import annotations

@@ -168,6 +168,24 @@ def test_sweep_values_must_be_integers(tmp_path, small_config_file, capsys):
     assert "argument --values: not a comma-separated list of integers: '4,x'" in err
 
 
+def test_sweep_refuses_a_negative_calibration_point_count(tmp_path, small_config_file, capsys):
+    assert main(["sweep", "--config", small_config_file, "--out", str(tmp_path / "sw"),
+                 "--axis", "calibration_points", "--values=-4"]) == 2
+    assert capsys.readouterr().err == "error: calibration_points value -4 is not a square grid\n"
+    assert not (tmp_path / "sw" / "sweep_calibration_points.json").exists()
+
+
+@pytest.mark.parametrize("frames", ["-3", "0", "x"])
+def test_wire_test_refuses_fewer_than_one_frame(tmp_path, capsys, frames):
+    with pytest.raises(SystemExit) as exc:
+        main(["wire-test", "--out", str(tmp_path / "wt"), f"--frames={frames}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith(f"error: argument --frames: not an integer of at "
+                                         f"least 1: '{frames}'")
+    assert not (tmp_path / "wt").exists()
+
+
 @pytest.mark.parametrize("text, problem", [
     ('{"seed": 3,', "is not valid JSON"),
     ("[1]", "a config must be a JSON object, not list"),

@@ -7,10 +7,10 @@ from golden_outputs import GOLDEN_PATH, digests, versions
 
 def test_cli_outputs_match_golden_digests(tmp_path):
     golden = json.loads(GOLDEN_PATH.read_text())
-    differ = {name: (pinned, versions()[name]) for name, pinned in golden["versions"].items()
-              if versions()[name] != pinned}
-    assert not differ, ("the golden digests were pinned on other library versions: "
-                        + ", ".join(f"{n} {p} pinned, {h} installed" for n, (p, h) in differ.items()))
+    installed = versions()
+    differ = [f"{name} {pinned} pinned, {installed[name]} installed"
+              for name, pinned in golden["versions"].items() if installed[name] != pinned]
+    assert not differ, f"the golden digests were pinned on other library versions: {', '.join(differ)}"
     found = digests(tmp_path)
     pinned = golden["sha256"]
     changed = sorted(name for name in pinned.keys() & found.keys() if pinned[name] != found[name])
