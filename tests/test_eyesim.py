@@ -442,7 +442,7 @@ def _assert_same_log(got, want, ref):
 
 def _simulate_rounds(lay, subj, config, rounds, stepwise, start=None):
     """Engine after the rounds, each simulated as one run() call or by the per-event
-    path, and that path's driver."""
+    path, and the StepwiseSimulator of that path."""
     sim = EyeSimulator(lay, subj, config, seed=21, start_target=start)
     ref = StepwiseSimulator(sim)
     for events in rounds:
