@@ -42,7 +42,7 @@ from .regress import GprModel, SvrModel
 from .sigproc import IirFilter, compensate, replay_exposure
 
 CONFIG_VERSION = 2
-LOG_VERSION = 3
+LOG_VERSION = 4
 
 DEFAULT_SIGMA_GRID = (0.05, 0.1, 0.2, 0.3, 0.5, 0.8, 1.2, 2.0)
 
@@ -397,69 +397,58 @@ def run_benchmark_session(config: SessionConfig):
 
 # -- session log serialization (line-delimited JSON) --------------------------
 
-# The fields of a frame record, both integers; the reader iterates this tuple.
-# A frame's proc is not a field: the reader rebuilds it from the raw counts
-# and the meta (_rebuilt_proc). Its gaze and target follow from the events.
-_FRAME_FIELDS = ("t_us", "raw")
-
-# A frame record's line as json.dumps(sort_keys=True) writes it.
-_FRAME_LINE = '{{"raw": [{}], "t_us": {}, "type": "frame"}}\n'
-
 # The last line of a log: the sha256 of every byte before it.
 _DIGEST_LINE = '{{"sha256": "{}", "type": "digest"}}\n'
-
-# Frames per slice, in both directions: the writer formats a field's rows a
-# slice at a time, and the reader moves a slice's parsed rows into arrays, so
-# neither holds a Python object per value for the whole log.
-_SLICE_ROWS = 128
 
 
 def write_session_log(log: SessionLog, path, calibration: CalibrationSet | None = None) -> None:
     """One JSON record per line: meta, calibration, events, frames, then the digest.
 
-    A frame record holds the frame's time and raw counts. Its proc is not
-    written: the reader rebuilds it from the raw counts through the signal
-    chain that the meta sets (``_rebuilt_proc``). Its gaze and target follow
-    from the meta's ``start_target`` and the target_move events, in a
-    ``SessionLog`` in memory as on disk. Frames are formatted a slice of
-    _SLICE_ROWS at a time, one json.dumps per field. The last line is a
-    ``digest`` record holding the sha256 of every line before it.
+    The one ``frames`` record holds the log's ``t_us`` and ``raw`` columns,
+    what was measured. Its proc is not written: the reader rebuilds it from
+    the raw counts through the signal chain that the meta sets
+    (``_rebuilt_proc``). Its gaze and target follow from the meta's
+    ``start_target`` and the target_move events, in a ``SessionLog`` in
+    memory as on disk. The last line is a ``digest`` record holding the
+    sha256 of every line before it.
 
-    A log the file cannot hold faithfully raises ConfigError before the file
-    is opened: frame fields of unequal length, or a non-finite number, which
-    JSON cannot express, naming the field and the frame; a non-finite number
+    A log that the reader would refuse, or that the file cannot hold
+    faithfully, raises ConfigError before the file is opened: frame columns
+    that ``_frame_columns`` refuses, naming the frame; a non-finite number
     in the meta, calibration or an event record, or an event that cannot be
-    scored, naming the record's line; and a proc other than the one the
+    scored, naming the record's line; a meta whose capture cycle or chain
+    settings are missing or out of range; and a proc other than the one the
     reader rebuilds, down to a zero's sign, naming the first frame that
     differs.
     """
-    _check_writable(path, {"t_us": log.t_us, "raw": log.raw})
-    head = [_header_line(path, n, rec) for n, rec in enumerate(_records(log, calibration), 1)]
+    try:
+        _frame_columns(log.t_us, log.raw)
+    except ConfigError as exc:
+        raise ConfigError(f"cannot write session log {path}: {exc}") from None
+    lines = [_line(path, n, rec) for n, rec in enumerate(_records(log, calibration), 1)]
     fault = _event_fault(log.events)
     if fault:
         event, problem = fault
-        line = len(head) - len(log.events) + event + 1
+        line = len(lines) - len(log.events) + event  # the frames record follows the events
         raise ConfigError(f"cannot write session log {path}: line {line}, {problem}")
     _check_proc(path, log)
-    digest = hashlib.sha256()
+    data = "".join(lines).encode()
     with open(path, "wb") as fh:
-        for text in itertools.chain(["".join(head)], _frame_texts(log)):
-            data = text.encode()
-            digest.update(data)
-            fh.write(data)
-        fh.write(_DIGEST_LINE.format(digest.hexdigest()).encode())
+        fh.write(data)
+        fh.write(_DIGEST_LINE.format(hashlib.sha256(data).hexdigest()).encode())
 
 
 def _records(log: SessionLog, calibration: CalibrationSet | None):
-    """The log's records before its frames; their values are JSON-native already."""
+    """The log's records before its digest; their values are JSON-native already."""
     yield {"type": "meta", "log_version": LOG_VERSION, **log.meta}
     if calibration is not None:
         yield {"type": "calibration", **calibration.to_dict()}
     for ev in log.events:
         yield {"type": "event", **ev}
+    yield {"type": "frames", "t_us": log.t_us.tolist(), "raw": log.raw.tolist()}
 
 
-def _header_line(path, line: int, rec: dict) -> str:
+def _line(path, line: int, rec: dict) -> str:
     try:
         return json.dumps(rec, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:  # a NaN or an infinity
@@ -467,29 +456,75 @@ def _header_line(path, line: int, rec: dict) -> str:
                           f"record, holds a value JSON cannot express ({exc})") from None
 
 
-def _frame_texts(log: SessionLog):
-    """The frame records' lines, a slice at a time. Splitting one json.dumps of a
-    slice's raw rows is exact because the rows hold only integers, whose text
-    has no bracket."""
-    for start in range(0, log.n_frames, _SLICE_ROWS):
-        rows = slice(start, start + _SLICE_ROWS)
-        yield "".join(map(_FRAME_LINE.format,
-                          json.dumps(log.raw[rows].tolist())[2:-2].split("], ["),
-                          json.dumps(log.t_us[rows].tolist())[1:-1].split(", ")))
+def _frame_columns(t_us, raw) -> tuple[np.ndarray, np.ndarray]:
+    """A log's frame columns as integer arrays; ConfigError names the first frame at fault.
+
+    The one check of the frame columns, for the writer and the reader alike:
+    the columns are a ``SessionLog``'s arrays, or the lists of a frames
+    record. ``t_us`` holds an integer per frame, each greater than the
+    previous frame's. ``raw`` holds a row per frame of as many integer
+    counts as the first row, at least one, each within [0, ADC_MAX]. A
+    float is not an integer, since converting it would truncate it; nor is
+    a JSON true or false, which numpy would read as 1 or 0.
+    """
+    t = _integers(t_us)
+    if t is None or t.ndim != 1:
+        raise _row_fault(t_us, "t_us", _is_int64, "an integer")
+    if not t.size:
+        raise ConfigError("the log holds no frames")
+    counts = _integers(raw)
+    if counts is None or counts.ndim != 2 or not counts.shape[1]:
+        rows = raw.tolist() if isinstance(raw, np.ndarray) else raw
+        m = len(rows[0]) if isinstance(rows, list) and rows and isinstance(rows[0], list) else 0
+        raise _row_fault(rows, "raw", lambda row: (type(row) is list and len(row) == m > 0
+                                                   and all(map(_is_int64, row))),
+                         f"a list of {m} integers" if m else "a non-empty list of integers")
+    n = min(len(t), len(counts))
+    if len(t) != len(counts):
+        has, lacks = ("t_us", "raw") if len(t) > n else ("raw", "t_us")
+        raise ConfigError(f"frame {n} has {has!r} but no {lacks!r}")
+    bad = np.flatnonzero(((counts < 0) | (counts > ADC_MAX)).any(axis=1))
+    if bad.size:
+        raise ConfigError(f"frame {bad[0]} has a raw count outside [0, {ADC_MAX}]")
+    bad = np.flatnonzero(t[1:] <= t[:-1])
+    if bad.size:
+        raise ConfigError(f"frame {bad[0] + 1} has a t_us not greater than the previous frame's")
+    return t, counts
 
 
-def _check_writable(path, columns: dict[str, np.ndarray]) -> None:
-    """Raise ConfigError for frame columns that no log could hold as given."""
-    lengths = {f: len(column) for f, column in columns.items()}
-    short, long = min(lengths, key=lengths.get), max(lengths, key=lengths.get)
-    if lengths[short] != lengths[long]:
-        raise _unwritable(path, lengths[short], f"has {long!r} but no {short!r}: the frame "
-                          f"fields hold {lengths[long]} and {lengths[short]} rows")
-    for f, column in columns.items():
-        bad = ~np.isfinite(column)
-        bad = np.flatnonzero(bad.any(axis=1) if bad.ndim == 2 else bad)
-        if bad.size:
-            raise _unwritable(path, int(bad[0]), f"holds a non-finite number in {f!r}")
+def _integers(values) -> np.ndarray | None:
+    """``values`` as an array if it holds only integers, else None.
+
+    Rows of unequal length are not an array, and a JSON true or false in a
+    list is not an integer, though numpy would read it as one.
+    """
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # rows of unequal length
+        return None
+    if arr.dtype.kind != "i" and arr.size:  # an empty list holds no other value
+        return None
+    if isinstance(values, list):
+        flat = itertools.chain.from_iterable(values) if arr.ndim == 2 else values
+        if bool in set(map(type, flat)):
+            return None
+    return arr
+
+
+def _is_int64(value) -> bool:
+    """Whether ``value`` is an integer, not a bool, that fits an int64."""
+    return type(value) is int and -2**63 <= value < 2**63
+
+
+def _row_fault(rows, name: str, fits, what: str) -> ConfigError:
+    """The error naming the first row of the frame column ``rows`` that ``fits`` refuses."""
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+    if not isinstance(rows, list):
+        return ConfigError(f"{name!r} is not a list")
+    # Every row fits only when the dtype is at fault (an unsigned array): name the first frame.
+    frame = next((i for i, row in enumerate(rows) if not fits(row)), 0)
+    return ConfigError(f"frame {frame} has a {name!r} that is not {what}")
 
 
 def _check_proc(path, log: SessionLog) -> None:
@@ -506,7 +541,8 @@ def _check_proc(path, log: SessionLog) -> None:
     bad = (log.proc != rebuilt) | (np.signbit(log.proc) != np.signbit(rebuilt))
     bad = np.flatnonzero(bad.any(axis=1))
     if bad.size:
-        raise _unwritable(path, int(bad[0]), f"holds a proc row other than the one its {chain}")
+        raise ConfigError(f"cannot write session log {path}: frame {bad[0]} holds a proc row "
+                          f"other than the one its {chain}")
 
 
 def _rebuilt_proc(raw: np.ndarray, meta: dict) -> np.ndarray:
@@ -514,8 +550,14 @@ def _rebuilt_proc(raw: np.ndarray, meta: dict) -> np.ndarray:
 
     Exposures replayed from the initial one, compensation, then one fresh IIR
     pass, with the settings in the meta. A setting that is missing, not a
-    finite number or out of range raises ConfigError naming it.
+    finite number or out of range raises ConfigError naming it. So does a
+    meta whose ``cycle_us`` (the capture cycle, which the reports' exclusion
+    pad needs) is not a positive integer: the writer and the reader both
+    come here.
     """
+    cycle = meta.get("cycle_us")
+    if type(cycle) is not int or cycle <= 0:  # rejects bool too
+        raise ConfigError(f"meta field 'cycle_us' is not a positive integer: {cycle!r}")
     optics = meta.get("optics")
     chain = {name: meta.get(name) for name in
              ("exposure_init_us", "exposure_min_us", "exposure_max_us", "iir_alpha")}
@@ -533,109 +575,86 @@ def _rebuilt_proc(raw: np.ndarray, meta: dict) -> np.ndarray:
     return iir.filter_block(compensate(raw, scales, out=scales))
 
 
-def _unwritable(path, frame: int, problem: str) -> ConfigError:
-    return ConfigError(f"cannot write session log {path}: frame {frame} {problem}")
-
-
 def read_session_log(path):
     """Inverse of write_session_log; returns (log, calibration-or-None).
 
-    Each frame's proc is rebuilt from the raw counts through the signal
-    chain that the meta record sets (``_rebuilt_proc``); its gaze and target
-    follow from the meta's ``start_target`` and the target_move events
+    The proc is rebuilt from the raw counts through the signal chain that
+    the meta record sets (``_rebuilt_proc``); the gaze and target follow
+    from the meta's ``start_target`` and the target_move events
     (``SessionLog``). A log of any other ``log_version`` than LOG_VERSION
     raises ConfigError naming the version.
 
     A malformed log raises ConfigError naming the file and line: invalid
     JSON (a truncated write, or a NaN or Infinity token in any record), a
-    record with no type, a frame missing a field or holding the wrong number
-    or kind of values, a raw count outside [0, ADC_MAX], a frame whose t_us
-    is not greater than the previous frame's, an event that cannot be scored
-    (``_event_problem``), and a meta record whose cycle_us is not a positive
-    integer, whose signal chain settings are missing or out of range, or
-    whose start_target is not a pair of finite numbers. Records of unknown
-    type are skipped. Once every line has passed, a log whose last line is
-    not a digest of the lines before it raises ConfigError: it was cut
-    short, or changed after it was written.
-
-    Frame fields move into arrays a slice of _SLICE_ROWS frames at a time,
-    where each row's shape and kind are checked; the value checks (raw
-    range, t_us order) run once on the whole columns. A log with one fault
-    is named by its line whatever the slicing; with several, the faults of
-    the earlier slices are reported first.
+    record with no type, a second frames record, a frames record missing a
+    column or holding one that ``_frame_columns`` refuses (the message
+    names the frame, its index in the columns), an event that cannot be
+    scored (``_event_problem``), and a meta record whose cycle_us is not a
+    positive integer, whose signal chain settings are missing or out of
+    range, or whose start_target is not a pair of finite numbers. Records
+    of unknown type are skipped. The file is read once. Once every line has
+    passed, a log whose last line is not a digest of the bytes before it
+    raises ConfigError: it was cut short, or changed after it was written.
     """
+    data = Path(path).read_bytes()
     meta: dict = {}
-    meta_line = None
+    meta_line = frames_line = None
+    frames: dict = {}
     events: list[dict] = []
     event_lines: list[int] = []
     cal = None
-    columns: dict[str, list] = {f: [] for f in _FRAME_FIELDS}  # the current slice's rows
-    parts: dict[str, list] = {f: [] for f in _FRAME_FIELDS}  # the arrays of the slices before
-    lines: list[int] = []  # file line of each frame record
     # A byte that is not UTF-8 reads as U+FFFD: the line then fails as JSON,
     # or the log against its digest, each a ConfigError.
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        for n, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
+    for n, line in enumerate(data.decode(errors="replace").split("\n"), 1):
+        if not line.strip():
+            continue
+        try:
+            rec = _DECODER.decode(line)
+        except ValueError as exc:
+            raise _malformed(path, n, f"invalid JSON ({exc})") from None
+        kind = rec.pop("type", None) if isinstance(rec, dict) else None
+        if kind == "frames":
+            if frames_line is not None:
+                raise _malformed(path, n, f"a second frames record, after line {frames_line}")
+            frames, frames_line = rec, n
+        elif kind == "event":
+            events.append(rec)
+            event_lines.append(n)
+        elif kind == "meta":
+            _check_version("log_version", rec.pop("log_version", LOG_VERSION), LOG_VERSION)
+            meta, meta_line = rec, n
+        elif kind == "calibration":
             try:
-                rec = _DECODER.decode(line)
-            except ValueError as exc:
-                raise _malformed(path, n, f"invalid JSON ({exc})") from None
-            kind = rec.pop("type", None) if isinstance(rec, dict) else None
-            if kind == "frame":
-                try:
-                    for f, column in columns.items():
-                        column.append(rec[f])
-                except KeyError as exc:
-                    raise _malformed(path, n, f"frame has no {exc} field") from None
-                lines.append(n)
-                if len(lines) % _SLICE_ROWS == 0:
-                    _take_slice(path, lines, columns, parts)
-            elif kind == "event":
-                events.append(rec)
-                event_lines.append(n)
-            elif kind == "meta":
-                _check_version("log_version", rec.pop("log_version", LOG_VERSION), LOG_VERSION)
-                meta, meta_line = rec, n
-            elif kind == "calibration":
-                try:
-                    cal = CalibrationSet.from_dict(rec)
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise _malformed(path, n, f"bad calibration ({exc})") from None
-            elif kind is None:
-                raise _malformed(path, n, "record has no type")
+                cal = CalibrationSet.from_dict(rec)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise _malformed(path, n, f"bad calibration ({exc})") from None
+        elif kind is None:
+            raise _malformed(path, n, "record has no type")
     fault = _event_fault(events)
     if fault:
         raise _malformed(path, event_lines[fault[0]], fault[1])
-    if not lines:
+    if frames_line is None:
         raise ConfigError(f"no frames found in session log {path}")
-    if columns["t_us"]:
-        _take_slice(path, lines, columns, parts)
-    t_us, raw = (np.concatenate(parts[f]) for f in _FRAME_FIELDS)
-    bad = np.flatnonzero(((raw < 0) | (raw > ADC_MAX)).any(axis=1))
-    if bad.size:
-        raise _malformed(path, lines[bad[0]], f"raw count outside [0, {ADC_MAX}]")
-    bad = np.flatnonzero(np.diff(t_us) <= 0)
-    if bad.size:
-        raise _malformed(path, lines[bad[0] + 1], "t_us is not greater than the previous frame's")
+    try:
+        columns = frames["t_us"], frames["raw"]
+    except KeyError as exc:
+        raise _malformed(path, frames_line, f"frames record has no {exc} field") from None
+    try:
+        t_us, raw = _frame_columns(*columns)
+    except ConfigError as exc:
+        raise _malformed(path, frames_line, str(exc)) from None
     if meta_line is None:
         raise ConfigError(f"no meta record found in session log {path}")
-    cycle = meta.get("cycle_us")
-    if type(cycle) is not int or cycle <= 0:  # rejects bool too
-        raise _malformed(path, meta_line,
-                         f"meta field 'cycle_us' is not a positive integer: {cycle!r}")
     try:
         log = SessionLog(t_us, raw, _rebuilt_proc(raw, meta), events, meta)
     except ConfigError as exc:
         raise _malformed(path, meta_line, str(exc)) from None
-    _check_digest(path)
+    _check_digest(path, data)
     return log, cal
 
 
-def _check_digest(path) -> None:
+def _check_digest(path, data: bytes) -> None:
     """Raise ConfigError unless the log's last line is the digest of every byte before it."""
-    data = Path(path).read_bytes()
     end = data.rstrip()
     cut = end.rfind(b"\n") + 1
     try:
@@ -648,26 +667,6 @@ def _check_digest(path) -> None:
     if trailer.get("sha256") != hashlib.sha256(data[:cut]).hexdigest():
         raise ConfigError(f"session log {path} does not match its digest: it was changed "
                           "after it was written")
-
-
-def _take_slice(path, lines: list[int], columns: dict[str, list],
-                parts: dict[str, list]) -> None:
-    """Move the rows in ``columns`` into one checked array per field in ``parts``.
-
-    The first frame of the log fixes the channel count of every slice.
-    """
-    rows = lines[len(lines) - len(columns["t_us"]):]
-    if not parts["raw"]:
-        first = columns["raw"][0]
-        if not isinstance(first, list):
-            raise _malformed(path, rows[0], "frame field 'raw' is not a list")
-        m = len(first)
-    else:
-        m = parts["raw"][0].shape[1]
-    shapes = {"t_us": (), "raw": (m,)}
-    for f, values in columns.items():
-        parts[f].append(_frame_column(path, rows, f, values, shapes[f]))
-        values.clear()
 
 
 def _reject_constant(name: str):
@@ -729,26 +728,3 @@ def _event_problem(ev: dict, last_move: dict | None) -> str | None:
         return (f"target_move event t_move_us {ev['t_move_us']} is before the previous move "
                 f"settled (t_settle_us {json.dumps(last_move['t_settle_us'])})")
     return None
-
-
-def _frame_column(path, lines: list[int], name: str, values: list, row_shape: tuple) -> np.ndarray:
-    """One frame field as an int64 array; a row of the wrong shape or kind names its line.
-
-    The fields must hold JSON integers: converting a float to the integer
-    dtype would truncate it rather than reject it.
-    """
-    arr = _fitting(values, (len(values), *row_shape))
-    if arr is None:
-        line = next(n for n, v in zip(lines, values) if _fitting(v, row_shape) is None)
-        what = f"a list of {row_shape[0]} integers" if row_shape else "a single integer"
-        raise _malformed(path, line, f"frame field {name!r} is not {what}")
-    return arr.astype(np.int64, copy=False)
-
-
-def _fitting(values, shape: tuple) -> np.ndarray | None:
-    """``values`` as an array if it has this shape and holds integers, else None."""
-    try:
-        arr = np.asarray(values)
-    except ValueError:  # ragged nesting
-        return None
-    return arr if arr.dtype.kind == "i" and arr.shape == shape else None

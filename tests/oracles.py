@@ -25,10 +25,10 @@ resolved inside each span. It keeps its own per-frame gaze and target,
 where the engine derives both from its events.
 
 ``write_session_log_reference`` and ``read_session_log_reference`` are the
-session-log codec that the column-wise one replaces: a hand-built dict per
-frame with per-element conversion, a recursive ``_plain`` for meta and
-events, one hand-named accumulator list per frame field, and a digest
-record built with ``sealed``. The reader rebuilds each frame's processed
+session-log codec written plainly: one ``json.dumps`` per record of dicts
+built by hand, with per-element conversion of the frame columns, a
+recursive ``_plain`` for meta and events, and a digest record built with
+``sealed``. The reader rebuilds each frame's processed
 vector with ``chain_reference``, the signal chain one frame and channel at
 a time, and its gaze and target with ``gaze_target_reference``, which
 replays every target move at every frame; it returns the columns without
@@ -394,7 +394,7 @@ class StepwiseSimulator:
 
 
 def write_session_log_reference(log, path, calibration=None):
-    """One JSON record per line: meta, calibration, events, frames, then the digest."""
+    """One JSON record per line: meta, calibration, events, the frames, then the digest."""
     meta = {"type": "meta", "log_version": LOG_VERSION}
     meta.update(_plain(log.meta))
     lines = [json.dumps(meta, sort_keys=True) + "\n"]
@@ -403,9 +403,9 @@ def write_session_log_reference(log, path, calibration=None):
                                 sort_keys=True) + "\n")
     for ev in log.events:
         lines.append(json.dumps({"type": "event", **_plain(ev)}, sort_keys=True) + "\n")
-    for i in range(log.n_frames):
-        rec = {"type": "frame", "t_us": int(log.t_us[i]), "raw": [int(v) for v in log.raw[i]]}
-        lines.append(json.dumps(rec, sort_keys=True) + "\n")
+    frames = {"type": "frames", "t_us": [int(t) for t in log.t_us],
+              "raw": [[int(v) for v in row] for row in log.raw]}
+    lines.append(json.dumps(frames, sort_keys=True) + "\n")
     with open(path, "w") as fh:
         fh.write(sealed("".join(lines)))
 
@@ -445,9 +445,8 @@ def read_session_log_reference(path):
             cal = CalibrationSet.from_dict(rec)
         elif kind == "event":
             events.append(rec)
-        elif kind == "frame":
-            t.append(rec["t_us"])
-            raw.append(rec["raw"])
+        elif kind == "frames":
+            t, raw = rec["t_us"], rec["raw"]
     if not t:
         raise ConfigError(f"no frames found in session log {path}")
     proc = chain_reference(raw, meta["exposure_init_us"], meta["exposure_min_us"],

@@ -135,10 +135,10 @@ def test_eval_refuses_a_log_with_one_raw_digit_changed(tmp_path, capsys):
     assert main(["run", "--seed", "1", "--out", str(run_dir)]) == 0
     log_path = run_dir / "session.jsonl"
     lines = log_path.read_text().splitlines(keepends=True)
-    k = [i for i, line in enumerate(lines) if '"type": "frame"' in line][1000]
+    k = next(i for i, line in enumerate(lines) if '"type": "frames"' in line)
     rec = json.loads(lines[k])
-    count = rec["raw"][3]
-    rec["raw"][3] = count - 1 if count % 10 else count + 1  # one digit, still a valid count
+    count = rec["raw"][1000][3]
+    rec["raw"][1000][3] = count - 1 if count % 10 else count + 1  # one digit, still a valid count
     lines[k] = json.dumps(rec, sort_keys=True) + "\n"
     log_path.write_text("".join(lines))
     capsys.readouterr()

@@ -1,4 +1,6 @@
+import builtins
 import dataclasses
+import io
 import json
 import math
 from dataclasses import fields
@@ -29,7 +31,6 @@ from ledgaze.eyesim import (
 )
 from ledgaze.kernels import MeasureSpec
 from ledgaze.session import (
-    _SLICE_ROWS,
     CONFIG_VERSION,
     LOG_VERSION,
     SessionConfig,
@@ -415,6 +416,11 @@ def test_read_session_log_rejects_newer_version(tmp_path):
 
 # -- codec against the reference writer and reader ------------------------------
 
+# Log version 3 wrote and read its frames 128 rows at a time. The codec cases
+# keep logs of about that many frames, and the malformed-line cases put a
+# fault past the first 128 frames, to pin that nothing depends on that size.
+_V3_SLICE_ROWS = 128
+
 
 @pytest.fixture(scope="module")
 def codec_logs():
@@ -432,13 +438,14 @@ def codec_logs():
             "script-unsettled-move": (scripted, None),
             "no-frames": (_frames_log(0, 12), None),
             "one-frame": (_frames_log(1, 12), None),
-            "slice-less-one": (_frames_log(_SLICE_ROWS - 1, 12), None),
-            "one-slice": (_frames_log(_SLICE_ROWS, 12), None),
-            "slice-and-one": (_frames_log(_SLICE_ROWS + 1, 12), None),
+            "slice-less-one": (_frames_log(_V3_SLICE_ROWS - 1, 12), None),
+            "one-slice": (_frames_log(_V3_SLICE_ROWS, 12), None),
+            "slice-and-one": (_frames_log(_V3_SLICE_ROWS + 1, 12), None),
             # consecutive targets equal under == but not bit for bit
             "signed-zero-rows": (_frames_log(6, 2, values=[0.0, 5.0, -0.0, 5.0]), None),
-            "row-held-across-slice": (_held_log(_SLICE_ROWS + 4, 2,
-                                                slice(_SLICE_ROWS - 2, _SLICE_ROWS + 3)), None),
+            "row-held-across-slice": (_held_log(_V3_SLICE_ROWS + 4, 2,
+                                                slice(_V3_SLICE_ROWS - 2, _V3_SLICE_ROWS + 3)),
+                                      None),
             "one-channel": (_frames_log(40, 1), None),
             "exponent-floats": (_frames_log(3, 4, values=[1e-05, 1e+16, 5e-324, -2.5e-300]), None),
             "negative-zero": (_frames_log(3, 4, values=[-0.0, 0.0]), None),
@@ -499,13 +506,17 @@ def _held_log(n: int, m: int, held: slice) -> SessionLog:
 def test_session_log_codec_matches_reference(codec_logs, case, tmp_path):
     log, cal = codec_logs[case]
     path, ref_path = tmp_path / "new.jsonl", tmp_path / "ref.jsonl"
-    write_session_log(log, path, calibration=cal)
     write_session_log_reference(log, ref_path, calibration=cal)
-    assert path.read_bytes() == ref_path.read_bytes()
-    if log.n_frames == 0:
-        with pytest.raises(ConfigError, match="no frames"):
-            read_session_log(path)
+    if log.n_frames == 0:  # the writer refuses what the reader refuses
+        with pytest.raises(ConfigError, match=f"cannot write session log {path}: the log holds "
+                                              "no frames"):
+            write_session_log(log, path, calibration=cal)
+        assert not path.exists()
+        with pytest.raises(ConfigError, match=rf"line \d+: the log holds no frames"):
+            read_session_log(ref_path)
         return
+    write_session_log(log, path, calibration=cal)
+    assert path.read_bytes() == ref_path.read_bytes()
     got, got_cal = read_session_log(path)
     want, want_cal = read_session_log_reference(path)
     for field in ("t_us", "raw", "proc", "gaze", "target"):
@@ -635,6 +646,28 @@ def test_write_session_log_rejects_ragged_fields(seed5_log, field, tmp_path):
     assert not path.exists()
 
 
+def _t_us_swapped(log: SessionLog) -> SessionLog:
+    t_us = log.t_us.copy()
+    t_us[[40, 41]] = t_us[[41, 40]]
+    return dataclasses.replace(log, t_us=t_us)
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (_t_us_swapped, "frame 41 has a t_us not greater than the previous frame's"),
+    (lambda log: dataclasses.replace(log, meta={**log.meta, "cycle_us": 0}),
+     "meta field 'cycle_us' is not a positive integer: 0"),
+    (lambda log: dataclasses.replace(log, t_us=log.t_us.astype(float)),
+     "frame 0 has a 't_us' that is not an integer"),
+    (lambda log: dataclasses.replace(log, raw=log.raw.astype(float)),
+     "frame 0 has a 'raw' that is not a list of 12 integers"),
+], ids=["t-us-swapped", "cycle-zero", "t-us-floats", "raw-floats"])
+def test_write_session_log_refuses_a_log_its_reader_refuses(seed5_log, edit, problem, tmp_path):
+    path = tmp_path / "refused.jsonl"
+    with pytest.raises(ConfigError, match=f"^cannot write session log {path}: {problem}$"):
+        write_session_log(edit(seed5_log), path)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("field, value", [("gaze", -np.inf), ("target", np.inf),
                                           ("target", np.nan)])
 def test_write_session_log_rejects_non_finite_numbers(seed5_log, field, value, tmp_path):
@@ -735,10 +768,9 @@ def test_read_session_log_refuses_a_log_with_one_raw_digit_changed(codec_logs, t
     path = tmp_path / "seed1.jsonl"
     write_session_log(log, path, calibration=cal)
     lines = path.read_text().splitlines(keepends=True)
-    k = [i for i, line in enumerate(lines) if '"type": "frame"' in line][1000]
-    rec = json.loads(lines[k])
-    count = rec["raw"][3]
-    rec["raw"][3] = count - 1 if count % 10 else count + 1  # one digit, still a valid count
+    k, rec = _frames_record(lines)
+    count = rec["raw"][1000][3]
+    rec["raw"][1000][3] = count - 1 if count % 10 else count + 1  # one digit, still a valid count
     changed = json.dumps(rec, sort_keys=True) + "\n"
     assert len(changed) == len(lines[k]) and changed != lines[k]
     lines[k] = changed
@@ -804,23 +836,36 @@ def small_log_lines(tmp_path_factory):
     cal = calibration_phase(cfg, cfg.subject(), cfg.layout(), cfg.seed)
     path = tmp_path_factory.mktemp("log") / "session.jsonl"
     write_session_log(log, path, calibration=cal)
-    assert log.n_frames > _SLICE_ROWS + 3  # a bad frame fits into the second slice
+    assert log.n_frames > _V3_SLICE_ROWS + 3  # a bad frame fits past the first 128
     return path.read_text().splitlines(keepends=True)
+
+
+def _frames_record(lines: list[str]) -> tuple[int, dict]:
+    """The index of a log's frames record among its ``lines``, and the record."""
+    k = next(i for i, line in enumerate(lines) if '"type": "frames"' in line)
+    return k, json.loads(lines[k])
 
 
 _DELETE = object()
 
 # (record type corrupted, field, replacement of the field's value or _DELETE);
-# with no field, the replacement of the whole record
+# with no field, the replacement of the whole record. A "frame" fault replaces
+# one frame's value in a column of the frames record, and its fourth item is
+# the problem the reader must name with that frame.
+_NOT_A_RAW_ROW = "'raw' that is not a list of 12 integers"
 MALFORMED = {
-    "no-type": ("frame", "type", _DELETE),
-    "frame-missing-field": ("frame", "raw", _DELETE),
-    "ragged-raw": ("frame", "raw", lambda raw: raw[:-1]),
+    "no-type": ("frames", "type", _DELETE),
+    "frame-missing-field": ("frames", "raw", _DELETE),
+    "frames-t-not-a-list": ("frames", "t_us", lambda t_us: t_us[0]),
+    "ragged-raw": ("frame", "raw", lambda raw: raw[:-1], _NOT_A_RAW_ROW),
     "gaze-not-a-pair": ("event", "to", lambda to: to[:1]),
-    "raw-above-adc-max": ("frame", "raw", lambda raw: raw[:-1] + [ADC_MAX + 1]),
-    "raw-negative": ("frame", "raw", lambda raw: [-1] + raw[1:]),
-    "raw-not-an-integer": ("frame", "raw", lambda raw: [raw[0] + 0.5] + raw[1:]),
-    "t-not-an-integer": ("frame", "t_us", float),
+    "raw-above-adc-max": ("frame", "raw", lambda raw: raw[:-1] + [ADC_MAX + 1],
+                          rf"raw count outside \[0, {ADC_MAX}\]"),
+    "raw-negative": ("frame", "raw", lambda raw: [-1] + raw[1:], "raw count outside"),
+    "raw-not-an-integer": ("frame", "raw", lambda raw: [raw[0] + 0.5] + raw[1:], _NOT_A_RAW_ROW),
+    "raw-a-boolean": ("frame", "raw", lambda raw: [True] + raw[1:], _NOT_A_RAW_ROW),
+    "t-not-an-integer": ("frame", "t_us", float, "'t_us' that is not an integer"),
+    "t-a-boolean": ("frame", "t_us", lambda t: True, "'t_us' that is not an integer"),
     "target-infinity": ("event", "to", lambda to: [to[0], float("inf")]),
     "calibration-missing-means": ("calibration", "means", _DELETE),
     "calibration-mean-nan": ("calibration", "means",
@@ -847,37 +892,43 @@ MALFORMED = {
     "meta-without-start-target": ("meta", "start_target", _DELETE),
     "meta-start-target-not-a-pair": ("meta", "start_target", lambda point: point[:1]),
 }
+FRAME_FAULTS = [case for case, (kind, *_) in MALFORMED.items() if kind == "frame"]
 
 
-def _corrupted(lines: list[str], case: str, frame: int) -> tuple[list[str], int]:
+def _corrupted(lines: list[str], case: str, frame: int) -> tuple[list[str], str]:
     """``lines`` with the fault ``case``, placed at frame ``frame`` if it is a frame's fault;
-    and the index of the line the reader must name.
+    and what the reader's message must say after the file: the line, and for a frame's
+    fault the frame and its problem.
 
     A duplicated frame is inserted as frame ``frame``, a copy of the frame before it.
     The digest record is rebuilt after the fault, so the fault is the log's only one;
-    a truncated write ends halfway through its last frame, before the digest record.
+    a truncated write ends halfway through its frames record, before the digest record.
     """
     lines = list(lines)
     if case == "truncated-write":
         lines.pop()
         k = len(lines) - 1
         lines[k] = lines[k][:len(lines[k]) // 2]
-        return lines, k
-    kind, field, edit = MALFORMED.get(case, ("frame", None, None))
-    of_kind = [i for i, line in enumerate(lines) if json.loads(line)["type"] == kind]
-    k = of_kind[frame if kind == "frame" else 0]
-    if case == "duplicated-frame":  # the copy repeats its original's t_us
-        lines.insert(k, lines[k - 1])
-        return _resealed(lines), k
+        return lines, f"line {k + 1}: invalid JSON"
+    kind, field, edit, *problem = MALFORMED.get(
+        case, ("frame", None, None, "t_us not greater than the previous frame's"))
+    record = "frames" if kind == "frame" else kind
+    k = next(i for i, line in enumerate(lines) if json.loads(line)["type"] == record)
     rec = json.loads(lines[k])
-    if field is None:
+    if case == "duplicated-frame":  # the copy repeats its original's t_us
+        for column in (rec["t_us"], rec["raw"]):
+            column.insert(frame, column[frame - 1])
+    elif kind == "frame":
+        rec[field][frame] = edit(rec[field][frame])
+    elif field is None:
         rec = edit(rec)
     elif edit is _DELETE:
         del rec[field]
     else:
         rec[field] = edit(rec[field])
     lines[k] = json.dumps(rec) + "\n"
-    return _resealed(lines), k
+    named = f"line {k + 1}: frame {frame} has a {problem[0]}" if problem else f"line {k + 1}:"
+    return _resealed(lines), named
 
 
 def _resealed(lines: list[str]) -> list[str]:
@@ -885,27 +936,56 @@ def _resealed(lines: list[str]) -> list[str]:
     return sealed("".join(lines[:-1])).splitlines(keepends=True)
 
 
-def _assert_names_line(lines: list[str], k: int, tmp_path) -> None:
+def _assert_refused(lines: list[str], named: str, tmp_path) -> None:
     path = tmp_path / "bad.jsonl"
     path.write_text("".join(lines))
-    with pytest.raises(ConfigError, match=rf"line {k + 1}:") as err:
+    with pytest.raises(ConfigError, match=f"^malformed session log {path}, {named}"):
         read_session_log(path)
-    assert str(path) in str(err.value)
 
 
 @pytest.mark.parametrize("case", ["truncated-write", "duplicated-frame", *MALFORMED])
 def test_read_session_log_rejects_malformed_line(small_log_lines, case, tmp_path):
-    _assert_names_line(*_corrupted(small_log_lines, case, 3), tmp_path)
+    _assert_refused(*_corrupted(small_log_lines, case, 3), tmp_path)
 
 
 @pytest.mark.parametrize("case", ["truncated-write", "duplicated-frame", *MALFORMED])
 def test_read_session_log_rejects_malformed_line_in_a_later_slice(small_log_lines, case, tmp_path):
-    _assert_names_line(*_corrupted(small_log_lines, case, _SLICE_ROWS + 3), tmp_path)
+    # a frame's fault past the first _V3_SLICE_ROWS frames
+    _assert_refused(*_corrupted(small_log_lines, case, _V3_SLICE_ROWS + 3), tmp_path)
 
 
 def test_read_session_log_rejects_duplicated_frame_across_a_slice_seam(small_log_lines, tmp_path):
-    # the copy opens the second slice, so only the whole-column t_us check sees it
-    _assert_names_line(*_corrupted(small_log_lines, "duplicated-frame", _SLICE_ROWS), tmp_path)
+    # the copy is appended as the last frame, which no frame follows
+    n = len(_frames_record(small_log_lines)[1]["t_us"])
+    _assert_refused(*_corrupted(small_log_lines, "duplicated-frame", n), tmp_path)
+
+
+@pytest.mark.parametrize("case", FRAME_FAULTS)
+def test_read_session_log_rejects_a_fault_in_the_last_frame(small_log_lines, case, tmp_path):
+    n = len(_frames_record(small_log_lines)[1]["t_us"])
+    _assert_refused(*_corrupted(small_log_lines, case, n - 1), tmp_path)
+
+
+def test_read_session_log_refuses_a_second_frames_record(small_log_lines, tmp_path):
+    k, _ = _frames_record(small_log_lines)
+    lines = _resealed([*small_log_lines[:k + 1], small_log_lines[k], *small_log_lines[k + 1:]])
+    _assert_refused(lines, f"line {k + 2}: a second frames record, after line {k + 1}", tmp_path)
+
+
+def test_read_session_log_reads_the_file_once(small_log_lines, tmp_path, monkeypatch):
+    # the lines are parsed from the very bytes the digest covers
+    path = tmp_path / "once.jsonl"
+    path.write_text("".join(small_log_lines))
+    opened = []
+
+    def counting_open(file, *args, real_open=io.open, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    read_session_log(path)
+    assert opened.count(str(path)) == 1
 
 
 def test_read_session_log_rejects_a_number_too_large_for_a_float(small_log_lines, tmp_path):
@@ -953,7 +1033,18 @@ def test_read_session_log_refuses_version_1(small_log_lines, tmp_path):
 def test_read_session_log_refuses_version_2(small_log_lines, tmp_path):
     # version 2 logs stored gaze and target in every frame and had no digest record
     path = _meta_edited(small_log_lines, lambda meta: meta.update(log_version=2), tmp_path)
-    with pytest.raises(ConfigError, match=r"log_version 2 is not readable here \(this code reads 3\)"):
+    with pytest.raises(ConfigError, match=r"log_version 2 is not readable here \(this code reads 4\)"):
+        read_session_log(path)
+
+
+def test_read_session_log_refuses_version_3(small_log_lines, tmp_path):
+    # version 3 logs held one frame record per line
+    k, frames = _frames_record(small_log_lines)
+    v3 = [json.dumps({"raw": row, "t_us": t, "type": "frame"}, sort_keys=True) + "\n"
+          for t, row in zip(frames["t_us"], frames["raw"])]
+    path = _meta_edited([*small_log_lines[:k], *v3, *small_log_lines[k + 1:]],
+                        lambda meta: meta.update(log_version=3), tmp_path)
+    with pytest.raises(ConfigError, match=r"^log_version 3 is not readable here \(this code reads 4\)$"):
         read_session_log(path)
 
 
@@ -972,7 +1063,7 @@ def test_read_session_log_skips_unknown_record_types(small_log_lines, tmp_path):
                                        '{"type": "annotation", "note": "later format"}\n',
                                        *small_log_lines[1:]])))
     log, cal = read_session_log(path)
-    assert log.n_frames == sum('"type": "frame"' in line for line in small_log_lines)
+    assert log.n_frames == len(_frames_record(small_log_lines)[1]["t_us"])
     assert cal is not None
 
 
