@@ -42,10 +42,6 @@ class CalibrationGridSpec:
         if self.margin < 1:
             raise ConfigError("margin must be at least 1 pixel")
 
-    @property
-    def point_count(self) -> int:
-        return self.rows * self.cols
-
 
 def schedule_targets(grid: CalibrationGridSpec, geom: DisplayGeometry,
                      seed: int) -> list[ScreenPoint]:

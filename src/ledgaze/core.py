@@ -172,8 +172,8 @@ class CalibrationSet:
     def to_dict(self) -> dict:
         return {
             "channel_count": self.channel_count,
-            "means": [[float(v) for v in row] for row in self.means],
-            "targets": [[float(v) for v in row] for row in self.targets],
+            "means": self.means.tolist(),
+            "targets": self.targets.tolist(),
         }
 
     @classmethod

@@ -353,10 +353,6 @@ class SessionLog:
     def n_frames(self) -> int:
         return self.t_us.shape[0]
 
-    @property
-    def channel_count(self) -> int:
-        return self.raw.shape[1]
-
     def subset(self, mask: np.ndarray) -> "SessionLog":
         """Log restricted to the masked frames (events kept verbatim)."""
         return SessionLog(self.t_us[mask], self.raw[mask], self.proc[mask],

@@ -9,9 +9,10 @@ session seed, so every artifact is replayable bit for bit.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import dataclasses
 import hashlib
-import itertools
 import json
 import math
 from contextlib import contextmanager
@@ -42,7 +43,7 @@ from .regress import GprModel, SvrModel
 from .sigproc import IirFilter, compensate, replay_exposure
 
 CONFIG_VERSION = 2
-LOG_VERSION = 4
+LOG_VERSION = 5
 
 DEFAULT_SIGMA_GRID = (0.05, 0.1, 0.2, 0.3, 0.5, 0.8, 1.2, 2.0)
 
@@ -405,21 +406,21 @@ def write_session_log(log: SessionLog, path, calibration: CalibrationSet | None 
     """One JSON record per line: meta, calibration, events, frames, then the digest.
 
     The one ``frames`` record holds the log's ``t_us`` and ``raw`` columns,
-    what was measured. Its proc is not written: the reader rebuilds it from
-    the raw counts through the signal chain that the meta sets
-    (``_rebuilt_proc``). Its gaze and target follow from the meta's
+    what was measured, each as the base64 text of its little-endian
+    integers (``_FRAME_DTYPES``). Its proc is not written: the reader
+    rebuilds it from the raw counts through the signal chain that the meta
+    sets (``_rebuilt_proc``). Its gaze and target follow from the meta's
     ``start_target`` and the target_move events, in a ``SessionLog`` in
     memory as on disk. The last line is a ``digest`` record holding the
     sha256 of every line before it.
 
     A log that the reader would refuse, or that the file cannot hold
     faithfully, raises ConfigError before the file is opened: frame columns
-    that ``_frame_columns`` refuses, naming the frame; a non-finite number
-    in the meta, calibration or an event record, or an event that cannot be
-    scored, naming the record's line; a meta whose capture cycle or chain
-    settings are missing or out of range; and a proc other than the one the
-    reader rebuilds, down to a zero's sign, naming the first frame that
-    differs.
+    that ``_frame_columns`` refuses; a non-finite number in the meta,
+    calibration or an event record, or an event that cannot be scored,
+    naming the record's line; a meta whose capture cycle or chain settings
+    are missing or out of range; and a proc other than the one the reader
+    rebuilds, down to a zero's sign, naming the first frame that differs.
     """
     try:
         _frame_columns(log.t_us, log.raw)
@@ -438,6 +439,11 @@ def write_session_log(log: SessionLog, path, calibration: CalibrationSet | None 
         fh.write(_DIGEST_LINE.format(hashlib.sha256(data).hexdigest()).encode())
 
 
+# The dtype each frame column is packed in: int64 times, and uint16 counts,
+# which hold every count in [0, ADC_MAX].
+_FRAME_DTYPES = {"t_us": np.dtype("<i8"), "raw": np.dtype("<u2")}
+
+
 def _records(log: SessionLog, calibration: CalibrationSet | None):
     """The log's records before its digest; their values are JSON-native already."""
     yield {"type": "meta", "log_version": LOG_VERSION, **log.meta}
@@ -445,7 +451,9 @@ def _records(log: SessionLog, calibration: CalibrationSet | None):
         yield {"type": "calibration", **calibration.to_dict()}
     for ev in log.events:
         yield {"type": "event", **ev}
-    yield {"type": "frames", "t_us": log.t_us.tolist(), "raw": log.raw.tolist()}
+    yield {"type": "frames", **{
+        name: base64.b64encode(np.ascontiguousarray(getattr(log, name), dtype)).decode()
+        for name, dtype in _FRAME_DTYPES.items()}}
 
 
 def _line(path, line: int, rec: dict) -> str:
@@ -456,75 +464,63 @@ def _line(path, line: int, rec: dict) -> str:
                           f"record, holds a value JSON cannot express ({exc})") from None
 
 
-def _frame_columns(t_us, raw) -> tuple[np.ndarray, np.ndarray]:
-    """A log's frame columns as integer arrays; ConfigError names the first frame at fault.
+def _frame_columns(t_us: np.ndarray, raw: np.ndarray) -> None:
+    """Raise ConfigError unless the arrays can be a log's frame columns.
 
-    The one check of the frame columns, for the writer and the reader alike:
-    the columns are a ``SessionLog``'s arrays, or the lists of a frames
-    record. ``t_us`` holds an integer per frame, each greater than the
-    previous frame's. ``raw`` holds a row per frame of as many integer
-    counts as the first row, at least one, each within [0, ADC_MAX]. A
-    float is not an integer, since converting it would truncate it; nor is
-    a JSON true or false, which numpy would read as 1 or 0.
+    The one check of the frame columns, for the writer and the reader alike.
+    Both are of a signed integer dtype (an unsigned ``t_us`` could wrap in
+    int64). ``t_us`` holds a time per frame, each greater than the previous
+    frame's; ``raw`` a row per frame of at least one count, each within
+    [0, ADC_MAX]. A fault in one frame is named by its index.
     """
-    t = _integers(t_us)
-    if t is None or t.ndim != 1:
-        raise _row_fault(t_us, "t_us", _is_int64, "an integer")
-    if not t.size:
-        raise ConfigError("the log holds no frames")
-    counts = _integers(raw)
-    if counts is None or counts.ndim != 2 or not counts.shape[1]:
-        rows = raw.tolist() if isinstance(raw, np.ndarray) else raw
-        m = len(rows[0]) if isinstance(rows, list) and rows and isinstance(rows[0], list) else 0
-        raise _row_fault(rows, "raw", lambda row: (type(row) is list and len(row) == m > 0
-                                                   and all(map(_is_int64, row))),
-                         f"a list of {m} integers" if m else "a non-empty list of integers")
-    n = min(len(t), len(counts))
-    if len(t) != len(counts):
-        has, lacks = ("t_us", "raw") if len(t) > n else ("raw", "t_us")
+    for name, column, ndim in (("t_us", t_us, 1), ("raw", raw, 2)):
+        if column.dtype.kind != "i":
+            raise ConfigError(f"{name!r} is of dtype {column.dtype}, not a signed integer")
+        if column.ndim != ndim:
+            raise ConfigError(f"{name!r} has {column.ndim} dimensions, not {ndim}")
+    n = min(len(t_us), len(raw))
+    if len(t_us) != len(raw):
+        has, lacks = ("t_us", "raw") if len(t_us) > n else ("raw", "t_us")
         raise ConfigError(f"frame {n} has {has!r} but no {lacks!r}")
-    bad = np.flatnonzero(((counts < 0) | (counts > ADC_MAX)).any(axis=1))
+    if not n:
+        raise ConfigError("the log holds no frames")
+    if not raw.shape[1]:
+        raise ConfigError("the log's frames hold no raw counts")
+    bad = np.flatnonzero(((raw < 0) | (raw > ADC_MAX)).any(axis=1))
     if bad.size:
         raise ConfigError(f"frame {bad[0]} has a raw count outside [0, {ADC_MAX}]")
-    bad = np.flatnonzero(t[1:] <= t[:-1])
+    bad = np.flatnonzero(t_us[1:] <= t_us[:-1])
     if bad.size:
         raise ConfigError(f"frame {bad[0] + 1} has a t_us not greater than the previous frame's")
-    return t, counts
 
 
-def _integers(values) -> np.ndarray | None:
-    """``values`` as an array if it holds only integers, else None.
+def _unpacked(frames: dict) -> tuple[np.ndarray, np.ndarray]:
+    """A frames record's ``t_us`` and ``raw`` columns, as int64 arrays.
 
-    Rows of unequal length are not an array, and a JSON true or false in a
-    list is not an integer, though numpy would read it as one.
+    ConfigError if a column is missing, not a string or not base64, if the
+    ``t_us`` bytes are not 8 per frame, or if the raw counts are not a whole
+    number of rows, one per frame. The columns are not checked further.
     """
-    try:
-        arr = np.asarray(values)
-    except ValueError:  # rows of unequal length
-        return None
-    if arr.dtype.kind != "i" and arr.size:  # an empty list holds no other value
-        return None
-    if isinstance(values, list):
-        flat = itertools.chain.from_iterable(values) if arr.ndim == 2 else values
-        if bool in set(map(type, flat)):
-            return None
-    return arr
-
-
-def _is_int64(value) -> bool:
-    """Whether ``value`` is an integer, not a bool, that fits an int64."""
-    return type(value) is int and -2**63 <= value < 2**63
-
-
-def _row_fault(rows, name: str, fits, what: str) -> ConfigError:
-    """The error naming the first row of the frame column ``rows`` that ``fits`` refuses."""
-    if isinstance(rows, np.ndarray):
-        rows = rows.tolist()
-    if not isinstance(rows, list):
-        return ConfigError(f"{name!r} is not a list")
-    # Every row fits only when the dtype is at fault (an unsigned array): name the first frame.
-    frame = next((i for i, row in enumerate(rows) if not fits(row)), 0)
-    return ConfigError(f"frame {frame} has a {name!r} that is not {what}")
+    data = {}
+    for name in _FRAME_DTYPES:
+        text = frames.get(name)
+        if not isinstance(text, str):
+            raise ConfigError(f"frames record has no {name!r} field" if name not in frames else
+                              f"frames record's {name!r} is not a string")
+        try:
+            data[name] = base64.b64decode(text, validate=True)
+        except binascii.Error as exc:
+            raise ConfigError(f"frames record's {name!r} is not base64 ({exc})") from None
+    n, extra = divmod(len(data["t_us"]), 8)
+    if extra:
+        raise ConfigError(f"'t_us' holds {len(data['t_us'])} bytes, not 8 per frame")
+    m = len(data["raw"]) // (2 * n) if n else 0
+    if len(data["raw"]) != 2 * n * m:
+        raise ConfigError(f"'raw' holds {len(data['raw'])} bytes, not a whole number of rows "
+                          f"of 2-byte counts over {n} frames")
+    t_us, raw = (np.frombuffer(data[name], dtype).astype(np.int64)
+                 for name, dtype in _FRAME_DTYPES.items())
+    return t_us, raw.reshape(n, m)
 
 
 def _check_proc(path, log: SessionLog) -> None:
@@ -586,20 +582,19 @@ def read_session_log(path):
 
     A malformed log raises ConfigError naming the file and line: invalid
     JSON (a truncated write, or a NaN or Infinity token in any record), a
-    record with no type, a second frames record, a frames record missing a
-    column or holding one that ``_frame_columns`` refuses (the message
-    names the frame, its index in the columns), an event that cannot be
-    scored (``_event_problem``), and a meta record whose cycle_us is not a
-    positive integer, whose signal chain settings are missing or out of
-    range, or whose start_target is not a pair of finite numbers. Records
-    of unknown type are skipped. The file is read once. Once every line has
-    passed, a log whose last line is not a digest of the bytes before it
-    raises ConfigError: it was cut short, or changed after it was written.
+    record with no type, a second meta, calibration or frames record, a
+    frames record that ``_unpacked`` refuses or whose columns
+    ``_frame_columns`` refuses (the message names the frame, its index in
+    the columns), an event that cannot be scored (``_event_problem``), and
+    a meta record whose cycle_us is not a positive integer, whose signal
+    chain settings are missing or out of range, or whose start_target is
+    not a pair of finite numbers. Records of unknown type are skipped. The
+    file is read once. Once every line has passed, a log whose last line is
+    not a digest of the bytes before it raises ConfigError: it was cut
+    short, or changed after it was written.
     """
     data = Path(path).read_bytes()
-    meta: dict = {}
-    meta_line = frames_line = None
-    frames: dict = {}
+    once: dict[str, tuple[int, dict]] = {}  # the line and record of each kind a log holds once
     events: list[dict] = []
     event_lines: list[int] = []
     cal = None
@@ -613,38 +608,36 @@ def read_session_log(path):
         except ValueError as exc:
             raise _malformed(path, n, f"invalid JSON ({exc})") from None
         kind = rec.pop("type", None) if isinstance(rec, dict) else None
-        if kind == "frames":
-            if frames_line is not None:
-                raise _malformed(path, n, f"a second frames record, after line {frames_line}")
-            frames, frames_line = rec, n
-        elif kind == "event":
+        if kind == "event":
             events.append(rec)
             event_lines.append(n)
-        elif kind == "meta":
-            _check_version("log_version", rec.pop("log_version", LOG_VERSION), LOG_VERSION)
-            meta, meta_line = rec, n
-        elif kind == "calibration":
-            try:
-                cal = CalibrationSet.from_dict(rec)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise _malformed(path, n, f"bad calibration ({exc})") from None
+        elif kind in ("meta", "calibration", "frames"):
+            if kind in once:
+                raise _malformed(path, n, f"a second {kind} record, after line {once[kind][0]}")
+            once[kind] = n, rec
+            if kind == "meta":
+                _check_version("log_version", rec.pop("log_version", LOG_VERSION), LOG_VERSION)
+            elif kind == "calibration":
+                try:
+                    cal = CalibrationSet.from_dict(rec)
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise _malformed(path, n, f"bad calibration ({exc})") from None
         elif kind is None:
             raise _malformed(path, n, "record has no type")
     fault = _event_fault(events)
     if fault:
         raise _malformed(path, event_lines[fault[0]], fault[1])
-    if frames_line is None:
+    if "frames" not in once:
         raise ConfigError(f"no frames found in session log {path}")
+    frames_line, frames = once["frames"]
     try:
-        columns = frames["t_us"], frames["raw"]
-    except KeyError as exc:
-        raise _malformed(path, frames_line, f"frames record has no {exc} field") from None
-    try:
-        t_us, raw = _frame_columns(*columns)
+        t_us, raw = _unpacked(frames)
+        _frame_columns(t_us, raw)
     except ConfigError as exc:
         raise _malformed(path, frames_line, str(exc)) from None
-    if meta_line is None:
+    if "meta" not in once:
         raise ConfigError(f"no meta record found in session log {path}")
+    meta_line, meta = once["meta"]
     try:
         log = SessionLog(t_us, raw, _rebuilt_proc(raw, meta), events, meta)
     except ConfigError as exc:

@@ -22,8 +22,9 @@ from __future__ import annotations
 import struct
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
+from numbers import Integral
 
-from .core import ADC_MAX, SensorFrame, WireError
+from .core import SensorFrame, WireError
 
 SYNC = 0xAA
 HEADER_LEN = 6  # sync + count + timestamp
@@ -44,12 +45,15 @@ def encode(frame: SensorFrame) -> bytes:
     m = frame.channel_count
     if m > 255:
         raise WireError(f"channel count {m} does not fit in one byte")
-    for i, v in enumerate(frame.channels):
-        if not 0 <= v <= ADC_MAX:
-            raise WireError(f"channel {i} reading {v} outside [0, {ADC_MAX}]")
-    body = struct.pack(
-        f"<BBI{m}H", SYNC, m, frame.timestamp_us % TIMESTAMP_MOD, *frame.channels
-    )
+    try:  # SensorFrame has checked each reading's range, but not that it is an integer
+        body = struct.pack(
+            f"<BBI{m}H", SYNC, m, frame.timestamp_us % TIMESTAMP_MOD, *frame.channels
+        )
+    except struct.error:
+        for i, v in enumerate(frame.channels):
+            if not isinstance(v, Integral):
+                raise WireError(f"channel {i} reading {v!r} is not an integer") from None
+        raise WireError(f"timestamp {frame.timestamp_us!r} is not an integer") from None
     return body + bytes([_checksum(body)])
 
 

@@ -26,18 +26,22 @@ where the engine derives both from its events.
 
 ``write_session_log_reference`` and ``read_session_log_reference`` are the
 session-log codec written plainly: one ``json.dumps`` per record of dicts
-built by hand, with per-element conversion of the frame columns, a
-recursive ``_plain`` for meta and events, and a digest record built with
-``sealed``. The reader rebuilds each frame's processed
+built by hand, a recursive ``_plain`` for meta and events, and a digest
+record built with ``sealed``. The frame columns go through
+``pack_frames_reference`` and ``unpack_frames_reference``, which convert
+one element at a time with ``struct`` and ``base64``, not numpy. The
+reader rebuilds each frame's processed
 vector with ``chain_reference``, the signal chain one frame and channel at
 a time, and its gaze and target with ``gaze_target_reference``, which
 replays every target move at every frame; it returns the columns without
 building a ``SessionLog``, which would derive gaze and target itself.
 """
 
+import base64
 import hashlib
 import json
 import math
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -403,11 +407,29 @@ def write_session_log_reference(log, path, calibration=None):
                                 sort_keys=True) + "\n")
     for ev in log.events:
         lines.append(json.dumps({"type": "event", **_plain(ev)}, sort_keys=True) + "\n")
-    frames = {"type": "frames", "t_us": [int(t) for t in log.t_us],
-              "raw": [[int(v) for v in row] for row in log.raw]}
+    frames = {"type": "frames", **pack_frames_reference(log.t_us, log.raw)}
     lines.append(json.dumps(frames, sort_keys=True) + "\n")
     with open(path, "w") as fh:
         fh.write(sealed("".join(lines)))
+
+
+def pack_frames_reference(t_us, raw) -> dict:
+    """The ``t_us`` and ``raw`` fields of a frames record: the base64 text of each column's
+    little-endian int64 times and uint16 counts, row after row."""
+    times = [int(t) for t in t_us]
+    counts = [int(v) for row in raw for v in row]
+    return {"t_us": base64.b64encode(struct.pack(f"<{len(times)}q", *times)).decode(),
+            "raw": base64.b64encode(struct.pack(f"<{len(counts)}H", *counts)).decode()}
+
+
+def unpack_frames_reference(frames: dict) -> tuple[list[int], list[list[int]]]:
+    """A frames record's times, and its counts as one row per time."""
+    times = base64.b64decode(frames["t_us"])
+    counts = base64.b64decode(frames["raw"])
+    t = list(struct.unpack(f"<{len(times) // 8}q", times))
+    counts = list(struct.unpack(f"<{len(counts) // 2}H", counts))
+    m = len(counts) // len(t) if t else 0
+    return t, [counts[i * m:(i + 1) * m] for i in range(len(t))]
 
 
 def sealed(body: str) -> str:
@@ -446,7 +468,7 @@ def read_session_log_reference(path):
         elif kind == "event":
             events.append(rec)
         elif kind == "frames":
-            t, raw = rec["t_us"], rec["raw"]
+            t, raw = unpack_frames_reference(rec)
     if not t:
         raise ConfigError(f"no frames found in session log {path}")
     proc = chain_reference(raw, meta["exposure_init_us"], meta["exposure_min_us"],

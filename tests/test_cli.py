@@ -5,7 +5,7 @@ import pytest
 from ledgaze.cli import main
 from ledgaze.session import SessionConfig
 
-from oracles import sealed
+from oracles import pack_frames_reference, sealed, unpack_frames_reference
 
 
 @pytest.fixture
@@ -137,9 +137,10 @@ def test_eval_refuses_a_log_with_one_raw_digit_changed(tmp_path, capsys):
     lines = log_path.read_text().splitlines(keepends=True)
     k = next(i for i, line in enumerate(lines) if '"type": "frames"' in line)
     rec = json.loads(lines[k])
-    count = rec["raw"][1000][3]
-    rec["raw"][1000][3] = count - 1 if count % 10 else count + 1  # one digit, still a valid count
-    lines[k] = json.dumps(rec, sort_keys=True) + "\n"
+    t_us, raw = unpack_frames_reference(rec)
+    count = raw[1000][3]
+    raw[1000][3] = count - 1 if count % 10 else count + 1  # one digit, still a valid count
+    lines[k] = json.dumps({**rec, **pack_frames_reference(t_us, raw)}, sort_keys=True) + "\n"
     log_path.write_text("".join(lines))
     capsys.readouterr()
     eval_dir = tmp_path / "eval"

@@ -1,3 +1,4 @@
+import base64
 import builtins
 import dataclasses
 import io
@@ -49,8 +50,10 @@ from ledgaze.sigproc import SATURATION_HIGH, SATURATION_LOW
 from oracles import (
     chain_reference,
     gaze_target_reference,
+    pack_frames_reference,
     read_session_log_reference,
     sealed,
+    unpack_frames_reference,
     write_session_log_reference,
 )
 
@@ -290,7 +293,7 @@ def test_config_builders_consistent():
     cfg = small_config()
     assert cfg.layout().total_channels == 12
     assert cfg.subject().noise_std == cfg.noise_std
-    assert cfg.grid().point_count == 4
+    assert cfg.grid().rows * cfg.grid().cols == 4
     assert cfg.measure().kind == "minkowski"
     assert cfg.target_radius_px() == pytest.approx(1.5 / 0.12)
 
@@ -360,7 +363,7 @@ def test_benchmark_session_standard_point_count():
     cfg = SessionConfig(seed=2)
     log, cal = run_benchmark_session(cfg)
     assert cal.point_count == 16 + 66
-    assert log.channel_count == 12
+    assert log.raw.shape[1] == 12
     assert log.meta["phase"] == "evaluation"
     assert log.meta["config"]["seed"] == 2
 
@@ -434,6 +437,7 @@ def codec_logs():
     assert any(ev["kind"] == "blink" for ev in scripted.events)
     assert scripted.events[-1]["kind"] == "target_move"
     assert scripted.events[-1]["t_settle_us"] is None  # still unsettled at the end
+    narrow = _frames_log(5, 3)
     return {"seed1-with-calibration": (log, cal), "seed1-no-calibration": (log, None),
             "script-unsettled-move": (scripted, None),
             "no-frames": (_frames_log(0, 12), None),
@@ -449,7 +453,13 @@ def codec_logs():
             "one-channel": (_frames_log(40, 1), None),
             "exponent-floats": (_frames_log(3, 4, values=[1e-05, 1e+16, 5e-324, -2.5e-300]), None),
             "negative-zero": (_frames_log(3, 4, values=[-0.0, 0.0]), None),
-            "t-above-2-53": (_frames_log(3, 4, t0=2**53 + 1), None)}
+            "t-above-2-53": (_frames_log(3, 4, t0=2**53 + 1), None),
+            # the sign and the top of the packed int64 times
+            "t-negative": (_frames_log(3, 4, t0=-2**62), None),
+            "t-at-int64-max": (_frames_log(3, 4, t0=2**63 - 1 - 2 * 1666), None),
+            # columns of narrower signed dtypes pack as the int64 ones do
+            "narrow-dtypes": (dataclasses.replace(narrow, t_us=narrow.t_us.astype(np.int32),
+                                                  raw=narrow.raw.astype(np.int16)), None)}
 
 
 # The meta of a log's capture cycle and signal chain, in the prototype1 defaults.
@@ -502,7 +512,8 @@ def _held_log(n: int, m: int, held: slice) -> SessionLog:
                                   "script-unsettled-move", "no-frames", "one-frame",
                                   "slice-less-one", "one-slice", "slice-and-one",
                                   "signed-zero-rows", "row-held-across-slice", "one-channel",
-                                  "exponent-floats", "negative-zero", "t-above-2-53"])
+                                  "exponent-floats", "negative-zero", "t-above-2-53",
+                                  "t-negative", "t-at-int64-max", "narrow-dtypes"])
 def test_session_log_codec_matches_reference(codec_logs, case, tmp_path):
     log, cal = codec_logs[case]
     path, ref_path = tmp_path / "new.jsonl", tmp_path / "ref.jsonl"
@@ -657,10 +668,13 @@ def _t_us_swapped(log: SessionLog) -> SessionLog:
     (lambda log: dataclasses.replace(log, meta={**log.meta, "cycle_us": 0}),
      "meta field 'cycle_us' is not a positive integer: 0"),
     (lambda log: dataclasses.replace(log, t_us=log.t_us.astype(float)),
-     "frame 0 has a 't_us' that is not an integer"),
+     "'t_us' is of dtype float64, not a signed integer"),
     (lambda log: dataclasses.replace(log, raw=log.raw.astype(float)),
-     "frame 0 has a 'raw' that is not a list of 12 integers"),
-], ids=["t-us-swapped", "cycle-zero", "t-us-floats", "raw-floats"])
+     "'raw' is of dtype float64, not a signed integer"),
+    # every time fits, but a uint64 column could hold one that wraps in int64
+    (lambda log: dataclasses.replace(log, t_us=log.t_us.astype(np.uint64)),
+     "'t_us' is of dtype uint64, not a signed integer"),
+], ids=["t-us-swapped", "cycle-zero", "t-us-floats", "raw-floats", "t-us-uint64"])
 def test_write_session_log_refuses_a_log_its_reader_refuses(seed5_log, edit, problem, tmp_path):
     path = tmp_path / "refused.jsonl"
     with pytest.raises(ConfigError, match=f"^cannot write session log {path}: {problem}$"):
@@ -769,9 +783,10 @@ def test_read_session_log_refuses_a_log_with_one_raw_digit_changed(codec_logs, t
     write_session_log(log, path, calibration=cal)
     lines = path.read_text().splitlines(keepends=True)
     k, rec = _frames_record(lines)
-    count = rec["raw"][1000][3]
-    rec["raw"][1000][3] = count - 1 if count % 10 else count + 1  # one digit, still a valid count
-    changed = json.dumps(rec, sort_keys=True) + "\n"
+    t_us, raw = unpack_frames_reference(rec)
+    count = raw[1000][3]
+    raw[1000][3] = count - 1 if count % 10 else count + 1  # one digit, still a valid count
+    changed = json.dumps({**rec, **pack_frames_reference(t_us, raw)}, sort_keys=True) + "\n"
     assert len(changed) == len(lines[k]) and changed != lines[k]
     lines[k] = changed
     path.write_text("".join(lines))
@@ -846,26 +861,39 @@ def _frames_record(lines: list[str]) -> tuple[int, dict]:
     return k, json.loads(lines[k])
 
 
+def _frame_count(lines: list[str]) -> int:
+    return len(unpack_frames_reference(_frames_record(lines)[1])[0])
+
+
+def _rebytes(edit):
+    """An edit of a frames record's column that applies ``edit`` to the bytes its text packs."""
+    return lambda text: base64.b64encode(edit(base64.b64decode(text))).decode()
+
+
 _DELETE = object()
 
-# (record type corrupted, field, replacement of the field's value or _DELETE);
-# with no field, the replacement of the whole record. A "frame" fault replaces
-# one frame's value in a column of the frames record, and its fourth item is
-# the problem the reader must name with that frame.
-_NOT_A_RAW_ROW = "'raw' that is not a list of 12 integers"
+# (record type corrupted, field, replacement of the field's value or _DELETE,
+# and optionally the problem the reader must name after the line); with no
+# field, the replacement of the whole record. A "frame" fault replaces one
+# frame's value in a column of the frames record, unpacked and packed again,
+# and the reader must name its problem with that frame.
 MALFORMED = {
     "no-type": ("frames", "type", _DELETE),
-    "frame-missing-field": ("frames", "raw", _DELETE),
-    "frames-t-not-a-list": ("frames", "t_us", lambda t_us: t_us[0]),
-    "ragged-raw": ("frame", "raw", lambda raw: raw[:-1], _NOT_A_RAW_ROW),
+    "frame-missing-field": ("frames", "raw", _DELETE, "frames record has no 'raw' field"),
+    "t-not-a-string": ("frames", "t_us", lambda text: [0, 1666],
+                       "frames record's 't_us' is not a string"),
+    # base64 without validation would skip the "*" and read the counts as written
+    "raw-not-base64": ("frames", "raw", lambda text: text[:8] + "*" + text[8:],
+                       "frames record's 'raw' is not base64"),
+    "t-bytes-not-whole-frames": ("frames", "t_us", _rebytes(lambda data: data[:-4]),
+                                 r"'t_us' holds \d+ bytes, not 8 per frame"),
+    "raw-not-whole-rows": ("frames", "raw", _rebytes(lambda data: data[:-2]),
+                           r"'raw' holds \d+ bytes, not a whole number of rows"),
     "gaze-not-a-pair": ("event", "to", lambda to: to[:1]),
-    "raw-above-adc-max": ("frame", "raw", lambda raw: raw[:-1] + [ADC_MAX + 1],
+    "raw-above-adc-max": ("frame", "raw", lambda row: row[:-1] + [ADC_MAX + 1],
                           rf"raw count outside \[0, {ADC_MAX}\]"),
-    "raw-negative": ("frame", "raw", lambda raw: [-1] + raw[1:], "raw count outside"),
-    "raw-not-an-integer": ("frame", "raw", lambda raw: [raw[0] + 0.5] + raw[1:], _NOT_A_RAW_ROW),
-    "raw-a-boolean": ("frame", "raw", lambda raw: [True] + raw[1:], _NOT_A_RAW_ROW),
-    "t-not-an-integer": ("frame", "t_us", float, "'t_us' that is not an integer"),
-    "t-a-boolean": ("frame", "t_us", lambda t: True, "'t_us' that is not an integer"),
+    # -1 has no uint16 form: its two's-complement bytes read as the largest count
+    "raw-negative": ("frame", "raw", lambda row: [2**16 - 1] + row[1:], "raw count outside"),
     "target-infinity": ("event", "to", lambda to: [to[0], float("inf")]),
     "calibration-missing-means": ("calibration", "means", _DELETE),
     "calibration-mean-nan": ("calibration", "means",
@@ -897,8 +925,8 @@ FRAME_FAULTS = [case for case, (kind, *_) in MALFORMED.items() if kind == "frame
 
 def _corrupted(lines: list[str], case: str, frame: int) -> tuple[list[str], str]:
     """``lines`` with the fault ``case``, placed at frame ``frame`` if it is a frame's fault;
-    and what the reader's message must say after the file: the line, and for a frame's
-    fault the frame and its problem.
+    and what the reader's message must say after the file: the line, then the problem,
+    and for a frame's fault the frame.
 
     A duplicated frame is inserted as frame ``frame``, a copy of the frame before it.
     The digest record is rebuilt after the fault, so the fault is the log's only one;
@@ -915,11 +943,15 @@ def _corrupted(lines: list[str], case: str, frame: int) -> tuple[list[str], str]
     record = "frames" if kind == "frame" else kind
     k = next(i for i, line in enumerate(lines) if json.loads(line)["type"] == record)
     rec = json.loads(lines[k])
-    if case == "duplicated-frame":  # the copy repeats its original's t_us
-        for column in (rec["t_us"], rec["raw"]):
-            column.insert(frame, column[frame - 1])
-    elif kind == "frame":
-        rec[field][frame] = edit(rec[field][frame])
+    if kind == "frame":
+        columns = dict(zip(("t_us", "raw"), unpack_frames_reference(rec)))
+        if case == "duplicated-frame":  # the copy repeats its original's t_us
+            for column in columns.values():
+                column.insert(frame, column[frame - 1])
+        else:
+            columns[field][frame] = edit(columns[field][frame])
+        rec.update(pack_frames_reference(columns["t_us"], columns["raw"]))
+        problem = [f"frame {frame} has a {problem[0]}"]
     elif field is None:
         rec = edit(rec)
     elif edit is _DELETE:
@@ -927,8 +959,7 @@ def _corrupted(lines: list[str], case: str, frame: int) -> tuple[list[str], str]
     else:
         rec[field] = edit(rec[field])
     lines[k] = json.dumps(rec) + "\n"
-    named = f"line {k + 1}: frame {frame} has a {problem[0]}" if problem else f"line {k + 1}:"
-    return _resealed(lines), named
+    return _resealed(lines), f"line {k + 1}: {''.join(problem)}"
 
 
 def _resealed(lines: list[str]) -> list[str]:
@@ -956,13 +987,13 @@ def test_read_session_log_rejects_malformed_line_in_a_later_slice(small_log_line
 
 def test_read_session_log_rejects_duplicated_frame_across_a_slice_seam(small_log_lines, tmp_path):
     # the copy is appended as the last frame, which no frame follows
-    n = len(_frames_record(small_log_lines)[1]["t_us"])
+    n = _frame_count(small_log_lines)
     _assert_refused(*_corrupted(small_log_lines, "duplicated-frame", n), tmp_path)
 
 
 @pytest.mark.parametrize("case", FRAME_FAULTS)
 def test_read_session_log_rejects_a_fault_in_the_last_frame(small_log_lines, case, tmp_path):
-    n = len(_frames_record(small_log_lines)[1]["t_us"])
+    n = _frame_count(small_log_lines)
     _assert_refused(*_corrupted(small_log_lines, case, n - 1), tmp_path)
 
 
@@ -970,6 +1001,19 @@ def test_read_session_log_refuses_a_second_frames_record(small_log_lines, tmp_pa
     k, _ = _frames_record(small_log_lines)
     lines = _resealed([*small_log_lines[:k + 1], small_log_lines[k], *small_log_lines[k + 1:]])
     _assert_refused(lines, f"line {k + 2}: a second frames record, after line {k + 1}", tmp_path)
+
+
+def test_read_session_log_refuses_a_second_meta_record(small_log_lines, tmp_path):
+    # which of two signal chains would rebuild the proc?
+    second = json.dumps({**json.loads(small_log_lines[0]), "iir_alpha": 0.5}) + "\n"
+    lines = _resealed([small_log_lines[0], second, *small_log_lines[1:]])
+    _assert_refused(lines, "line 2: a second meta record, after line 1", tmp_path)
+
+
+def test_read_session_log_refuses_a_second_calibration_record(small_log_lines, tmp_path):
+    assert json.loads(small_log_lines[1])["type"] == "calibration"
+    lines = _resealed([*small_log_lines[:2], small_log_lines[1], *small_log_lines[2:]])
+    _assert_refused(lines, "line 3: a second calibration record, after line 2", tmp_path)
 
 
 def test_read_session_log_reads_the_file_once(small_log_lines, tmp_path, monkeypatch):
@@ -1033,7 +1077,7 @@ def test_read_session_log_refuses_version_1(small_log_lines, tmp_path):
 def test_read_session_log_refuses_version_2(small_log_lines, tmp_path):
     # version 2 logs stored gaze and target in every frame and had no digest record
     path = _meta_edited(small_log_lines, lambda meta: meta.update(log_version=2), tmp_path)
-    with pytest.raises(ConfigError, match=r"log_version 2 is not readable here \(this code reads 4\)"):
+    with pytest.raises(ConfigError, match=r"log_version 2 is not readable here \(this code reads 5\)"):
         read_session_log(path)
 
 
@@ -1041,10 +1085,21 @@ def test_read_session_log_refuses_version_3(small_log_lines, tmp_path):
     # version 3 logs held one frame record per line
     k, frames = _frames_record(small_log_lines)
     v3 = [json.dumps({"raw": row, "t_us": t, "type": "frame"}, sort_keys=True) + "\n"
-          for t, row in zip(frames["t_us"], frames["raw"])]
+          for t, row in zip(*unpack_frames_reference(frames))]
     path = _meta_edited([*small_log_lines[:k], *v3, *small_log_lines[k + 1:]],
                         lambda meta: meta.update(log_version=3), tmp_path)
-    with pytest.raises(ConfigError, match=r"^log_version 3 is not readable here \(this code reads 4\)$"):
+    with pytest.raises(ConfigError, match=r"^log_version 3 is not readable here \(this code reads 5\)$"):
+        read_session_log(path)
+
+
+def test_read_session_log_refuses_version_4(small_log_lines, tmp_path):
+    # version 4 logs held the frame columns as JSON lists of numbers
+    k, frames = _frames_record(small_log_lines)
+    t_us, raw = unpack_frames_reference(frames)
+    v4 = json.dumps({"raw": raw, "t_us": t_us, "type": "frames"}, sort_keys=True) + "\n"
+    path = _meta_edited([*small_log_lines[:k], v4, *small_log_lines[k + 1:]],
+                        lambda meta: meta.update(log_version=4), tmp_path)
+    with pytest.raises(ConfigError, match=r"^log_version 4 is not readable here \(this code reads 5\)$"):
         read_session_log(path)
 
 
@@ -1063,7 +1118,7 @@ def test_read_session_log_skips_unknown_record_types(small_log_lines, tmp_path):
                                        '{"type": "annotation", "note": "later format"}\n',
                                        *small_log_lines[1:]])))
     log, cal = read_session_log(path)
-    assert log.n_frames == len(_frames_record(small_log_lines)[1]["t_us"])
+    assert log.n_frames == _frame_count(small_log_lines)
     assert cal is not None
 
 

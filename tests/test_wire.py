@@ -55,12 +55,22 @@ def test_roundtrip_identity():
 
 
 def test_encode_rejects_out_of_range():
-    frame = SensorFrame(0, (1023,))
-    object.__setattr__(frame, "channels", (1024,))  # bypass frame validation
-    with pytest.raises(WireError):
-        encode(frame)
-    with pytest.raises(WireError):
+    # a reading above ADC_MAX never reaches encode: the frame refuses it
+    with pytest.raises(WireError, match=r"^channel 0 reading 1024 outside"):
+        SensorFrame(0, (1024,))
+    with pytest.raises(WireError, match="channel count 300 does not fit in one byte"):
         encode(SensorFrame(0, tuple([1] * 300)))
+
+
+@pytest.mark.parametrize("frame, named", [
+    (SensorFrame(0, (0.5,)), "channel 0 reading 0.5"),
+    (SensorFrame(0, (3, 1023.0)), "channel 1 reading 1023.0"),
+    (SensorFrame(1.5, (3,)), "timestamp 1.5"),
+], ids=["half-a-count", "a-float-count", "a-float-timestamp"])
+def test_encode_refuses_a_reading_that_is_not_an_integer(frame, named):
+    # SensorFrame takes in-range readings that are not counts; the wire holds only integers
+    with pytest.raises(WireError, match=f"^{named} is not an integer$"):
+        encode(frame)
 
 
 def test_timestamp_wraps_at_32_bits():
