@@ -104,8 +104,10 @@ def _error_histogram(err: np.ndarray) -> tuple[list[float], list[float]]:
 class _ScoredFrames:
     """One log's scored frames, found once and shared by every report on the log.
 
-    ``groups`` pairs each distinct target, in ``np.unique`` order, with the
-    indices of the scored frames that hold it.
+    ``order`` sorts the scored frames by target x, then y, keeping log order
+    within a target (a stable sort), so each distinct target's frames are one
+    run ``order[bounds[i]:bounds[i + 1]]``; ``groups`` holds the distinct
+    targets in that order, which is ``np.unique``'s.
     """
 
     n_frames: int
@@ -113,7 +115,9 @@ class _ScoredFrames:
     n_excluded_move: int
     X: np.ndarray
     targets: np.ndarray
-    groups: list[tuple[tuple[float, float], np.ndarray]]
+    order: np.ndarray
+    bounds: list[int]
+    groups: list[list[float]]
 
     @classmethod
     def of(cls, log: SessionLog) -> "_ScoredFrames":
@@ -122,20 +126,29 @@ class _ScoredFrames:
         if not mask.any():
             raise InsufficientDataError("every frame fell inside an excluded interval")
         targets = log.target[mask]
-        uniq, inverse = np.unique(targets, axis=0, return_inverse=True)
-        groups = [((float(tgt[0]), float(tgt[1])), np.flatnonzero(inverse == i))
-                  for i, tgt in enumerate(uniq)]
+        order = np.lexsort((targets[:, 1], targets[:, 0]))
+        ordered = targets[order]
+        starts = np.flatnonzero((ordered[1:] != ordered[:-1]).any(axis=1)) + 1
+        bounds = [0, *starts.tolist(), len(order)]
         return cls(log.n_frames, int(blink_mask.sum()), int(move_mask.sum()),
-                   log.proc[mask], targets, groups)
+                   log.proc[mask], targets, order, bounds, ordered[bounds[:-1]].tolist())
 
     def report(self, estimator, geom: DisplayGeometry) -> AccuracyReport:
-        """Run the estimator over the scored frames and summarize its errors."""
+        """Run the estimator over the scored frames and summarize its errors.
+
+        A target's mean sums its errors in log order, as ``mean`` does, and
+        its median is the middle of its sorted errors, or the mean of the two
+        middle ones, as ``np.median`` gives; both are bit for bit theirs.
+        """
         err = angular_error_px(estimator.estimate_batch(self.X), self.targets, geom)
         edges, hist_mass = _error_histogram(err)
-        per_target = [{"target": list(tgt), "n": int(rows.size),
-                       "mean_deg": float(err[rows].mean()),
-                       "median_deg": float(np.median(err[rows]))}
-                      for tgt, rows in self.groups]
+        grouped = err[self.order]
+        per_target = []
+        for tgt, lo, hi in zip(self.groups, self.bounds, self.bounds[1:]):
+            rows, n = grouped[lo:hi], hi - lo
+            mid = np.sort(rows)[(n - 1) // 2:n // 2 + 1]
+            per_target.append({"target": list(tgt), "n": n, "mean_deg": float(rows.sum() / n),
+                               "median_deg": float(mid[0] if n % 2 else (mid[0] + mid[1]) / 2.0)})
         n_used = len(self.X)
         return AccuracyReport(
             method=getattr(estimator, "name", estimator.__class__.__name__),

@@ -325,14 +325,46 @@ def gaze_target(t_us: np.ndarray, events: list[dict], start) -> tuple[np.ndarray
     return gaze, target
 
 
+def _frame_columns(t_us: np.ndarray, raw: np.ndarray) -> None:
+    """Raise ConfigError unless the arrays can be a log's frame columns.
+
+    The one check of the frame columns, run on every ``SessionLog`` and by
+    the log reader before it builds one. Both are of a signed integer dtype
+    (an unsigned ``t_us`` could wrap in int64). ``t_us`` holds a time per
+    frame, each greater than the previous frame's; ``raw`` a row per frame
+    of at least one count, each within [0, ADC_MAX]. A fault in one frame is
+    named by its index. Columns of no frames pass; the log codec refuses them.
+    """
+    for name, column, ndim in (("t_us", t_us, 1), ("raw", raw, 2)):
+        if column.dtype.kind != "i":
+            raise ConfigError(f"{name!r} is of dtype {column.dtype}, not a signed integer")
+        if column.ndim != ndim:
+            raise ConfigError(f"{name!r} has {column.ndim} dimensions, not {ndim}")
+    n = min(len(t_us), len(raw))
+    if len(t_us) != len(raw):
+        has, lacks = ("t_us", "raw") if len(t_us) > n else ("raw", "t_us")
+        raise ConfigError(f"frame {n} has {has!r} but no {lacks!r}")
+    if not raw.shape[1]:
+        raise ConfigError("the log's frames hold no raw counts")
+    bad = np.flatnonzero((raw < 0) | (raw > ADC_MAX))  # row-major: count k is in frame k // m
+    if bad.size:
+        raise ConfigError(f"frame {bad[0] // raw.shape[1]} has a raw count outside [0, {ADC_MAX}]")
+    bad = np.flatnonzero(t_us[1:] <= t_us[:-1])
+    if bad.size:
+        raise ConfigError(f"frame {bad[0] + 1} has a t_us not greater than the previous frame's")
+
+
 @dataclass
 class SessionLog:
     """Complete record of one simulated run, column-oriented for speed.
 
-    ``gaze`` and ``target`` are not arguments: they follow from ``t_us``, the
-    target_move events and the meta's ``start_target`` (``gaze_target``),
-    which must be a pair of finite numbers, else ConfigError names it. The
-    events must be scorable (``session._event_fault``).
+    ``t_us`` and ``raw`` are checked when the log is built
+    (``_frame_columns``), so every log has ordered frames and counts in
+    range. ``gaze`` and ``target`` are not arguments: they follow from
+    ``t_us``, the target_move events and the meta's ``start_target``
+    (``gaze_target``), which must be a pair of finite numbers, else
+    ConfigError names it. The events must be scorable
+    (``session._event_fault``).
     """
 
     t_us: np.ndarray        # (N,) int64 frame timestamps
@@ -344,6 +376,7 @@ class SessionLog:
     target: np.ndarray = field(init=False)  # (N, 2) stimulus target, px
 
     def __post_init__(self):
+        _frame_columns(self.t_us, self.raw)
         start = self.meta.get("start_target")
         if not _is_point(start):
             raise ConfigError(f"meta field 'start_target' is not a pair of finite numbers: {start!r}")

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .calib import CalibrationGridSpec, run_calibration
-from .core import ADC_MAX, CalibrationSet, ConfigError, DisplayGeometry, ScreenPoint
+from .core import CalibrationSet, ConfigError, DisplayGeometry, ScreenPoint
 from .eyesim import (
     EyeSimulator,
     GazeScript,
@@ -33,6 +33,7 @@ from .eyesim import (
     SessionLog,
     SimConfig,
     SubjectProfile,
+    _frame_columns,
     _is_number,
     _is_point,
     frames_spanned,
@@ -83,7 +84,7 @@ _BOUNDS = {
     "eval_fixation_min_ms": (lambda v: v > 0, "> 0"),
     "jitter": (lambda v: v > 0, "> 0"),
     "sigma_grid": (lambda v: v and min(v) > 0, "a non-empty list of positive numbers"),
-    "task_count": (lambda v: v >= 1, ">= 1"),
+    "task_count": (lambda v: v >= 2, ">= 2"),  # scenarios score each half of the tasks
     "target_radius_deg": (lambda v: v > 0, "> 0"),
     "task_window_threshold": (lambda v: 0 < v <= 1, "in (0, 1]"),
     "remount_shift_std_mm": (lambda v: v >= 0, ">= 0"),
@@ -415,17 +416,16 @@ def write_session_log(log: SessionLog, path, calibration: CalibrationSet | None 
     sha256 of every line before it.
 
     A log that the reader would refuse, or that the file cannot hold
-    faithfully, raises ConfigError before the file is opened: frame columns
-    that ``_frame_columns`` refuses; a non-finite number in the meta,
+    faithfully, raises ConfigError before the file is opened: a log of no
+    frames (a ``SessionLog`` checks its columns when it is built,
+    ``eyesim._frame_columns``); a non-finite number in the meta,
     calibration or an event record, or an event that cannot be scored,
     naming the record's line; a meta whose capture cycle or chain settings
     are missing or out of range; and a proc other than the one the reader
     rebuilds, down to a zero's sign, naming the first frame that differs.
     """
-    try:
-        _frame_columns(log.t_us, log.raw)
-    except ConfigError as exc:
-        raise ConfigError(f"cannot write session log {path}: {exc}") from None
+    if not log.n_frames:
+        raise ConfigError(f"cannot write session log {path}: the log holds no frames")
     lines = [_line(path, n, rec) for n, rec in enumerate(_records(log, calibration), 1)]
     fault = _event_fault(log.events)
     if fault:
@@ -464,42 +464,13 @@ def _line(path, line: int, rec: dict) -> str:
                           f"record, holds a value JSON cannot express ({exc})") from None
 
 
-def _frame_columns(t_us: np.ndarray, raw: np.ndarray) -> None:
-    """Raise ConfigError unless the arrays can be a log's frame columns.
-
-    The one check of the frame columns, for the writer and the reader alike.
-    Both are of a signed integer dtype (an unsigned ``t_us`` could wrap in
-    int64). ``t_us`` holds a time per frame, each greater than the previous
-    frame's; ``raw`` a row per frame of at least one count, each within
-    [0, ADC_MAX]. A fault in one frame is named by its index.
-    """
-    for name, column, ndim in (("t_us", t_us, 1), ("raw", raw, 2)):
-        if column.dtype.kind != "i":
-            raise ConfigError(f"{name!r} is of dtype {column.dtype}, not a signed integer")
-        if column.ndim != ndim:
-            raise ConfigError(f"{name!r} has {column.ndim} dimensions, not {ndim}")
-    n = min(len(t_us), len(raw))
-    if len(t_us) != len(raw):
-        has, lacks = ("t_us", "raw") if len(t_us) > n else ("raw", "t_us")
-        raise ConfigError(f"frame {n} has {has!r} but no {lacks!r}")
-    if not n:
-        raise ConfigError("the log holds no frames")
-    if not raw.shape[1]:
-        raise ConfigError("the log's frames hold no raw counts")
-    bad = np.flatnonzero(((raw < 0) | (raw > ADC_MAX)).any(axis=1))
-    if bad.size:
-        raise ConfigError(f"frame {bad[0]} has a raw count outside [0, {ADC_MAX}]")
-    bad = np.flatnonzero(t_us[1:] <= t_us[:-1])
-    if bad.size:
-        raise ConfigError(f"frame {bad[0] + 1} has a t_us not greater than the previous frame's")
-
-
 def _unpacked(frames: dict) -> tuple[np.ndarray, np.ndarray]:
     """A frames record's ``t_us`` and ``raw`` columns, as int64 arrays.
 
     ConfigError if a column is missing, not a string or not base64, if the
-    ``t_us`` bytes are not 8 per frame, or if the raw counts are not a whole
-    number of rows, one per frame. The columns are not checked further.
+    ``t_us`` bytes are not 8 per frame or hold no frame, or if the raw counts
+    are not a whole number of rows, one per frame. The columns are not
+    checked further.
     """
     data = {}
     for name in _FRAME_DTYPES:
@@ -514,7 +485,9 @@ def _unpacked(frames: dict) -> tuple[np.ndarray, np.ndarray]:
     n, extra = divmod(len(data["t_us"]), 8)
     if extra:
         raise ConfigError(f"'t_us' holds {len(data['t_us'])} bytes, not 8 per frame")
-    m = len(data["raw"]) // (2 * n) if n else 0
+    if not n:
+        raise ConfigError("the log holds no frames")
+    m = len(data["raw"]) // (2 * n)
     if len(data["raw"]) != 2 * n * m:
         raise ConfigError(f"'raw' holds {len(data['raw'])} bytes, not a whole number of rows "
                           f"of 2-byte counts over {n} frames")

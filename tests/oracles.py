@@ -35,6 +35,12 @@ vector with ``chain_reference``, the signal chain one frame and channel at
 a time, and its gaze and target with ``gaze_target_reference``, which
 replays every target move at every frame; it returns the columns without
 building a ``SessionLog``, which would derive gaze and target itself.
+
+``ScoredFramesReference`` is the per-target scoring that the one stable
+sort in ``evaluate._ScoredFrames`` replaces: ``np.unique`` over the scored
+frames' targets, one index array per target, and a fancy-indexed ``mean``
+and ``np.median`` of each target's errors. The exclusion masks and the
+histogram are the production ones.
 """
 
 import base64
@@ -42,12 +48,24 @@ import hashlib
 import json
 import math
 import struct
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 from scipy.signal import lfilter
 
-from ledgaze.core import ADC_MAX, CalibrationSet, ConfigError, DegenerateInputError, DimensionError
+from ledgaze.core import (
+    ADC_MAX,
+    CalibrationSet,
+    ConfigError,
+    DegenerateInputError,
+    DimensionError,
+    DisplayGeometry,
+    InsufficientDataError,
+    angular_error_px,
+)
+from ledgaze.evaluate import AccuracyReport, _error_histogram, exclusion_masks
+from ledgaze.eyesim import SessionLog
 from ledgaze.session import LOG_VERSION, _check_version
 from ledgaze.sigproc import SATURATION_HIGH, SATURATION_LOW
 
@@ -518,3 +536,56 @@ def _plain(obj):
     if isinstance(obj, np.ndarray):
         return [_plain(v) for v in obj.tolist()]
     return obj
+
+
+@dataclass(frozen=True)
+class ScoredFramesReference:
+    """One log's scored frames, found once and shared by every report on the log.
+
+    ``groups`` pairs each distinct target, in ``np.unique`` order, with the
+    indices of the scored frames that hold it.
+    """
+
+    n_frames: int
+    n_excluded_blink: int
+    n_excluded_move: int
+    X: np.ndarray
+    targets: np.ndarray
+    groups: list[tuple[tuple[float, float], np.ndarray]]
+
+    @classmethod
+    def of(cls, log: SessionLog) -> "ScoredFramesReference":
+        blink_mask, move_mask = exclusion_masks(log)
+        mask = ~(blink_mask | move_mask)
+        if not mask.any():
+            raise InsufficientDataError("every frame fell inside an excluded interval")
+        targets = log.target[mask]
+        uniq, inverse = np.unique(targets, axis=0, return_inverse=True)
+        groups = [((float(tgt[0]), float(tgt[1])), np.flatnonzero(inverse == i))
+                  for i, tgt in enumerate(uniq)]
+        return cls(log.n_frames, int(blink_mask.sum()), int(move_mask.sum()),
+                   log.proc[mask], targets, groups)
+
+    def report(self, estimator, geom: DisplayGeometry) -> AccuracyReport:
+        """Run the estimator over the scored frames and summarize its errors."""
+        err = angular_error_px(estimator.estimate_batch(self.X), self.targets, geom)
+        edges, hist_mass = _error_histogram(err)
+        per_target = [{"target": list(tgt), "n": int(rows.size),
+                       "mean_deg": float(err[rows].mean()),
+                       "median_deg": float(np.median(err[rows]))}
+                      for tgt, rows in self.groups]
+        n_used = len(self.X)
+        return AccuracyReport(
+            method=getattr(estimator, "name", estimator.__class__.__name__),
+            mean_deg=float(err.mean()),
+            median_deg=float(np.median(err)),
+            std_deg=float(err.std()),
+            n_frames=self.n_frames,
+            n_excluded=self.n_frames - n_used,
+            n_excluded_blink=self.n_excluded_blink,
+            n_excluded_move=self.n_excluded_move,
+            n_used=n_used,
+            hist_edges_deg=edges,
+            hist_mass=hist_mass,
+            per_target=per_target,
+        )

@@ -98,6 +98,20 @@ def test_scenarios_command(tmp_path, small_config_file):
     assert set(payload["summary"]) == {"calibrated", "same_user_prior", "cross_user_prior"}
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_scenarios_json_is_strict_json_at_the_fewest_tasks(tmp_path):
+    config = tmp_path / "config.json"
+    SessionConfig(seed=4, grid_rows=2, grid_cols=2, task_count=2, task_dwell_ms=700.0).save(config)
+    out = tmp_path / "sc"
+    assert main(["scenarios", "--config", str(config), "--out", str(out), "--seeds", "1"]) == 0
+    payload = json.loads((out / "scenarios.json").read_text(), parse_constant=_refuse_constant)
+    assert all(0.0 <= row[half] <= 1.0 for row in payload["rows"]
+               for half in ("first_half", "second_half"))
+
+
 def test_wire_test_command(tmp_path):
     out = tmp_path / "wt"
     assert main(["wire-test", "--out", str(out), "--frames", "200"]) == 0
@@ -264,6 +278,7 @@ def test_eval_refuses_a_log_whose_config_has_another_version(tmp_path, capsys, s
 @pytest.mark.parametrize("text, field", [
     ('{"noise_sd": 0.2}', "noise_sd"),
     ('{"task_count": -3}', "task_count"),
+    ('{"task_count": 1}', "task_count"),
     ('{"augment_points": -5}', "augment_points"),
     ('{"eval_fixations": -1}', "eval_fixations"),
     ('{"seed": 1.5}', "seed"),

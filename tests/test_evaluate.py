@@ -1,11 +1,14 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ledgaze.core import ConfigError, InsufficientDataError
 from ledgaze.evaluate import (
     HOLDOUT_FRACTION,
+    _ScoredFrames,
     compare_estimators,
     evaluate_accuracy,
     excluded_mask,
@@ -28,7 +31,7 @@ from ledgaze.session import (
     run_benchmark_session,
 )
 
-from oracles import mean_median_std
+from oracles import ScoredFramesReference, mean_median_std
 
 
 def small_config(**kw):
@@ -146,6 +149,64 @@ def test_all_frames_excluded_raises():
     log.events.append({"kind": "blink", "t0_us": 0, "t1_us": int(log.t_us[-1])})
     with pytest.raises(InsufficientDataError):
         evaluate_accuracy(log, ConstantEstimator([0.0, 0.0]), cfg.geometry())
+
+
+class IdentityEstimator:
+    """Takes each frame's processed vector for its estimate."""
+
+    name = "identity"
+
+    def estimate_batch(self, X):
+        return X
+
+
+_coordinate = st.sampled_from([100.0, 250.5]) | st.floats(0.0, 800.0)
+
+
+@st.composite
+def grouped_logs(draw):
+    """A log of runs of frames on one target each, whose proc is each frame's estimate.
+
+    The targets come from a small pool whose points often share an x, runs
+    revisit targets, and one run holds 321 to 340 frames, at least 300 after
+    a blink, where a sequential sum parts from numpy's. Estimates sit at one
+    of three offsets from their target, so that errors tie, or at random
+    ones. A blink may exclude a few frames; no move excludes any, since a
+    move settles between two frames and the filter (alpha 1) adds no pad.
+    """
+    pool = draw(st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=5))
+    target = st.integers(0, len(pool) - 1)
+    runs = draw(st.lists(st.tuples(target, st.integers(1, 6)), max_size=12))
+    runs.insert(draw(st.integers(0, len(runs))), (draw(target), draw(st.integers(321, 340))))
+    points = [list(pool[k]) for k, _ in runs]
+    targets = np.repeat(np.array(points), [n for _, n in runs], axis=0)
+    n = len(targets)
+    t_us = 10 * np.arange(n, dtype=np.int64)
+    starts = np.cumsum([n for _, n in runs])[:-1].tolist()
+    events = [{"kind": "target_move", "t_move_us": 10 * b - 5, "t_settle_us": 10 * b - 5,
+               "from": frm, "to": to} for b, frm, to in zip(starts, points, points[1:])]
+    if draw(st.booleans()):
+        first = draw(st.integers(0, n - 1))
+        events.append({"kind": "blink", "t0_us": 10 * first,
+                       "t1_us": 10 * (first + draw(st.integers(0, 20)))})
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        offsets = rng.choice([0.0, 0.5, 3.0], size=(n, 2))
+    else:
+        offsets = rng.normal(0.0, 20.0, (n, 2))
+    meta = {"start_target": points[0], "iir_alpha": 1.0, "cycle_us": 10}
+    return SessionLog(t_us, np.zeros((n, 2), dtype=np.int64), targets + offsets, events, meta)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(grouped_logs())
+def test_scored_frames_report_matches_the_per_target_reference(log):
+    geom = small_config().geometry()
+    got = _ScoredFrames.of(log).report(IdentityEstimator(), geom).to_dict()
+    want = ScoredFramesReference.of(log).report(IdentityEstimator(), geom).to_dict()
+    assert got == want
+    # bit for bit: the shortest repr of a float names its one double
+    assert json.dumps(got) == json.dumps(want)
 
 
 def test_trace_rows_fields_and_count():

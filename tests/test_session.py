@@ -123,7 +123,7 @@ def test_config_validation():
     ("iir_alpha", 1.5), ("variance_threshold", 0.0), ("augment_points", -5),
     ("eval_fixations", -1), ("eval_fixations", 0), ("eval_fixation_min_ms", 0.0),
     ("jitter", 0.0), ("sigma_grid", ()), ("sigma_grid", (0.1, -0.2)), ("task_count", -3),
-    ("task_count", 0), ("target_radius_deg", -1.0), ("target_radius_deg", 0.0),
+    ("task_count", 0), ("task_count", 1), ("target_radius_deg", -1.0), ("target_radius_deg", 0.0),
     ("task_window_threshold", 2.0), ("task_window_threshold", 0.0),
     ("remount_shift_std_mm", -1.0), ("grid_margin", 300), ("grid_margin", 400),
 ])
@@ -136,7 +136,7 @@ def test_config_from_dict_rejects_a_value_out_of_range(field, value):
 def test_config_accepts_the_edges_of_each_range():
     SessionConfig(seed=0, subject_seed=0, noise_std=0.0, iir_alpha=1.0, augment_points=0,
                   eval_fixations=1, eval_fixation_min_ms=800.0, eval_fixation_max_ms=800.0,
-                  task_count=1, task_window_threshold=1.0, remount_shift_std_mm=0.0)
+                  task_count=2, task_window_threshold=1.0, remount_shift_std_mm=0.0)
 
 
 def test_config_rejects_eval_fixation_bounds_out_of_order():
@@ -648,13 +648,11 @@ def seed5_log():
 
 
 @pytest.mark.parametrize("field", ["t_us", "raw"])
-def test_write_session_log_rejects_ragged_fields(seed5_log, field, tmp_path):
+def test_write_session_log_rejects_ragged_fields(seed5_log, field):
+    # A SessionLog checks its frame columns when it is built, so no writer sees this log.
     n = seed5_log.n_frames
-    ragged = dataclasses.replace(seed5_log, **{field: getattr(seed5_log, field)[:n - 10]})
-    path = tmp_path / "ragged.jsonl"
-    with pytest.raises(ConfigError, match=rf"frame {n - 10} .*no {field!r}"):
-        write_session_log(ragged, path)
-    assert not path.exists()
+    with pytest.raises(ConfigError, match=rf"^frame {n - 10} has '\w+' but no {field!r}$"):
+        dataclasses.replace(seed5_log, **{field: getattr(seed5_log, field)[:n - 10]})
 
 
 def _t_us_swapped(log: SessionLog) -> SessionLog:
@@ -663,22 +661,28 @@ def _t_us_swapped(log: SessionLog) -> SessionLog:
     return dataclasses.replace(log, t_us=t_us)
 
 
-@pytest.mark.parametrize("edit, problem", [
-    (_t_us_swapped, "frame 41 has a t_us not greater than the previous frame's"),
+@pytest.mark.parametrize("edit, problem, at_build", [
+    (_t_us_swapped, "frame 41 has a t_us not greater than the previous frame's", True),
     (lambda log: dataclasses.replace(log, meta={**log.meta, "cycle_us": 0}),
-     "meta field 'cycle_us' is not a positive integer: 0"),
+     "meta field 'cycle_us' is not a positive integer: 0", False),
     (lambda log: dataclasses.replace(log, t_us=log.t_us.astype(float)),
-     "'t_us' is of dtype float64, not a signed integer"),
+     "'t_us' is of dtype float64, not a signed integer", True),
     (lambda log: dataclasses.replace(log, raw=log.raw.astype(float)),
-     "'raw' is of dtype float64, not a signed integer"),
+     "'raw' is of dtype float64, not a signed integer", True),
     # every time fits, but a uint64 column could hold one that wraps in int64
     (lambda log: dataclasses.replace(log, t_us=log.t_us.astype(np.uint64)),
-     "'t_us' is of dtype uint64, not a signed integer"),
+     "'t_us' is of dtype uint64, not a signed integer", True),
 ], ids=["t-us-swapped", "cycle-zero", "t-us-floats", "raw-floats", "t-us-uint64"])
-def test_write_session_log_refuses_a_log_its_reader_refuses(seed5_log, edit, problem, tmp_path):
+def test_write_session_log_refuses_a_log_its_reader_refuses(seed5_log, edit, problem, at_build,
+                                                            tmp_path):
+    """A fault in the frame columns stops the SessionLog being built; the writer refuses the rest."""
     path = tmp_path / "refused.jsonl"
-    with pytest.raises(ConfigError, match=f"^cannot write session log {path}: {problem}$"):
-        write_session_log(edit(seed5_log), path)
+    if at_build:
+        with pytest.raises(ConfigError, match=f"^{problem}$"):
+            edit(seed5_log)
+    else:
+        with pytest.raises(ConfigError, match=f"^cannot write session log {path}: {problem}$"):
+            write_session_log(edit(seed5_log), path)
     assert not path.exists()
 
 
