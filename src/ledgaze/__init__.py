@@ -20,7 +20,7 @@ from .core import (
 from .kernels import MeasureSpec, canberra, cosine, manhattan, minkowski, rbf
 from .regress import GprModel, SvrModel, grid_search_sigma
 from .calib import CalibrationGridSpec, aggregate_point, run_calibration, schedule_targets
-from .sigproc import IirFilter, adapt_exposure
+from .sigproc import IirFilter, SignalChain, adapt_exposure
 from .eyesim import (
     EyeSimulator,
     GazeScript,

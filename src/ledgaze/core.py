@@ -12,12 +12,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from sys import float_info
 from typing import Sequence
 
 import numpy as np
 
 ADC_MAX = 1023  # 10-bit converter full scale
 _ADC_COUNTS = frozenset(range(ADC_MAX + 1))
+
+
+def _is_finite(value) -> bool:
+    """Whether ``value`` is an int or a float, not a bool, that a finite float holds (NaN is not)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= float_info.max
 
 
 class LedGazeError(Exception):

@@ -24,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ADC_MAX, ConfigError, DisplayGeometry, ScreenPoint
-from .sigproc import IirFilter, _exposure_levels, compensate
+from .core import ADC_MAX, ConfigError, DisplayGeometry, ScreenPoint, _is_finite
+from .sigproc import SignalChain, _exposure_levels
 
 # Seed-stream discriminators so subsystems never share a generator.
 _STREAM_NOISE = 101
@@ -275,8 +275,12 @@ class SimConfig:
     def __post_init__(self):
         if self.step_us <= 0:
             raise ConfigError("step_us must be positive")
-        if not 0 < self.exposure_min_us <= self.exposure_init_us <= self.exposure_max_us:
-            raise ConfigError("exposures must satisfy 0 < min <= init <= max")
+        self.chain()
+
+    def chain(self) -> SignalChain:
+        """A fresh signal chain of these settings; ConfigError names one out of range."""
+        return SignalChain(self.exposure_init_us, self.exposure_min_us, self.exposure_max_us,
+                           self.optics.reference_exposure_us, self.iir_alpha)
 
     def cycle_us(self, layout: LedLayout) -> int:
         # Both eyes' chains run in parallel, one microcontroller each.
@@ -288,14 +292,9 @@ def frames_spanned(duration_us: int, cycle_us: int) -> int:
     return int(round(duration_us / cycle_us))
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _is_point(value) -> bool:
     """Whether a record's value is a screen point: a list of two finite numbers."""
-    return (type(value) is list and len(value) == 2
-            and all(_is_number(v) and math.isfinite(v) for v in value))
+    return type(value) is list and len(value) == 2 and all(map(_is_finite, value))
 
 
 def gaze_target(t_us: np.ndarray, events: list[dict], start) -> tuple[np.ndarray, np.ndarray]:
@@ -328,12 +327,12 @@ def gaze_target(t_us: np.ndarray, events: list[dict], start) -> tuple[np.ndarray
 def _frame_columns(t_us: np.ndarray, raw: np.ndarray) -> None:
     """Raise ConfigError unless the arrays can be a log's frame columns.
 
-    The one check of the frame columns, run on every ``SessionLog`` and by
-    the log reader before it builds one. Both are of a signed integer dtype
-    (an unsigned ``t_us`` could wrap in int64). ``t_us`` holds a time per
-    frame, each greater than the previous frame's; ``raw`` a row per frame
-    of at least one count, each within [0, ADC_MAX]. A fault in one frame is
-    named by its index. Columns of no frames pass; the log codec refuses them.
+    The one check of the frame columns, run on every ``SessionLog``. Both
+    are of a signed integer dtype (an unsigned ``t_us`` could wrap in
+    int64). ``t_us`` holds a time per frame, each greater than the previous
+    frame's; ``raw`` a row per frame of at least one count, each within [0,
+    ADC_MAX]. A fault in one frame is named by its index. Columns of no
+    frames pass; the log codec refuses them.
     """
     for name, column, ndim in (("t_us", t_us, 1), ("raw", raw, 2)):
         if column.dtype.kind != "i":
@@ -376,10 +375,10 @@ class SessionLog:
     target: np.ndarray = field(init=False)  # (N, 2) stimulus target, px
 
     def __post_init__(self):
-        _frame_columns(self.t_us, self.raw)
         start = self.meta.get("start_target")
         if not _is_point(start):
             raise ConfigError(f"meta field 'start_target' is not a pair of finite numbers: {start!r}")
+        _frame_columns(self.t_us, self.raw)
         self.gaze, self.target = gaze_target(self.t_us, self.events, start)
 
     @property
@@ -417,7 +416,7 @@ class EyeSimulator:
         self._srt_rng = np.random.default_rng(np.random.SeedSequence([self.seed, _STREAM_SRT]))
         self.exposure_us = np.full(layout.total_channels, float(config.exposure_init_us))
         self.exposure_changes = np.zeros(layout.total_channels, dtype=np.int64)
-        self.iir = IirFilter(config.iir_alpha)
+        self.chain = config.chain()
         start = start_target if start_target is not None else self.geom.center
         self.start_target = start
         self.stim_target = start
@@ -493,9 +492,7 @@ class EyeSimulator:
             return
         gaze_xy, _ = gaze_target(t, self.events, [self.start_target.x, self.start_target.y])
         raw, scales = self._sense_block(gaze_xy, blend)
-        # The scales are not kept, so their buffer holds the compensated
-        # readings and a whole phase needs one less array.
-        proc = self.iir.filter_block(compensate(raw, scales, out=scales))
+        proc = self.chain.block(raw, scales)
         self._blocks.append((t, raw, proc))
         self.frame_index += n
 

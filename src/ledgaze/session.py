@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .calib import CalibrationGridSpec, run_calibration
-from .core import CalibrationSet, ConfigError, DisplayGeometry, ScreenPoint
+from .core import CalibrationSet, ConfigError, DisplayGeometry, ScreenPoint, _is_finite
 from .eyesim import (
     EyeSimulator,
     GazeScript,
@@ -33,15 +33,13 @@ from .eyesim import (
     SessionLog,
     SimConfig,
     SubjectProfile,
-    _frame_columns,
-    _is_number,
     _is_point,
     frames_spanned,
     run_script,
 )
 from .kernels import MeasureSpec
 from .regress import GprModel, SvrModel
-from .sigproc import IirFilter, compensate, replay_exposure
+from .sigproc import SignalChain
 
 CONFIG_VERSION = 2
 LOG_VERSION = 5
@@ -64,10 +62,10 @@ def _check_version(name: str, found, supported: int) -> None:
 # What a config field of each annotated type takes: the check, and its noun.
 _FIELD_KINDS = {
     "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    "float": (_is_number, "a number"),
+    "float": (_is_finite, "a number"),
     "bool": (lambda v: isinstance(v, bool), "a boolean"),
     "str": (lambda v: isinstance(v, str), "a string"),
-    "tuple[float, ...]": (lambda v: isinstance(v, tuple) and all(map(_is_number, v)),
+    "tuple[float, ...]": (lambda v: isinstance(v, tuple) and all(map(_is_finite, v)),
                           "a list of numbers"),
 }
 
@@ -77,7 +75,6 @@ _BOUNDS = {
     "seed": (lambda v: v >= 0, ">= 0"),  # numpy seeds are non-negative
     "subject_seed": (lambda v: v >= 0, ">= 0"),
     "noise_std": (lambda v: v >= 0, ">= 0"),
-    "iir_alpha": (lambda v: 0 < v <= 1, "in (0, 1]"),
     "variance_threshold": (lambda v: v > 0, "> 0"),
     "augment_points": (lambda v: v >= 0, ">= 0"),
     "eval_fixations": (lambda v: v >= 1, ">= 1"),
@@ -214,7 +211,7 @@ class SessionConfig:
             # prototype2 sums several illuminators per capture, so it needs a
             # shorter integration window to stay off the ADC ceiling
             exposure = 400.0 if self.layout_mode == "prototype1" else 100.0
-        with _naming("step_us", "exposure_init_us", "exposure_min_us", "exposure_max_us"):
+        with _naming("step_us", "iir_alpha", "exposure_init_us", "exposure_min_us", "exposure_max_us"):
             sim_config = SimConfig(geom=geometry, step_us=self.step_us, iir_alpha=self.iir_alpha,
                                    exposure_init_us=exposure, exposure_min_us=self.exposure_min_us,
                                    exposure_max_us=self.exposure_max_us, optics=optics)
@@ -288,7 +285,7 @@ class SessionConfig:
                               f"{', '.join(map(repr, unknown))}")
         kwargs = {k: v for k, v in d.items() if k != "config_version"}
         grid = kwargs.get("sigma_grid")
-        if isinstance(grid, list) and all(map(_is_number, grid)):
+        if isinstance(grid, list) and all(isinstance(s, float) or _is_finite(s) for s in grid):
             kwargs["sigma_grid"] = tuple(float(s) for s in grid)
         return cls(**kwargs)
 
@@ -517,31 +514,22 @@ def _check_proc(path, log: SessionLog) -> None:
 def _rebuilt_proc(raw: np.ndarray, meta: dict) -> np.ndarray:
     """The processed vectors of a log's raw counts: the chain ``EyeSimulator.run`` applies.
 
-    Exposures replayed from the initial one, compensation, then one fresh IIR
-    pass, with the settings in the meta. A setting that is missing, not a
-    finite number or out of range raises ConfigError naming it. So does a
-    meta whose ``cycle_us`` (the capture cycle, which the reports' exclusion
-    pad needs) is not a positive integer: the writer and the reader both
-    come here.
+    A fresh ``SignalChain`` of the meta's settings replays the exposures
+    (``SignalChain.replay``); a setting it refuses raises ConfigError naming
+    the meta field. So does a ``cycle_us`` (the capture cycle, which the
+    reports' exclusion pad needs) that is not a positive integer.
     """
     cycle = meta.get("cycle_us")
     if type(cycle) is not int or cycle <= 0:  # rejects bool too
         raise ConfigError(f"meta field 'cycle_us' is not a positive integer: {cycle!r}")
-    optics = meta.get("optics")
-    chain = {name: meta.get(name) for name in
-             ("exposure_init_us", "exposure_min_us", "exposure_max_us", "iir_alpha")}
-    chain["optics.reference_exposure_us"] = (optics.get("reference_exposure_us")
-                                             if isinstance(optics, dict) else None)
-    for name, value in chain.items():
-        if not (_is_number(value) and math.isfinite(value)):
-            raise ConfigError(f"meta field {name!r} is not a finite number: {value!r}")
-    init, emin, emax, alpha, ref = chain.values()
-    if not (0 < emin <= init <= emax and ref > 0):
-        raise ConfigError("meta exposures must satisfy 0 < exposure_min_us <= exposure_init_us "
-                          "<= exposure_max_us, with a positive reference_exposure_us")
-    iir = IirFilter(alpha)
-    scales, _ = replay_exposure(raw, np.full(raw.shape[1], float(init)), emin, emax, ref)
-    return iir.filter_block(compensate(raw, scales, out=scales))
+    optics = meta["optics"] if isinstance(meta.get("optics"), dict) else {}
+    try:
+        chain = SignalChain(*map(meta.get, ("exposure_init_us", "exposure_min_us", "exposure_max_us")),
+                            optics.get("reference_exposure_us"), meta.get("iir_alpha"))
+    except ConfigError as exc:  # the meta keeps the reference exposure in its optics
+        raise ConfigError("meta field " + str(exc).replace("'reference_exposure_us'",
+                                                           "'optics.reference_exposure_us'", 1)) from None
+    return chain.replay(raw)
 
 
 def read_session_log(path):
@@ -602,19 +590,19 @@ def read_session_log(path):
         raise _malformed(path, event_lines[fault[0]], fault[1])
     if "frames" not in once:
         raise ConfigError(f"no frames found in session log {path}")
-    frames_line, frames = once["frames"]
-    try:
-        t_us, raw = _unpacked(frames)
-        _frame_columns(t_us, raw)
-    except ConfigError as exc:
-        raise _malformed(path, frames_line, str(exc)) from None
     if "meta" not in once:
         raise ConfigError(f"no meta record found in session log {path}")
-    meta_line, meta = once["meta"]
+    (frames_line, frames), (meta_line, meta) = once["frames"], once["meta"]
+    n = frames_line  # the line of the record that each check below reads
     try:
-        log = SessionLog(t_us, raw, _rebuilt_proc(raw, meta), events, meta)
+        t_us, raw = _unpacked(frames)
+        # A SessionLog checks its start_target, then its frame columns; its proc follows.
+        n = frames_line if _is_point(meta.get("start_target")) else meta_line
+        log = SessionLog(t_us, raw, None, events, meta)
+        n = meta_line
+        log.proc = _rebuilt_proc(raw, meta)
     except ConfigError as exc:
-        raise _malformed(path, meta_line, str(exc)) from None
+        raise _malformed(path, n, str(exc)) from None
     _check_digest(path, data)
     return log, cal
 

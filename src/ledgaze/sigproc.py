@@ -2,11 +2,10 @@
 
 Covers the per-channel exposure rule with saturation avoidance
 (``adapt_exposure``), its replay from recorded readings
-(``replay_exposure``), the exposure compensation (``compensate``) and the
-first-order IIR low-pass filter applied to the compensated values before
-regression, one LAPACK ``dgtsv`` solve per block. The simulator and the
-session log reader both run this chain. The capture cycle that decides which
-LED senses is ``eyesim.LedLayout.steps``.
+(``replay_exposure``), the first-order IIR low-pass filter, one LAPACK
+``dgtsv`` solve per block, and ``SignalChain``, which composes them once and
+alone checks its five settings. The simulator and the session log reader
+both run a chain. The capture cycle is ``eyesim.LedLayout.steps``.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .core import ADC_MAX, ConfigError
+from .core import ADC_MAX, ConfigError, _is_finite
 
 # Readings at or beyond these counts trigger exposure adaptation.
 SATURATION_HIGH = 1000
@@ -47,7 +46,7 @@ def _exposure_levels(start: tuple, emin: float, emax: float) -> tuple:
 
     Returns the levels in ascending order, (L,), and for each level the index
     of the level that each reading 0..ADC_MAX leads to, (L, ADC_MAX + 1).
-    Both arrays are read-only. With 0 < emin <= emax, as ``SimConfig``
+    Both arrays are read-only. With 0 < emin <= emax, as ``SignalChain``
     requires, the levels are finitely many: halvings and doublings of the
     start exposures, emin and emax, within [emin, emax].
     """
@@ -101,14 +100,6 @@ def replay_exposure(raw, exposures_us, exp_min_us: float, exp_max_us: float,
         scales[start:, c] = level_scale[e]
         level[c] = e
     return scales, levels[level]
-
-
-def compensate(raw, scales, out=None) -> np.ndarray:
-    """Readings undone of their exposure: raw / ADC_MAX / scale, (n, M).
-
-    ``out`` may be ``scales`` itself, which then holds the result.
-    """
-    return np.divide(raw / ADC_MAX, scales, out=out)
 
 
 class IirFilter:
@@ -171,3 +162,36 @@ class IirFilter:
                 raise ConfigError(f"LAPACK dgtsv rejected argument {-info}")
         self.state = y[-1].copy()
         return np.ascontiguousarray(y)
+
+
+class SignalChain:
+    """Counts / ADC_MAX / exposure scale, then the IIR; its constructor alone checks the settings."""
+
+    def __init__(self, exposure_init_us, exposure_min_us, exposure_max_us,
+                 reference_exposure_us, iir_alpha):
+        settings = {"exposure_init_us": exposure_init_us, "exposure_min_us": exposure_min_us,
+                    "exposure_max_us": exposure_max_us,
+                    "reference_exposure_us": reference_exposure_us, "iir_alpha": iir_alpha}
+        for name, value in settings.items():
+            if not _is_finite(value):
+                raise ConfigError(f"{name!r} is not a finite number: {value!r}")
+        init, emin, emax, ref, alpha = map(float, settings.values())
+        holds = (init > 0, 0 < emin <= init, init <= emax, ref > 0, 0 < alpha <= 1)
+        order = "0 < exposure_min_us <= exposure_init_us <= exposure_max_us"
+        rules = (order,) * 3 + ("reference_exposure_us > 0", "0 < iir_alpha <= 1")
+        for name, ok, rule in zip(settings, holds, rules):
+            if not ok:
+                raise ConfigError(f"{name!r} is {settings[name]!r}, which breaks {rule}")
+        self.exposure_init_us, self.exposure_min_us, self.exposure_max_us = init, emin, emax
+        self.reference_exposure_us, self.iir = ref, IirFilter(alpha)
+
+    def block(self, raw, scales) -> np.ndarray:
+        """The vectors of (n, M) counts read at ``scales`` (floats, overwritten); IIR state carries on."""
+        return self.iir.filter_block(np.divide(raw / ADC_MAX, scales, out=scales))
+
+    def replay(self, raw) -> np.ndarray:
+        """``block`` on scales replayed from the counts, from exposure_init_us: a whole log."""
+        scales, _ = replay_exposure(raw, np.full(raw.shape[1], self.exposure_init_us),
+                                    self.exposure_min_us, self.exposure_max_us,
+                                    self.reference_exposure_us)
+        return self.block(raw, scales)

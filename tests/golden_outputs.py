@@ -8,8 +8,11 @@ the c10 determinism check uses; each variant changes one setting the default
 run never exercises.
 
 The pinned digests in ``tests/data/golden_outputs.json`` hold only for the
-numpy and scipy versions recorded there. A change that alters an output on
-purpose rewrites the file with
+numpy and scipy versions recorded there, and for the OpenBLAS kernels their
+bundled libraries picked for the CPU: another kernel sums in another order,
+which moves the GPR weights (``dgetrf``/``dgetrs``, in scipy's OpenBLAS) in
+their last bits. A change that alters an output on purpose rewrites the file
+with
 
     PYTHONPATH=src python tests/golden_outputs.py
 
@@ -18,6 +21,7 @@ it is.
 """
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -58,9 +62,28 @@ COMMANDS = {
 }
 
 
+def openblas_core(package, library: str, function: str) -> str:
+    """The kernel name, such as ``SkylakeX``, that the OpenBLAS bundled with ``package`` runs.
+
+    ``library`` is the glob of its file in the wheel's ``<package>.libs``
+    folder, and ``function`` its ``get_corename`` export; a build without
+    that file reads ``"not found"``.
+    """
+    found = sorted((Path(package.__file__).parent.parent / f"{package.__name__}.libs").glob(library))
+    if len(found) != 1:
+        return "not found"
+    corename = getattr(ctypes.CDLL(str(found[0])), function)
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
 def versions() -> dict:
-    """The versions of the numerical libraries the digests depend on."""
-    return {"numpy": numpy.__version__, "scipy": scipy.__version__}
+    """The versions of the numerical libraries the digests depend on, and their OpenBLAS kernels."""
+    return {"numpy": numpy.__version__, "scipy": scipy.__version__,
+            "numpy_openblas_core": openblas_core(numpy, "libscipy_openblas64_-*.so",
+                                                 "scipy_openblas_get_corename64_"),
+            "scipy_openblas_core": openblas_core(scipy, "libscipy_openblas-*.so",
+                                                 "scipy_openblas_get_corename")}
 
 
 def digests(workdir) -> dict:

@@ -391,7 +391,7 @@ class StepwiseSimulator:
                 self.pending = None
                 self.eye = to
         raw, scales = sim._sense_block(gaze_xy, blend)
-        proc = sim.iir.filter_block(raw / ADC_MAX / scales)
+        proc = sim.chain.iir.filter_block(raw / ADC_MAX / scales)
         sim._blocks.append((t, raw, proc))
         sim.frame_index += n
         self.gaze.append(gaze_xy)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ledgaze import evaluate, eyesim, regress, session, sigproc, wire
-from ledgaze.core import CalibrationSet, ScreenPoint, SensorFrame
+from ledgaze.core import CalibrationSet, DisplayGeometry, ScreenPoint, SensorFrame
 from ledgaze.kernels import MeasureSpec
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -53,6 +53,23 @@ def test_workload_recorders_install_and_restore(name, tmp_path):
     finally:
         patches.restore()
     assert vars(eyesim.EyeSimulator)["run"] is before
+
+
+def test_traced_engine_run_counts_its_sense_block_and_spans_the_iir():
+    # the tracer unpacks _sense_block's (raw, scales) and times the chain's IIR
+    # through IirFilter.filter_block; a change to either would miscount or
+    # drop the simulator's sigproc time without an error
+    layout = eyesim.LedLayout.prototype1()
+    engine = eyesim.EyeSimulator(layout, eyesim.SubjectProfile.generate(1),
+                                 eyesim.SimConfig(DisplayGeometry(800, 600)), seed=1)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        engine.run(eyesim.GazeScript.fixations([ScreenPoint(400, 300)], 100_000).events)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["eyesim.sense_block.blocks"] == 1
+    assert "sigproc.filter_block" in tracer.names
 
 
 def test_traced_device_path_spans_every_layer_it_crosses():

@@ -10,7 +10,8 @@ def test_cli_outputs_match_golden_digests(tmp_path):
     installed = versions()
     differ = [f"{name} {pinned} pinned, {installed[name]} installed"
               for name, pinned in golden["versions"].items() if installed[name] != pinned]
-    assert not differ, f"the golden digests were pinned on other library versions: {', '.join(differ)}"
+    assert not differ, ("the golden digests were pinned on other library versions or OpenBLAS "
+                        f"kernels: {', '.join(differ)}")
     found = digests(tmp_path)
     pinned = golden["sha256"]
     changed = sorted(name for name in pinned.keys() & found.keys() if pinned[name] != found[name])

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -119,8 +120,8 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("seed", -1), ("subject_seed", -1), ("noise_std", -0.01), ("iir_alpha", 0.0),
-    ("iir_alpha", 1.5), ("variance_threshold", 0.0), ("augment_points", -5),
+    ("seed", -1), ("subject_seed", -1), ("noise_std", -0.01),
+    ("variance_threshold", 0.0), ("augment_points", -5),
     ("eval_fixations", -1), ("eval_fixations", 0), ("eval_fixation_min_ms", 0.0),
     ("jitter", 0.0), ("sigma_grid", ()), ("sigma_grid", (0.1, -0.2)), ("task_count", -3),
     ("task_count", 0), ("task_count", 1), ("target_radius_deg", -1.0), ("target_radius_deg", 0.0),
@@ -145,7 +146,7 @@ def test_config_rejects_eval_fixation_bounds_out_of_order():
         SessionConfig.from_dict({"eval_fixation_min_ms": 900.0, "eval_fixation_max_ms": 800.0})
 
 
-_SIM_FIELDS = "'step_us', 'exposure_init_us', 'exposure_min_us', 'exposure_max_us'"
+_SIM_FIELDS = "'step_us', 'iir_alpha', 'exposure_init_us', 'exposure_min_us', 'exposure_max_us'"
 _MEASURE_FIELDS = "'measure_kind', 'minkowski_m', 'rbf_sigma'"
 _OPTICS_FIELDS = "'lobe_sharpness', 'signal_scale', 'eyelid_level'"
 
@@ -155,6 +156,8 @@ _OPTICS_FIELDS = "'lobe_sharpness', 'signal_scale', 'eyelid_level'"
     ("eyes", 3, "'eyes', 'ring_radius_mm', 'eye_relief_mm'"),
     ("step_us", 0, _SIM_FIELDS),
     ("exposure_min_us", 500.0, _SIM_FIELDS),
+    ("iir_alpha", 0.0, _SIM_FIELDS),
+    ("iir_alpha", 1.5, _SIM_FIELDS),
     ("grid_rows", 9, "'grid_rows', 'grid_cols', 'grid_margin'"),
     ("measure_kind", "chebyshev", _MEASURE_FIELDS),
     ("minkowski_m", 0.5, _MEASURE_FIELDS),
@@ -270,6 +273,14 @@ def test_config_rejects_non_finite_values(field, value):
 def test_config_from_dict_rejects_a_field_of_the_wrong_type(field, value, noun):
     with pytest.raises(ConfigError, match=f"field {field!r} must be {noun}"):
         SessionConfig.from_dict({field: value})
+
+
+def test_config_from_dict_rejects_an_integer_too_large_for_a_float():
+    # json.load reads a long integer literal as an int, which no float holds
+    for field, value, noun in (("noise_std", 10**400, "a number"),
+                               ("sigma_grid", [10**400], "a list of numbers")):
+        with pytest.raises(ConfigError, match=f"field {field!r} must be {noun}"):
+            SessionConfig.from_dict({field: value})
 
 
 def test_config_from_dict_keeps_an_integer_in_a_float_field():
@@ -1050,6 +1061,19 @@ def test_read_session_log_rejects_a_number_too_large_for_a_float(small_log_lines
         read_session_log(path)
 
 
+def test_read_session_log_rejects_an_integer_too_large_for_a_float(small_log_lines, tmp_path):
+    # a long integer literal parses to an int, which no float holds
+    lines = list(small_log_lines)
+    k = [i for i, line in enumerate(lines) if '"kind": "target_move"' in line][0]
+    rec = json.loads(lines[k])
+    lines[k] = lines[k].replace(json.dumps(rec["to"]), f"[{10**400}, {rec['to'][1]!r}]")
+    path = tmp_path / "long-int.jsonl"
+    path.write_text("".join(_resealed(lines)))
+    with pytest.raises(ConfigError, match=rf"line {k + 1}: target_move event 'to' is not a pair "
+                                          "of finite numbers"):
+        read_session_log(path)
+
+
 def test_read_session_log_rejects_moves_out_of_order(small_log_lines, tmp_path):
     lines = list(small_log_lines)
     first, second = [i for i, line in enumerate(lines) if '"kind": "target_move"' in line][:2]
@@ -1070,6 +1094,41 @@ def test_read_session_log_rejects_moves_out_of_order(small_log_lines, tmp_path):
 def test_read_session_log_rejects_meta_without_a_signal_chain(small_log_lines, edit, problem, tmp_path):
     with pytest.raises(ConfigError, match=rf"line 1: .*{problem}"):
         read_session_log(_meta_edited(small_log_lines, edit, tmp_path))
+
+
+# Settings a signal chain refuses: each is set on the SimConfig defaults (exposures
+# init 400, min 25, max 1600 and reference 400 us; iir_alpha 0.3), or on the meta
+# of a log written with them.
+BAD_CHAIN_SETTINGS = [
+    *((name, value) for name in ("exposure_init_us", "exposure_min_us", "exposure_max_us",
+                                 "reference_exposure_us")
+      for value in (0, -400.0, math.nan, math.inf)),
+    ("exposure_min_us", 500.0),  # above init
+    pytest.param("exposure_max_us", 10**400, id="exposure_max_us-10**400"),  # beyond every float
+    ("iir_alpha", 0.0), ("iir_alpha", 1.5),
+    ("iir_alpha", True),  # equal to 1, which is in range, but a bool
+]
+
+
+@pytest.mark.parametrize("name, value", BAD_CHAIN_SETTINGS)
+def test_simulator_and_log_reader_refuse_the_same_chain_settings(small_log_lines, name, value,
+                                                                 tmp_path):
+    """One check, SignalChain's, refuses a setting on both sides, naming it."""
+    in_optics = name == "reference_exposure_us"
+    with pytest.raises(ConfigError, match=f"^{name!r} "):
+        SimConfig(DisplayGeometry(800, 600), **({"optics": OpticsModel(reference_exposure_us=value)}
+                                                if in_optics else {name: value}))
+    meta = json.loads(small_log_lines[0])
+    assert (meta["optics"]["reference_exposure_us"], meta["exposure_init_us"], meta["exposure_min_us"],
+            meta["exposure_max_us"], meta["iir_alpha"]) == (400.0, 400.0, 25.0, 1600.0, 0.3)
+    (meta["optics"] if in_optics else meta)[name] = value
+    # JSON has no NaN, so that meta fails as JSON; 1e999 reads back as an infinity.
+    line = json.dumps(meta).replace("Infinity", "1e999") + "\n"
+    path = tmp_path / "chain.jsonl"
+    path.write_text("".join(_resealed([line, *small_log_lines[1:]])))
+    problem = "invalid JSON" if value != value else f"meta field {'optics.' * in_optics + name!r} "
+    with pytest.raises(ConfigError, match=f"^malformed session log {path}, line 1: {re.escape(problem)}"):
+        read_session_log(path)
 
 
 def test_read_session_log_refuses_version_1(small_log_lines, tmp_path):
