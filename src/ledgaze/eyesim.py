@@ -649,6 +649,10 @@ def sense(layout: LedLayout, subject: SubjectProfile, geom: DisplayGeometry,
     """
     if not geom.contains(gaze):
         raise ConfigError("gaze must lie within the display")
+    for name, value in (("exposure_us", exposure_us),
+                        ("reference_exposure_us", optics.reference_exposure_us)):
+        if not (_is_finite(value) and value > 0):
+            raise ConfigError(f"{name!r} must be a finite number > 0, got {value!r}")
     eye, step_idx = divmod(sensing_channel, layout.channels_per_eye)
     if eye >= layout.eyes:
         raise ConfigError(f"channel {sensing_channel} out of range")
@@ -690,10 +694,12 @@ def expose_block(clean: np.ndarray, noise: np.ndarray, blend: np.ndarray, exp: n
     ``adapt_exposure`` keeps the exposure for the readings at the run's
     smallest and largest noise, it keeps it on every frame of the run: the
     run is certified at that exposure. Certification is evaluated at once
-    for every run, channel and reachable exposure. A channel skips each run
-    certified at its exposure and steps through any other one trip at a
-    time, until it reaches a certified exposure or the run ends. The counts
-    are then computed from the exposures found, slice by slice.
+    for every run, channel and reachable exposure. Each channel walks its
+    runs in order: it keeps its exposure through a run certified at it and
+    steps through any other run one trip at a time, until it reaches a
+    certified exposure or the run ends, writing each exposure span into the
+    scales as soon as the span ends. The counts are then computed from the
+    scales, slice by slice.
     """
     n, m = clean.shape
     exp = np.asarray(exp, dtype=float)
@@ -713,43 +719,32 @@ def expose_block(clean: np.ndarray, noise: np.ndarray, blend: np.ndarray, exp: n
                  & (after[stay, _readings(pre, np.maximum.reduceat(noise, starts))] == stay))
     # The level after each run's first frame, where most walks trip.
     first = after[stay, _readings(pre, noise[starts])]
-    # The first run from each run on that is not certified, per level and channel.
-    walk_at = np.where(certified, n_runs, np.arange(n_runs)[:, None])
-    walk_at = np.minimum.accumulate(walk_at[:, ::-1], axis=1)[:, ::-1]
     level = np.searchsorted(levels, exp)
-    run_level = np.empty((n_runs, m), dtype=np.intp)
+    scales = np.empty((n, m))
     changes = np.zeros(m, dtype=np.int64)
-    held = []  # (first row, end row, channel, level) of each exposure set within a run
     for c in range(m):
-        e, r = int(level[c]), 0
-        while r < n_runs and (w := int(walk_at[e, r, c])) < n_runs:
-            run_level[r:w + 1, c] = e
-            s, t = bounds[w], bounds[w + 1]
+        e, start = int(level[c]), 0  # the channel's level since row ``start``
+        kept = certified[:, :, c].tolist()
+        for r in range(n_runs):
+            s, t = bounds[r], bounds[r + 1]
             i, tables = 0, {}
-            while not certified[e, w, c] and i < t - s:
-                if i == 0 and first[e, w, c] != e:
-                    k, to = 0, int(first[e, w, c])
+            while not kept[e][r] and i < t - s:
+                if i == 0 and first[e, r, c] != e:
+                    k, to = 0, int(first[e, r, c])
                 else:
                     if e not in tables:
-                        dest = after[e, _readings(pre[e, w, c], noise[s:t, c])]
+                        dest = after[e, _readings(pre[e, r, c], noise[s:t, c])]
                         tables[e] = dest, iter(np.flatnonzero(dest != e).tolist())
                     dest, trips = tables[e]
                     k = next((j for j in trips if j >= i), None)
                     if k is None:
                         break
                     to = int(dest[k])
-                if i:
-                    held.append((s + i, s + k + 1, c, e))
-                i, e = k + 1, to
+                scales[start:s + k + 1, c] = level_scale[e]
+                start, i, e = s + k + 1, k + 1, to
                 changes[c] += 1
-            if i:
-                held.append((s + i, t, c, e))
-            r = w + 1
-        run_level[r:, c] = e
+        scales[start:, c] = level_scale[e]
         level[c] = e
-    scales = np.repeat(level_scale[run_level], np.diff(bounds), axis=0)
-    for a, z, c, e in held:
-        scales[a:z, c] = level_scale[e]
     raw = np.empty((n, m), dtype=np.int64)
     for a in range(0, n, _READ_ROWS):
         rows = slice(a, a + _READ_ROWS)

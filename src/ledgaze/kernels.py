@@ -29,7 +29,6 @@ class MeasureSpec:
     ``m`` and ``weights`` apply to minkowski only; ``sigma`` and
     ``rbf_squared`` apply to rbf only. ``rbf_squared`` switches from the
     plain-norm exponent (the default) to the textbook squared-norm Gaussian.
-    The weights are also kept as a read-only float array, built once here.
     """
 
     kind: str = "minkowski"
@@ -48,11 +47,6 @@ class MeasureSpec:
         if self.weights is not None and not all(0 <= w < np.inf for w in self.weights):
             raise ConfigError(f"minkowski weights must be non-negative and finite, "
                               f"got {self.weights!r}")
-        w = None
-        if self.weights is not None:
-            w = np.array(self.weights, dtype=float)
-            w.flags.writeable = False
-        vars(self)["_weights"] = w  # not a field: equality and hashing see the tuple
 
     def distance(self, a, b) -> float:
         """Evaluate this measure on one pair of vectors."""
@@ -123,7 +117,7 @@ def pairwise(spec: MeasureSpec, A, B) -> np.ndarray:
             return cdist(A, B, "minkowski", p=spec.m)
         if len(spec.weights) != A.shape[1]:
             raise DimensionError("weights must match channel count")
-        return cdist(A, B, "minkowski", p=spec.m, w=spec._weights)
+        return cdist(A, B, "minkowski", p=spec.m, w=spec.weights)
     if spec.kind == "rbf":
         d = cdist(A, B, "sqeuclidean" if spec.rbf_squared else "euclidean")
         return np.exp(-d / (2.0 * spec.sigma * spec.sigma))

@@ -9,8 +9,7 @@ Two estimators share the same kernel machinery (``kernels.pairwise``):
     generally not positive definite, so a small diagonal jitter keeps the
     solve honest; it escalates tenfold on failure up to a hard cap before
     giving up. A model factors once, solves for the predictive weights, and
-    every estimate is one kernel evaluation and one product. A model grown
-    by one calibration point borders the stored C with one kernel row.
+    every estimate is one kernel evaluation and one product.
   - SVR: e = k . U with RBF similarities, optionally normalized by sum(k)
     so the output is a convex combination of stored targets.
 """
@@ -81,8 +80,8 @@ class _KernelRegressor:
 class GprModel(_KernelRegressor):
     """Gaussian-process-style regressor over a calibration set.
 
-    Construction factors (C + eps*I) once, keeps the kernel C (P, P) and the
-    predictive weights alpha (P, 2). A calibration row with a non-finite mean
+    Construction factors (C + eps*I) once and keeps the predictive weights
+    alpha (P, 2). A calibration row with a non-finite mean
     or target raises EstimationError here, before any factorization: no
     jitter makes alpha finite. ``effective_jitter`` is the eps accepted and
     ``rcond`` the reciprocal 1-norm condition number of (C + eps*I), from
@@ -90,8 +89,7 @@ class GprModel(_KernelRegressor):
     rounding in the kernel values.
     """
 
-    def __init__(self, calibration: CalibrationSet, measure: MeasureSpec, jitter: float = 1e-8,
-                 *, _kernel: np.ndarray | None = None):
+    def __init__(self, calibration: CalibrationSet, measure: MeasureSpec, jitter: float = 1e-8):
         if jitter <= 0:
             raise ConfigError("jitter must be positive")
         self.calibration = calibration
@@ -101,8 +99,7 @@ class GprModel(_KernelRegressor):
         finite = np.isfinite(calibration.means).all(axis=1) & np.isfinite(calibration.targets).all(axis=1)
         if not finite.all():
             raise EstimationError(f"calibration row {int(finite.argmin())} is not finite")
-        C = pairwise(measure, calibration.means, calibration.means) if _kernel is None else _kernel
-        self._kernel = C
+        C = pairwise(measure, calibration.means, calibration.means)
         # Jitter scales with the magnitude of C so normalized and raw-unit
         # calibrations behave alike; an all-zero C falls back to absolute.
         base = float(np.mean(np.abs(C)))
@@ -148,21 +145,8 @@ class GprModel(_KernelRegressor):
         return E
 
     def augmented(self, frame_vector, true_target: ScreenPoint) -> "GprModel":
-        """New model over the calibration set grown by one point, refactorized.
-
-        The new kernel is the stored C bordered by the new point's kernel row,
-        equal bit for bit to a fresh ``pairwise`` of the grown means: every
-        measure is symmetric in its two vectors.
-        """
-        calibration = self.calibration.append(frame_vector, true_target)
-        means = calibration.means
-        row = pairwise(self.measure, means[-1:], means)[0]
-        p = self._kernel.shape[0]
-        C = np.empty((p + 1, p + 1))
-        C[:p, :p] = self._kernel
-        C[p] = row
-        C[:p, p] = row[:p]
-        return GprModel(calibration, self.measure, self.jitter, _kernel=C)
+        """New model fitted on the calibration set grown by one point."""
+        return GprModel(self.calibration.append(frame_vector, true_target), self.measure, self.jitter)
 
 
 class SvrModel(_KernelRegressor):

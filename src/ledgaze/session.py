@@ -207,7 +207,7 @@ class SessionConfig:
             optics = OpticsModel(lobe_sharpness=self.lobe_sharpness,
                                  signal_scale=self.signal_scale, eyelid_level=self.eyelid_level)
         exposure = self.exposure_init_us
-        if exposure <= 0:
+        if exposure == 0:
             # prototype2 sums several illuminators per capture, so it needs a
             # shorter integration window to stay off the ADC ceiling
             exposure = 400.0 if self.layout_mode == "prototype1" else 100.0

@@ -219,6 +219,19 @@ def test_sense_requires_gaze_on_display():
         sense(lay, quiet_subject(), GEOM, ScreenPoint(900, 300), 0, {2}, 400.0)
 
 
+@pytest.mark.parametrize("value", [0.0, -400.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", ["exposure_us", "reference_exposure_us"])
+def test_sense_refuses_an_exposure_or_reference_that_is_not_finite_and_positive(name, value):
+    exposure_us, optics = 400.0, OPTICS
+    if name == "exposure_us":
+        exposure_us = value
+    else:
+        optics = replace(OPTICS, reference_exposure_us=value)
+    with pytest.raises(ConfigError, match=f"^'{name}' must be a finite number > 0"):
+        sense(LedLayout.prototype1(), quiet_subject(), GEOM, ScreenPoint(300, 200), 0, {2},
+              exposure_us, optics)
+
+
 # -- scripts ----------------------------------------------------------------------
 
 
@@ -645,14 +658,14 @@ def test_clean_signal_matches_oracle(make_layout, eyes, kind):
 
 EMIN, EMAX, REF = 25.0, 1600.0, 400.0
 # Unit of the long drawn block lengths, in frames.
-_EXPOSE_LOOKAHEAD = 256
+_LONG_BLOCK_UNIT = 256
 
 
 @st.composite
 def exposure_blocks(draw):
     """Blocks for the exposure recurrence, biased toward its edge cases.
 
-    Some blocks are empty and some run from one to 2.5 windows of 256
+    Some blocks are empty and some run from one to 2.5 units of 256
     frames; their drawn columns repeat with a period of at most 40 frames.
     A plateau channel holds one clean level after an optional first frame
     that moves it to a neighbouring exposure, and on a few frames its noise
@@ -663,7 +676,7 @@ def exposure_blocks(draw):
     doublings end in a clamp to EMIN or EMAX that is less than a factor of
     two.
     """
-    long_n = st.integers(_EXPOSE_LOOKAHEAD - 2, 5 * _EXPOSE_LOOKAHEAD // 2)
+    long_n = st.integers(_LONG_BLOCK_UNIT - 2, 5 * _LONG_BLOCK_UNIT // 2)
     n = draw(st.integers(0, 40) | long_n)
     m = draw(st.integers(1, 5))
 
@@ -689,8 +702,8 @@ def exposure_blocks(draw):
             clean[:, ch] = np.where(np.arange(n) % 2 == 0, 100.0, 0.0)
         elif kind == "free":
             clean[:, ch] = column(st.floats(0.0, 3.0))
-        elif kind == "step":  # dead band, then saturating light from one frame on, often a window edge
-            edges = [w * _EXPOSE_LOOKAHEAD + d for w in (1, 2) for d in (-1, 0, 1)]
+        elif kind == "step":  # dead band, then saturating light from one frame on, often a unit edge
+            edges = [w * _LONG_BLOCK_UNIT + d for w in (1, 2) for d in (-1, 0, 1)]
             at = draw(st.sampled_from(edges) | st.integers(0, n))
             clean[:, ch] = np.where(np.arange(n) < at, 512 / 1023 / scale0[ch], 100.0)
         else:  # plateau: halve, keep or double the exposure on frame 0, then hold

@@ -513,30 +513,6 @@ def test_augment_sixteen_plus_sixtysix_is_eightytwo():
 
 _RANGE_EDGE = 1e302  # targets this large overflow alpha at the first jitter levels
 
-BORDER_MEASURES = pytest.mark.parametrize("measure", [
-    *(MeasureSpec(kind="minkowski", m=m) for m in (2.0, 3.0, 1.5, math.inf)),
-    MeasureSpec(kind="minkowski", m=3.0, weights=tuple(np.linspace(0.2, 2.0, 12))),
-    MeasureSpec(kind="rbf", sigma=0.5), MeasureSpec(kind="rbf", sigma=0.5, rbf_squared=True),
-    MeasureSpec(kind="cosine"), MeasureSpec(kind="manhattan"), MeasureSpec(kind="canberra"),
-], ids=["m2", "m3", "m1.5", "minf", "weighted", "rbf", "rbf-squared", "cosine", "manhattan",
-        "canberra"])
-
-
-@BORDER_MEASURES
-def test_bordered_kernel_equals_fresh_pairwise_bit_for_bit(measure):
-    # augmented() borders the stored kernel with one row, which holds only
-    # because every measure is symmetric in its two vectors, bit for bit
-    rng = np.random.default_rng(44)
-    for trial in range(200):
-        cal = _random_calibration(rng, int(rng.integers(1, 40)), 12)
-        frame = rng.uniform(0, 1, 12)
-        if trial % 4 == 0:  # a near-duplicate of a stored row
-            frame = cal.means[rng.integers(cal.point_count)] + rng.uniform(-1e-9, 1e-9, 12)
-        grown = GprModel(cal, measure).augmented(frame, ScreenPoint(1.0, 2.0))
-        means = grown.calibration.means
-        assert np.array_equal(grown._kernel, pairwise(measure, means, means))
-
-
 def _same_model(a, b):
     return (np.array_equal(a._alpha, b._alpha) and a.rcond == b.rcond
             and a.effective_jitter == b.effective_jitter)

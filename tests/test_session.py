@@ -156,6 +156,7 @@ _OPTICS_FIELDS = "'lobe_sharpness', 'signal_scale', 'eyelid_level'"
     ("eyes", 3, "'eyes', 'ring_radius_mm', 'eye_relief_mm'"),
     ("step_us", 0, _SIM_FIELDS),
     ("exposure_min_us", 500.0, _SIM_FIELDS),
+    ("exposure_init_us", -400.0, _SIM_FIELDS),
     ("iir_alpha", 0.0, _SIM_FIELDS),
     ("iir_alpha", 1.5, _SIM_FIELDS),
     ("grid_rows", 9, "'grid_rows', 'grid_cols', 'grid_margin'"),
