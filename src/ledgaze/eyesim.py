@@ -724,7 +724,7 @@ def expose_block(clean: np.ndarray, noise: np.ndarray, blend: np.ndarray, exp: n
     changes = np.zeros(m, dtype=np.int64)
     for c in range(m):
         e, start = int(level[c]), 0  # the channel's level since row ``start``
-        kept = certified[:, :, c].tolist()
+        kept = certified[:, :, c].tolist()  # kept[e][r]: run r keeps level e; a list indexes faster
         for r in range(n_runs):
             s, t = bounds[r], bounds[r + 1]
             i, tables = 0, {}

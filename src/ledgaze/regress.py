@@ -81,12 +81,12 @@ class GprModel(_KernelRegressor):
     """Gaussian-process-style regressor over a calibration set.
 
     Construction factors (C + eps*I) once and keeps the predictive weights
-    alpha (P, 2). A calibration row with a non-finite mean
-    or target raises EstimationError here, before any factorization: no
-    jitter makes alpha finite. ``effective_jitter`` is the eps accepted and
-    ``rcond`` the reciprocal 1-norm condition number of (C + eps*I), from
-    LAPACK ``dgecon`` on the factors: near 0 means the estimates amplify
-    rounding in the kernel values.
+    alpha (P, 2). A calibration row with a non-finite mean or target raises
+    EstimationError here, before any factorization: no jitter makes alpha
+    finite. ``effective_jitter`` is the eps accepted and ``rcond`` the
+    reciprocal 1-norm condition number of (C + eps*I), from LAPACK
+    ``dgecon`` on the factors: near 0 means the estimates amplify rounding
+    in the kernel values.
     """
 
     def __init__(self, calibration: CalibrationSet, measure: MeasureSpec, jitter: float = 1e-8):
