@@ -9,10 +9,12 @@ run never exercises.
 
 The pinned digests in ``tests/data/golden_outputs.json`` hold only for the
 numpy and scipy versions recorded there, and for the OpenBLAS kernels their
-bundled libraries picked for the CPU: another kernel sums in another order,
-which moves the GPR weights (``dgetrf``/``dgetrs``, in scipy's OpenBLAS) in
-their last bits. A change that alters an output on purpose rewrites the file
-with
+bundled libraries run: another kernel sums in another order, which moves the
+GPR weights (``dgetrf``/``dgetrs``, in scipy's OpenBLAS) in their last bits.
+So ``pinned_outputs`` computes the digests in a child interpreter that runs
+both libraries on the ``Haswell`` kernel, which every x86-64 host with AVX2
+has, whatever kernel OpenBLAS would pick for the CPU. A change that alters an
+output on purpose rewrites the file with
 
     PYTHONPATH=src python tests/golden_outputs.py
 
@@ -25,6 +27,9 @@ import ctypes
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -34,7 +39,11 @@ import scipy
 from ledgaze.cli import main
 from ledgaze.session import SessionConfig
 
-GOLDEN_PATH = Path(__file__).parent / "data" / "golden_outputs.json"
+HERE = Path(__file__).resolve().parent
+GOLDEN_PATH = HERE / "data" / "golden_outputs.json"
+# The OpenBLAS kernel the digests are computed on; OpenBLAS reads the
+# variable when it loads, so it is set before a fresh interpreter starts.
+PINNED_CORETYPE = "Haswell"
 
 SMALL_CONFIG = dict(seed=10, grid_rows=3, grid_cols=3, augment_points=5,
                     eval_fixations=8, fix_duration_ms=400.0,
@@ -107,12 +116,26 @@ def digests(workdir) -> dict:
     return out
 
 
+def pinned_outputs(workdir) -> dict:
+    """{"versions": versions(), "sha256": digests(workdir)}, from a child on the pinned kernel."""
+    path = os.pathsep.join(filter(None, [str(HERE.parent / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_CORETYPE=PINNED_CORETYPE, PYTHONPATH=path)
+    child = subprocess.run([sys.executable, str(HERE / "golden_outputs.py"), "--child", str(workdir)],
+                           env=env, capture_output=True, text=True, timeout=600)
+    if child.returncode != 0:
+        raise RuntimeError(f"golden outputs child exited {child.returncode}:\n{child.stderr}")
+    return json.loads(child.stdout)
+
+
 def regenerate() -> None:
     with tempfile.TemporaryDirectory() as workdir:
-        golden = {"versions": versions(), "sha256": digests(workdir)}
+        golden = pinned_outputs(workdir)
     GOLDEN_PATH.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
     print(f"{len(golden['sha256'])} digests -> {GOLDEN_PATH}")
 
 
 if __name__ == "__main__":
-    regenerate()
+    if sys.argv[1:2] == ["--child"]:
+        print(json.dumps({"versions": versions(), "sha256": digests(sys.argv[2])}))
+    else:
+        regenerate()
