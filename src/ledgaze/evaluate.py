@@ -325,11 +325,10 @@ def run_task_session(config: SessionConfig, calibration: CalibrationSet | None,
     draws = []
     for _ in range(config.task_count):
         n_cand = int(task_rng.integers(config.task_candidates_min, config.task_candidates_max + 1))
-        cand = np.column_stack([
-            task_rng.uniform(m, geom.width - m, n_cand),
-            task_rng.uniform(m, geom.height - m, n_cand),
-        ])
-        draws.append((n_cand, ScreenPoint(float(cand[0, 0]), float(cand[0, 1]))))
+        # All candidates are drawn, to keep the stream; the task's target is the first.
+        xs = task_rng.uniform(m, geom.width - m, n_cand)
+        ys = task_rng.uniform(m, geom.height - m, n_cand)
+        draws.append((n_cand, ScreenPoint(float(xs[0]), float(ys[0]))))
     # Reaction + transient are not judged; every task's window comes from one run.
     windows = source.acquire([target for _, target in draws])
     successes: list[bool] = []
@@ -337,7 +336,7 @@ def run_task_session(config: SessionConfig, calibration: CalibrationSet | None,
     for i, ((n_cand, target), proc) in enumerate(zip(draws, windows)):
         est = np.asarray(model.estimate_batch(proc), dtype=float)
         dist = np.hypot(est[:, 0] - target.x, est[:, 1] - target.y)
-        inside = float(np.mean(dist <= radius_px))
+        inside = np.count_nonzero(dist <= radius_px) / dist.size  # the float np.mean gives
         success = inside >= config.task_window_threshold
         if not success:
             # The subject keeps gazing and presses the feedback button; the

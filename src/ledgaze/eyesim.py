@@ -436,17 +436,23 @@ class EyeSimulator:
         exposure changes are added to ``exposure_changes``. It skips a run of
         equal rows wherever the readings at the run's extreme noise keep the
         exposure, which is exact because a reading never decreases as its
-        noise grows.
+        noise grows. The runs are found here, from the gaze rows and the
+        blink blend: a clean row is a function of its gaze row, so every row
+        of a run shares one clean row and one blend, the precondition of
+        ``expose_block``'s ``starts``. The scales are in Fortran order.
         """
         config, optics = self.config, self.config.optics
         clean = clean_signal(self.layout, self.subject, self.geom, optics, gaze_xy)
         if self.subject.noise_std > 0:
-            noise = self._noise_rng.normal(0.0, self.subject.noise_std, clean.shape)
+            # The values normal(0.0, std) draws: it scales the same standard normal stream.
+            noise = self._noise_rng.standard_normal(clean.shape)
+            noise *= self.subject.noise_std
         else:
             noise = np.zeros_like(clean)
         raw, scales, self.exposure_us, changes = expose_block(
-            clean, noise, blink_blend, self.exposure_us, config.exposure_min_us,
-            config.exposure_max_us, optics.reference_exposure_us, optics.eyelid_level)
+            clean, noise, blink_blend, _run_starts(gaze_xy, blink_blend), self.exposure_us,
+            config.exposure_min_us, config.exposure_max_us, optics.reference_exposure_us,
+            optics.eyelid_level)
         self.exposure_changes += changes
         return raw, scales
 
@@ -626,7 +632,7 @@ def clean_signal(layout: LedLayout, subject: SubjectProfile, geom: DisplayGeomet
     equal consecutive rows and the result is expanded back to every frame.
     """
     new_run = np.ones(gaze_xy.shape[0], dtype=bool)
-    new_run[1:] = np.any(gaze_xy[1:] != gaze_xy[:-1], axis=1)
+    new_run[1:] = _row_changes(gaze_xy)
     points = gaze_xy[new_run]
     gain = optics.signal_scale * np.asarray(subject.corneal_gain, dtype=float)
     per_eye = layout.channels_per_eye
@@ -635,7 +641,7 @@ def clean_signal(layout: LedLayout, subject: SubjectProfile, geom: DisplayGeomet
         cols = slice(eye * per_eye, (eye + 1) * per_eye)
         out[:, cols] = gain[cols] * _lobe_sums(layout, subject, geom, points, eye,
                                                layout.steps, optics.lobe_sharpness)
-    return out[np.cumsum(new_run) - 1]
+    return np.repeat(out, np.diff(np.flatnonzero(new_run), append=gaze_xy.shape[0]), axis=0)
 
 
 def sense(layout: LedLayout, subject: SubjectProfile, geom: DisplayGeometry,
@@ -664,6 +670,24 @@ def sense(layout: LedLayout, subject: SubjectProfile, geom: DisplayGeometry,
     return int(_readings(pre, 0.0))
 
 
+def _row_changes(rows: np.ndarray) -> np.ndarray:
+    """Whether each row of ``rows`` (n, k), k >= 1, after the first differs from the row before, (n - 1,).
+
+    Compared column by column: ``np.any`` along a short axis costs several times more.
+    """
+    changed = rows[1:, 0] != rows[:-1, 0]
+    for j in range(1, rows.shape[1]):
+        changed |= rows[1:, j] != rows[:-1, j]
+    return changed
+
+
+def _run_starts(rows: np.ndarray, blend: np.ndarray) -> np.ndarray:
+    """First row of each run of consecutive rows equal in both ``rows`` (n, k) and ``blend`` (n,)."""
+    new_run = np.ones(rows.shape[0], dtype=bool)
+    new_run[1:] = _row_changes(rows) | (blend[1:] != blend[:-1])
+    return np.flatnonzero(new_run)
+
+
 def _exposed(clean, scale, blend, eyelid: float):
     """Signal before noise: clean times the exposure scale, blended toward the closed eyelid."""
     pre = clean * scale
@@ -673,22 +697,31 @@ def _exposed(clean, scale, blend, eyelid: float):
 
 
 def _readings(pre, noise):
-    """ADC counts of an exposed signal plus noise, as indices into a reading table."""
-    return np.rint(np.clip(pre + noise, 0.0, 1.0) * ADC_MAX).astype(np.intp)
+    """ADC counts of an exposed signal plus noise, as indices into a reading table.
+
+    ``rint(clip(pre + noise, 0, 1) * ADC_MAX)``, with the clip as a maximum
+    and a minimum: ``np.clip`` costs more in Python dispatch than a few
+    hundred values cost to compute.
+    """
+    return np.rint(np.minimum(np.maximum(pre + noise, 0.0), 1.0) * ADC_MAX).astype(np.intp)
 
 
-def expose_block(clean: np.ndarray, noise: np.ndarray, blend: np.ndarray, exp: np.ndarray,
-                 emin: float, emax: float, ref: float, eyelid: float):
+def expose_block(clean: np.ndarray, noise: np.ndarray, blend: np.ndarray, starts: np.ndarray,
+                 exp: np.ndarray, emin: float, emax: float, ref: float, eyelid: float):
     """Exposed, noisy, quantized readings of a block under the exposure rule.
 
     ``clean`` and ``noise`` are (n, M), ``blend`` the (n,) eyelid closure and
-    ``exp`` the (M,) exposures before the first frame. Returns the int64 ADC
-    counts and each frame's exposure scale, both (n, M), the exposures after
-    the last frame and each channel's number of exposure changes, (M,).
+    ``exp`` the (M,) exposures before the first frame. ``starts`` holds the
+    ascending first rows of the block's runs, beginning with 0 when n > 0.
+    The caller vouches that every row of a run has the clean row and the
+    blend of the run's first row; any such partition gives the same result,
+    down to one run per row, and a coarser one is faster. Returns the int64
+    ADC counts and each frame's exposure scale, both (n, M), the scales in
+    Fortran order, the exposures after the last frame and each channel's
+    number of exposure changes, (M,).
 
-    Each channel's exposure depends only on its own readings, and the block
-    splits into runs of rows whose clean row and blend are both constant.
-    Within a run at one exposure, a reading ``rint(clip(pre + z, 0, 1) *
+    Each channel's exposure depends only on its own readings. Within a run
+    at one exposure, a reading ``rint(clip(pre + z, 0, 1) *
     ADC_MAX)`` is a non-decreasing function of the noise ``z``, because IEEE
     add, clip and rint are monotone and the exposure scale is positive. So if
     ``adapt_exposure`` keeps the exposure for the readings at the run's
@@ -698,16 +731,13 @@ def expose_block(clean: np.ndarray, noise: np.ndarray, blend: np.ndarray, exp: n
     runs in order: it keeps its exposure through a run certified at it and
     steps through any other run one trip at a time, until it reaches a
     certified exposure or the run ends, writing each exposure span into the
-    scales as soon as the span ends. The counts are then computed from the
-    scales, slice by slice.
+    channel's contiguous column of the scales as soon as the span ends. The
+    counts are then computed from the scales, slice by slice.
     """
     n, m = clean.shape
     exp = np.asarray(exp, dtype=float)
     if n == 0:
         return np.empty((0, m), dtype=np.int64), np.empty_like(clean), exp, np.zeros(m, dtype=np.int64)
-    new_run = np.ones(n, dtype=bool)
-    new_run[1:] = np.any(clean[1:] != clean[:-1], axis=1) | (blend[1:] != blend[:-1])
-    starts = np.flatnonzero(new_run)
     bounds = np.append(starts, n).tolist()
     n_runs = starts.size
     levels, after = _exposure_levels(tuple(np.unique(exp).tolist()), float(emin), float(emax))
@@ -720,7 +750,7 @@ def expose_block(clean: np.ndarray, noise: np.ndarray, blend: np.ndarray, exp: n
     # The level after each run's first frame, where most walks trip.
     first = after[stay, _readings(pre, noise[starts])]
     level = np.searchsorted(levels, exp)
-    scales = np.empty((n, m))
+    scales = np.empty((n, m), order="F")
     changes = np.zeros(m, dtype=np.int64)
     for c in range(m):
         e, start = int(level[c]), 0  # the channel's level since row ``start``

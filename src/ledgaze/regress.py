@@ -96,8 +96,8 @@ class GprModel(_KernelRegressor):
         self.measure = measure
         self.jitter = jitter
         self.name = f"gpr-{measure.kind}"
-        finite = np.isfinite(calibration.means).all(axis=1) & np.isfinite(calibration.targets).all(axis=1)
-        if not finite.all():
+        if not (np.isfinite(calibration.means).all() and np.isfinite(calibration.targets).all()):
+            finite = np.isfinite(calibration.means).all(axis=1) & np.isfinite(calibration.targets).all(axis=1)
             raise EstimationError(f"calibration row {int(finite.argmin())} is not finite")
         C = pairwise(measure, calibration.means, calibration.means)
         # Jitter scales with the magnitude of C so normalized and raw-unit

@@ -352,7 +352,10 @@ def calibration_phase(config: SessionConfig, subject: SubjectProfile,
 def augmentation_phase(config: SessionConfig, subject: SubjectProfile,
                        layout: LedLayout, calibration: CalibrationSet,
                        seed: int) -> CalibrationSet:
-    """Visit random gameplay targets, appending each dwell mean as training."""
+    """Visit random gameplay targets, appending each dwell mean as training.
+
+    The grown set is built once, its new rows in visiting order.
+    """
     engine = EyeSimulator(layout, subject, config.sim_config(), derive_seed(seed, 31))
     source = SimulatorDwellSource(engine, config.augment_dwell_ms)
     rng = np.random.default_rng(np.random.SeedSequence([derive_seed(seed, 32)]))
@@ -361,9 +364,9 @@ def augmentation_phase(config: SessionConfig, subject: SubjectProfile,
     targets = [ScreenPoint(float(rng.uniform(m, geom.width - m)),
                            float(rng.uniform(m, geom.height - m)))
                for _ in range(config.augment_points)]
-    for target, samples in zip(targets, source.acquire(targets)):
-        calibration = calibration.append(samples.mean(axis=0), target)
-    return calibration
+    means = [samples.mean(axis=0) for samples in source.acquire(targets)]
+    return CalibrationSet(np.vstack([calibration.means, *means]),
+                          np.vstack([calibration.targets, *([t.x, t.y] for t in targets)]))
 
 
 def evaluation_phase(config: SessionConfig, subject: SubjectProfile,

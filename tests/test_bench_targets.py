@@ -109,3 +109,25 @@ def test_traced_gpr_builds_count_jitter_steps_and_span_every_rebuild():
         tracer.uninstall()
     assert tracer.counts["regress.gpr_jitter_steps"] == 1
     assert tracer.names.count("regress.gpr_build") == 2  # augmented() rebuilds through __init__
+
+
+# The bench scenarios digest of one pass per seed; the simulator path of these
+# outputs keeps its bits across OpenBLAS kernels.
+SCENARIOS_DIGESTS = {
+    1: "25c716380ef182e3632fdcd8957596be4e881cffd1a4fc991ac540ccfe7ed188",
+    9001: "fe4fbfbd817b259e9d1ff04b015de01c629fdce90616298e4db4f1db26e5abd1",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SCENARIOS_DIGESTS))
+def test_scenarios_workload_pass_keeps_its_digest(seed, tmp_path):
+    wl = workloads.ScenariosWorkload(tmp_path)
+    patches = tracing.Patches()
+    try:
+        wl.install(patches)
+        wl.setup(seed)
+        res = wl.run_pass()
+    finally:
+        patches.restore()
+    assert res.failed == 0, res.problems
+    assert res.digest == SCENARIOS_DIGESTS[seed]

@@ -3,10 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ledgaze.calib import CalibrationGridSpec, schedule_targets
-from ledgaze.core import ConfigError, DisplayGeometry, ScreenPoint
+from ledgaze import eyesim
+from ledgaze.core import ADC_MAX, ConfigError, DisplayGeometry, ScreenPoint
 from ledgaze.eyesim import (
     EyeSimulator,
     GazeScript,
@@ -15,6 +16,8 @@ from ledgaze.eyesim import (
     ScriptEvent,
     SimConfig,
     SubjectProfile,
+    _readings,
+    _run_starts,
     clean_signal,
     expose_block,
     frames_spanned,
@@ -737,7 +740,8 @@ def exposure_blocks(draw):
 @given(exposure_blocks(), st.sampled_from([0.85, 0.0]))
 def test_expose_block_matches_per_frame_replay(block, eyelid):
     clean, noise, blend, exp = block
-    raw, scales, exp_out, changes = expose_block(clean, noise, blend, exp, EMIN, EMAX, REF, eyelid)
+    raw, scales, exp_out, changes = expose_block(clean, noise, blend, _run_starts(clean, blend), exp,
+                                                 EMIN, EMAX, REF, eyelid)
     ref_raw, ref_scales, ref_exp, ref_changes = exposure_replay(
         clean.tolist(), noise.tolist(), blend.tolist(), exp.tolist(), EMIN, EMAX, REF, eyelid)
     n, m = clean.shape
@@ -754,8 +758,8 @@ def test_expose_block_matches_per_frame_replay(block, eyelid):
 
 def test_expose_block_toggling_channel_adapts_every_frame():
     clean = np.where(np.arange(9) % 2 == 0, 100.0, 0.0)[:, None]
-    raw, scales, exp, changes = expose_block(clean, np.zeros_like(clean), np.zeros(9), np.array([400.0]),
-                                             EMIN, EMAX, REF, 0.85)
+    raw, scales, exp, changes = expose_block(clean, np.zeros_like(clean), np.zeros(9), np.arange(9),
+                                             np.array([400.0]), EMIN, EMAX, REF, 0.85)
     assert raw[:, 0].tolist() == [1023, 0] * 4 + [1023]
     assert (scales[:, 0] * REF).tolist() == [400.0, 200.0] * 4 + [400.0]
     assert exp.tolist() == [200.0]
@@ -772,8 +776,8 @@ def test_expose_block_counts_a_change_on_the_last_frame():
     clean[:, 1] = 23 / 1023 / (EMIN / REF)
     clean[:, 2] = 0.0
     exp = np.array([400.0, EMIN, EMAX])
-    raw, scales, exp_out, changes = expose_block(clean, np.zeros_like(clean), np.zeros(6), exp,
-                                                 EMIN, EMAX, REF, 0.85)
+    raw, scales, exp_out, changes = expose_block(clean, np.zeros_like(clean), np.zeros(6), np.array([0, 5]),
+                                                 exp, EMIN, EMAX, REF, 0.85)
     ref = exposure_replay(clean.tolist(), np.zeros_like(clean).tolist(), [0.0] * 6, exp.tolist(),
                           EMIN, EMAX, REF, 0.85)
     assert raw.tolist() == ref[0] and scales.tolist() == ref[1]
@@ -784,10 +788,131 @@ def test_expose_block_counts_a_change_on_the_last_frame():
 
 def test_expose_block_empty_block_keeps_exposures():
     exp = np.array([300.0, EMAX])
-    raw, scales, exp_out, changes = expose_block(np.empty((0, 2)), np.empty((0, 2)), np.empty(0), exp,
-                                                 EMIN, EMAX, REF, 0.85)
+    raw, scales, exp_out, changes = expose_block(np.empty((0, 2)), np.empty((0, 2)), np.empty(0),
+                                                 np.empty(0, dtype=np.intp), exp, EMIN, EMAX, REF, 0.85)
     assert raw.shape == scales.shape == (0, 2) and raw.dtype == np.int64
     assert exp_out.tolist() == [300.0, EMAX] and changes.tolist() == [0, 0]
+
+
+# Gaze points of the partition blocks; points 0 and 1 give one clean row.
+_POOL = np.array([[120.0, 90.0], [610.0, 455.0], [400.0, 300.0], [35.0, 560.0]])
+
+
+def _partition_block(labels, rows, blend, noise, exp):
+    """(gaze, clean, noise, blend, exp) of a block whose clean row is a function of its gaze.
+
+    ``labels`` index the pool points row by row; ``rows`` (3, M) holds the
+    clean rows of points 0 and 1, of point 2 and of point 3.
+    """
+    labels = np.asarray(labels)
+    return _POOL[labels], np.asarray(rows, dtype=float)[[0, 0, 1, 2]][labels], noise, blend, exp
+
+
+@st.composite
+def partition_blocks(draw):
+    """Blocks whose clean rows follow from their gaze rows, for the run partitions.
+
+    The gaze holds pool points for drawn spans, or toggles between points 0
+    and 2 frame by frame. Channel 0 reads saturating light at points 0 and 1
+    and darkness at 2 and 3, so a toggling gaze adapts it on every frame.
+    Points 0 and 1 share their clean row, so the gaze can change where the
+    clean row does not. A blink blend ramps up to a plateau and down again.
+    """
+    m = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        labels = np.resize([0, 2], draw(st.integers(1, 60)))
+    else:
+        spans = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 30)), min_size=1, max_size=8))
+        labels = np.repeat([p for p, _ in spans], [k for _, k in spans])
+    n = labels.size
+    rows = np.array(draw(st.lists(st.floats(0.0, 3.0), min_size=3 * m, max_size=3 * m))).reshape(3, m)
+    rows[:, 0] = [100.0, 0.0, 0.0]
+    lo, hi = sorted(draw(st.lists(st.integers(0, n), min_size=2, max_size=2)))
+    ramp = draw(st.integers(1, 8))
+    t = np.arange(n)
+    blend = draw(st.sampled_from([0.5, 1.0])) * np.clip(np.minimum(t + 1 - lo, hi - t) / ramp, 0.0, 1.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    noise = rng.normal(0.0, draw(st.sampled_from([0.0, 0.01, 0.2])), (n, m))
+    exp = np.array(draw(st.lists(st.sampled_from([EMIN, 300.0, 400.0, EMAX]), min_size=m, max_size=m)))
+    return _partition_block(labels, rows, blend, noise, exp)
+
+
+# Gaze alternating between two points of one clean row, then a blink on a third point.
+_SHARED_ROW_BLOCK = _partition_block(
+    [0, 1] * 10 + [2] * 6, [[0.5, 0.7], [0.1, 0.3], [0.4, 0.4]],
+    np.array([0.0] * 20 + [0.25, 0.5, 1.0, 1.0, 0.5, 0.25]),
+    np.random.default_rng(3).normal(0.0, 0.01, (26, 2)), np.array([400.0, 800.0]))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(partition_blocks())
+@example(_SHARED_ROW_BLOCK)
+def test_expose_block_gives_one_result_on_every_run_partition(block):
+    # The clean-row runs, the engine's gaze-and-blend runs and one run per
+    # row all keep one clean row and one blend per run, so all three must
+    # give the per-frame replay's readings, scales, exposures and counts.
+    gaze, clean, noise, blend, exp = block
+    clean_runs, gaze_runs = _run_starts(clean, blend), _run_starts(gaze, blend)
+    for rows, runs in ((clean, clean_runs), (gaze, gaze_runs)):  # the column-by-column compare
+        changed = np.any(rows[1:] != rows[:-1], axis=1) | (blend[1:] != blend[:-1])
+        assert runs.tolist() == [0, *(np.flatnonzero(changed) + 1).tolist()]
+    assert np.isin(clean_runs, gaze_runs).all()  # the gaze runs refine the clean-row runs
+    ref_raw, ref_scales, ref_exp, ref_changes = exposure_replay(
+        clean.tolist(), noise.tolist(), blend.tolist(), exp.tolist(), EMIN, EMAX, REF, 0.85)
+    n, m = clean.shape
+    for starts in (clean_runs, gaze_runs, np.arange(n)):
+        raw, scales, exp_out, changes = expose_block(clean, noise, blend, starts, exp,
+                                                     EMIN, EMAX, REF, 0.85)
+        assert raw.dtype == np.int64 and np.array_equal(raw, np.array(ref_raw).reshape(n, m))
+        assert np.array_equal(scales, np.array(ref_scales).reshape(n, m))
+        assert np.array_equal(exp_out, np.array(ref_exp))
+        assert changes.tolist() == ref_changes
+
+
+def test_shared_row_block_has_fewer_clean_runs_than_gaze_runs():
+    gaze, clean, _, blend, _ = _SHARED_ROW_BLOCK
+    assert _run_starts(clean, blend).tolist() == [0, 20, 21, 22, 24, 25]
+    assert _run_starts(gaze, blend).tolist() == list(range(21)) + [21, 22, 24, 25]
+
+
+@pytest.mark.parametrize("n", [1, 17_550])
+@pytest.mark.parametrize("std", [0.01, 0.03, 0.2])
+def test_engine_noise_block_holds_the_values_generator_normal_draws(monkeypatch, std, n):
+    lay = LedLayout.prototype1()
+    sim = EyeSimulator(lay, quiet_subject(seed=4, noise=std, layout=lay), cfg(), seed=13)
+    seen = []
+
+    def spy(clean, noise, *args):
+        seen.append(noise.copy())
+        return expose_block(clean, noise, *args)
+
+    monkeypatch.setattr(eyesim, "expose_block", spy)
+    for _ in range(2):  # the second block continues the stream
+        sim._sense_block(np.full((n, 2), [400.0, 300.0]), np.zeros(n))
+    rng = np.random.default_rng(np.random.SeedSequence([13, eyesim._STREAM_NOISE]))
+    for noise in seen:
+        want = rng.normal(0.0, std, (n, lay.total_channels))
+        assert np.array_equal(noise.view(np.int64), want.view(np.int64))
+
+
+_EDGE_VALUES = [np.nan, -np.inf, -1.5, -1e-300, -0.0, 0.0, 1e-300, 0.25, 0.5 / ADC_MAX,
+                1.5 / ADC_MAX, 1.0 - 1e-16, 1.0, 1.0 + 1e-15, 2.0, np.inf]
+
+
+def _clip_readings(pre, noise):
+    return np.rint(np.clip(pre + noise, 0.0, 1.0) * ADC_MAX).astype(np.intp)
+
+
+def test_readings_equal_rint_of_clip_on_edge_values():
+    pre = np.array(_EDGE_VALUES)
+    noise = np.array([0.0, 0.5, -0.5, -np.inf, np.nan])[:, None]
+    with np.errstate(invalid="ignore"):  # inf - inf, and NaN cast to an integer
+        got = _readings(pre, noise)
+        assert got.dtype == np.intp and got.shape == (5, len(_EDGE_VALUES))
+        assert np.array_equal(got, _clip_readings(pre, noise))
+        for value in _EDGE_VALUES:  # the scalar path sense() takes
+            scalar = np.float64(value)
+            assert int(_readings(scalar, 0.0)) == int(_clip_readings(scalar, 0.0))
 
 
 def test_engine_rejects_gain_count_mismatch():
