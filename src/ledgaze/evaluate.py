@@ -27,6 +27,7 @@ from .regress import GprModel, SvrModel, grid_search_sigma
 from .session import (
     SessionConfig,
     SimulatorDwellSource,
+    _event_fault,
     calibration_phase,
     evaluation_phase,
     derive_seed,
@@ -44,19 +45,22 @@ def exclusion_masks(log: SessionLog) -> tuple[np.ndarray, np.ndarray]:
 
     An unsettled move runs to the end of the log; every window ends late by
     the settling tail of the IIR filter and capture cycle the log's meta records.
+    ConfigError names the first event that cannot be scored, by the log
+    codec's rule (``session._event_fault``).
     """
+    fault = _event_fault(log.events)
+    if fault:
+        raise ConfigError(f"log event {fault[0]} cannot be scored: {fault[1]}")
     pad = iir_settle_frames(log.meta["iir_alpha"], PAD_ATTENUATION) * log.meta["cycle_us"]
     end_us = int(log.t_us[-1]) if log.n_frames else 0
     blink = np.zeros(log.n_frames, dtype=bool)
     move = np.zeros(log.n_frames, dtype=bool)
-    for ev in log.events:
-        if ev.get("kind") == "blink":
-            mask, lo, hi = blink, int(ev["t0_us"]), int(ev["t1_us"])
-        elif ev.get("kind") == "target_move":
-            settle = ev.get("t_settle_us")
-            mask, lo, hi = move, int(ev["t_move_us"]), end_us if settle is None else int(settle)
+    for ev in log.events:  # each a blink or a target_move, with integer times
+        if ev["kind"] == "blink":
+            mask, lo, hi = blink, ev["t0_us"], ev["t1_us"]
         else:
-            continue
+            settle = ev["t_settle_us"]
+            mask, lo, hi = move, ev["t_move_us"], end_us if settle is None else settle
         mask |= (log.t_us >= lo) & (log.t_us <= hi + pad)
     return blink, move
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -568,18 +567,10 @@ def gaze_directions(geom: DisplayGeometry, gaze_xy: np.ndarray, eye: int) -> np.
     return d / np.linalg.norm(d, axis=1, keepdims=True)
 
 
-@lru_cache(maxsize=64)
-def _led_positions(layout: LedLayout, eye: int) -> np.ndarray:
-    """``layout.led_positions(eye)``, computed once per layout and eye; read-only."""
-    leds = layout.led_positions(eye)
-    leds.flags.writeable = False
-    return leds
-
-
 def _eye_frame(layout: LedLayout, subject: SubjectProfile, geom: DisplayGeometry,
                gaze_xy: np.ndarray, eye: int):
     """Shared per-eye geometry: gaze normals and cornea->LED unit vectors."""
-    leds = _led_positions(layout, eye)
+    leds = layout.led_positions(eye)
     cx, cy = subject.eye_center(eye)
     dirs = gaze_directions(geom, gaze_xy, eye)
     cornea = dirs * subject.eye_radius_mm
@@ -591,36 +582,21 @@ def _eye_frame(layout: LedLayout, subject: SubjectProfile, geom: DisplayGeometry
     return dirs, v, vdotn
 
 
-@lru_cache(maxsize=64)
-def _lobe_pairs(steps: tuple) -> tuple:
-    """Lit (sensing LED, illuminator) pairs of a capture cycle, cached per cycle.
-
-    Returns the pairs' sensing and illuminating ring indices, (P,) each, and
-    for each rank r the pairs that are the r-th illuminator of their step in
-    ascending order, with those steps' indices. All arrays are read-only.
-    """
-    table = np.array([(led, j, step, rank) for step, (led, illum) in enumerate(steps)
-                      for rank, j in enumerate(sorted(illum))], dtype=np.intp).reshape(-1, 4)
-    led, illum, step, rank = table.T
-    ranks = tuple((np.flatnonzero(rank == r), step[rank == r]) for r in range(rank.max(initial=-1) + 1))
-    for arr in (led, illum, *sum(ranks, ())):
-        arr.flags.writeable = False
-    return led, illum, ranks
-
-
 def _lobe_sums(layout: LedLayout, subject: SubjectProfile, geom: DisplayGeometry,
                gaze_xy: np.ndarray, eye: int, steps: tuple, q: float) -> np.ndarray:
     """Summed cosine-lobe response of each step's sensing LED, (n, steps) pre-gain."""
     dirs, v, vdotn = _eye_frame(layout, subject, geom, gaze_xy, eye)
-    led, illum, ranks = _lobe_pairs(steps)
+    # One (sensing LED, illuminator, step) triple per lit pair, each step's
+    # illuminators in ascending order.
+    led, illum, step = np.array([(sensing, j, k) for k, (sensing, lit) in enumerate(steps)
+                                 for j in sorted(lit)], dtype=np.intp).reshape(-1, 3).T
     # Mirror-reflect the ray arriving from each illuminator about the corneal
     # normal, then score alignment with the sensing LED direction.
     r = 2.0 * vdotn[:, illum, None] * dirs[:, None, :] - v[:, illum, :]
     cos_beta = np.clip(np.einsum("npk,npk->np", r, v[:, led, :]), -1.0, 1.0)
     lobes = ((1.0 + cos_beta) / 2.0) ** q
     acc = np.zeros((gaze_xy.shape[0], len(steps)))
-    for pair_idx, step_idx in ranks:  # ascending illuminator order fixes the sum's bits
-        acc[:, step_idx] += lobes[:, pair_idx]
+    np.add.at(acc, (slice(None), step), lobes)  # adds in pair order, which fixes the sums' bits
     return acc
 
 
@@ -662,7 +638,7 @@ def sense(layout: LedLayout, subject: SubjectProfile, geom: DisplayGeometry,
     eye, step_idx = divmod(sensing_channel, layout.channels_per_eye)
     if eye >= layout.eyes:
         raise ConfigError(f"channel {sensing_channel} out of range")
-    steps = ((layout.sensing_indices[step_idx], tuple(sorted(illuminators_on))),)
+    steps = ((layout.sensing_indices[step_idx], illuminators_on),)
     gaze_xy = np.array([[gaze.x, gaze.y]], dtype=float)
     acc = _lobe_sums(layout, subject, geom, gaze_xy, eye, steps, optics.lobe_sharpness)[0, 0]
     clean = optics.signal_scale * subject.corneal_gain[sensing_channel] * acc

@@ -89,7 +89,7 @@ def replay_exposure(raw, exposures_us, exp_min_us: float, exp_max_us: float,
     bounds = np.searchsorted(channel, np.arange(m + 1)).tolist()
     frame = frame.tolist()
     to_level = after.tolist()
-    scales = np.empty((n, m))
+    scales = np.empty((n, m), order="F")  # each span write is contiguous
     for c in range(m):
         e, start = int(level[c]), 0
         for i in range(bounds[c], bounds[c + 1]):
@@ -186,11 +186,22 @@ class SignalChain:
         self.reference_exposure_us, self.iir = ref, IirFilter(alpha)
 
     def block(self, raw, scales) -> np.ndarray:
-        """The vectors of (n, M) counts read at ``scales`` (floats, overwritten); IIR state carries on."""
-        return self.iir.filter_block(np.divide(raw / ADC_MAX, scales, out=scales))
+        """The vectors of (n, M) counts read at ``scales`` (floats, overwritten); IIR state carries on.
+
+        Divided in Fortran order, the layout of the scales and of the IIR's solve.
+        """
+        return self.iir.filter_block(np.divide(np.divide(raw, ADC_MAX, order="F"), scales, out=scales))
 
     def replay(self, raw) -> np.ndarray:
-        """``block`` on scales replayed from the counts, from exposure_init_us: a whole log."""
+        """``block`` on scales replayed from the counts, from exposure_init_us: a whole log.
+
+        The exposures restart at exposure_init_us, so ConfigError refuses a
+        chain whose IIR has already filtered a frame: replay runs a whole log
+        on a fresh chain.
+        """
+        if self.iir.state is not None:
+            raise ConfigError("replay runs a whole log on a fresh chain, and this chain's IIR "
+                              "has already filtered frames")
         scales, _ = replay_exposure(raw, np.full(raw.shape[1], self.exposure_init_us),
                                     self.exposure_min_us, self.exposure_max_us,
                                     self.reference_exposure_us)

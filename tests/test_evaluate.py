@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from ledgaze.session import (
     calibration_phase,
     evaluation_phase,
     run_benchmark_session,
+    write_session_log,
 )
 
 from oracles import ScoredFramesReference, mean_median_std
@@ -149,6 +151,27 @@ def test_all_frames_excluded_raises():
     log.events.append({"kind": "blink", "t0_us": 0, "t1_us": int(log.t_us[-1])})
     with pytest.raises(InsufficientDataError):
         evaluate_accuracy(log, ConstantEstimator([0.0, 0.0]), cfg.geometry())
+
+
+@pytest.mark.parametrize("event, problem", [
+    ({"kind": "Blink", "t0_us": 0, "t1_us": 100_000}, "unknown event kind 'Blink'"),
+    ({"t0_us": 0, "t1_us": 100_000}, "unknown event kind None"),
+    ({"kind": "blink", "t0_us": 0, "t1_us": 1e5}, "blink event has no integer t1_us"),
+])
+def test_scoring_refuses_an_unscorable_event(tmp_path, event, problem):
+    # A misspelt blink would leave its frames scored; scoring refuses the log,
+    # naming the event, as the log writer does.
+    cfg = small_config()
+    log = eval_log(cfg)
+    log.events.append(event)
+    k = len(log.events) - 1
+    message = f"log event {k} cannot be scored: {problem}"
+    for score in (exclusion_masks, lambda log: evaluate_accuracy(log, ConstantEstimator([0.0, 0.0]),
+                                                                 cfg.geometry())):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            score(log)
+    with pytest.raises(ConfigError, match=re.escape(problem)):
+        write_session_log(log, tmp_path / "bad.jsonl")
 
 
 class IdentityEstimator:

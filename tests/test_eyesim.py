@@ -645,10 +645,20 @@ def _gaze_block(kind, n=24, seed=0):
     return g
 
 
+def _widest_step(eyes, **kw):
+    """One step that lights the other 8 LEDs of prototype1's ring.
+
+    Numpy's pairwise summation starts at 8 terms, so a lobe sum that left
+    illuminator order would show here first.
+    """
+    return LedLayout("widest-step", LedLayout.prototype1().ring_angles_deg,
+                     ((4, frozenset(range(9)) - {4}),), eyes=eyes, **kw)
+
+
 @pytest.mark.parametrize("kind", ["distinct", "equal", "switch"])
 @pytest.mark.parametrize("eyes", [1, 2])
-@pytest.mark.parametrize("make_layout", [LedLayout.prototype1, LedLayout.prototype2],
-                         ids=["prototype1", "prototype2"])
+@pytest.mark.parametrize("make_layout", [LedLayout.prototype1, LedLayout.prototype2, _widest_step],
+                         ids=["prototype1", "prototype2", "widest-step"])
 def test_clean_signal_matches_oracle(make_layout, eyes, kind):
     # The batched pair kernel, computed once per run of equal gaze rows,
     # equals the per-(step, illuminator) lobe sum bit for bit.

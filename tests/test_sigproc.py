@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from ledgaze.core import ConfigError, DisplayGeometry
 from ledgaze.eyesim import LedLayout, SimConfig
-from ledgaze.sigproc import IirFilter, adapt_exposure
+from ledgaze.sigproc import IirFilter, SignalChain, adapt_exposure, replay_exposure
 
 from oracles import iir_reference, lfilter_reference
 
@@ -345,3 +345,34 @@ def test_cycle_time_formula():
     assert config.cycle_us(LedLayout.prototype1(eyes=2)) == 6000
     with pytest.raises(ConfigError):
         SimConfig(DisplayGeometry(800, 600), step_us=0)
+
+
+def _chain():
+    return SignalChain(400.0, 25.0, 1600.0, 400.0, 0.3)
+
+
+# Frame 0 saturates channel 0 and frame 1 starves channel 1, so the exposures move.
+_RAW = np.array([[1010, 500], [500, 10], [500, 500], [500, 500]])
+
+
+def test_signal_chain_block_matches_the_c_order_divide():
+    scales, _ = replay_exposure(_RAW, np.full(2, 400.0), 25.0, 1600.0, 400.0)
+    assert scales.flags.f_contiguous and not np.all(scales == scales[0])
+    expected = IirFilter(0.3).filter_block(_RAW / 1023 / scales)
+    assert np.array_equal(_chain().replay(_RAW), expected)
+    assert np.array_equal(_chain().block(_RAW, scales), expected)
+
+
+@pytest.mark.parametrize("first", ["replay", "block"])
+def test_signal_chain_replay_refuses_a_used_chain(first):
+    # replay restarts every exposure at exposure_init_us, so on a chain whose
+    # IIR carries state it would read the frames at the wrong exposures.
+    chain = _chain()
+    if first == "replay":
+        chain.replay(_RAW[:1])
+    else:
+        chain.block(_RAW[:1], np.ones((1, 2)))
+    state = chain.iir.state.copy()
+    with pytest.raises(ConfigError, match="^replay runs a whole log on a fresh chain"):
+        chain.replay(_RAW[1:])
+    assert np.array_equal(chain.iir.state, state)
