@@ -27,7 +27,6 @@ from .regress import GprModel, SvrModel, grid_search_sigma
 from .session import (
     SessionConfig,
     SimulatorDwellSource,
-    _event_fault,
     calibration_phase,
     evaluation_phase,
     derive_seed,
@@ -45,12 +44,9 @@ def exclusion_masks(log: SessionLog) -> tuple[np.ndarray, np.ndarray]:
 
     An unsettled move runs to the end of the log; every window ends late by
     the settling tail of the IIR filter and capture cycle the log's meta records.
-    ConfigError names the first event that cannot be scored, by the log
-    codec's rule (``session._event_fault``).
+    Every event is scorable: a ``SessionLog`` refuses any other when it is
+    built (``eyesim._event_fault``).
     """
-    fault = _event_fault(log.events)
-    if fault:
-        raise ConfigError(f"log event {fault[0]} cannot be scored: {fault[1]}")
     pad = iir_settle_frames(log.meta["iir_alpha"], PAD_ATTENUATION) * log.meta["cycle_us"]
     end_us = int(log.t_us[-1]) if log.n_frames else 0
     blink = np.zeros(log.n_frames, dtype=bool)

@@ -17,6 +17,7 @@ needed for evaluation.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
@@ -296,7 +297,55 @@ def _is_point(value) -> bool:
     return type(value) is list and len(value) == 2 and all(map(_is_finite, value))
 
 
-def gaze_target(t_us: np.ndarray, events: list[dict], start) -> tuple[np.ndarray, np.ndarray]:
+# The integer times each event kind must hold; a target_move also holds
+# t_settle_us, never absent: an integer, or null if not settled when the log ends.
+_EVENT_TIMES = {"blink": ("t0_us", "t1_us"), "target_move": ("t_move_us",)}
+
+
+def _event_fault(events: Sequence[dict]) -> tuple[int, str] | None:
+    """The first event that cannot be scored, as (its index, why), or None."""
+    last_move = None
+    for i, ev in enumerate(events):
+        problem = _event_problem(ev, last_move)
+        if problem:
+            return i, problem
+        if ev["kind"] == "target_move":
+            last_move = ev
+    return None
+
+
+def _event_problem(ev: dict, last_move: dict | None) -> str | None:
+    """Why an event record cannot be scored after the target_move ``last_move``, or None.
+
+    A blink must end at or after it starts. A target_move's target and gaze
+    are scoring data (``gaze_target``): it must hold ``from`` and ``to`` as
+    screen points, settle at or after it moves, and move at or after the
+    move before it settled.
+    """
+    kind = ev.get("kind")
+    if kind not in _EVENT_TIMES:
+        return f"unknown event kind {kind!r}"
+    missing = [f for f in _EVENT_TIMES[kind] if type(ev.get(f)) is not int]  # rejects bool too
+    if missing:
+        return f"{kind} event has no integer {', '.join(missing)}"
+    if kind == "blink":
+        return "blink event t1_us is before its t0_us" if ev["t1_us"] < ev["t0_us"] else None
+    settle = ev.get("t_settle_us", "absent")
+    if type(settle) not in (int, type(None)):
+        return "target_move event t_settle_us is neither an integer nor null"
+    for f in ("from", "to"):
+        if not _is_point(ev.get(f)):
+            return f"target_move event {f!r} is not a pair of finite numbers"
+    if settle is not None and settle < ev["t_move_us"]:
+        return "target_move event t_settle_us is before its t_move_us"
+    if last_move is not None and (last_move["t_settle_us"] is None
+                                  or last_move["t_settle_us"] > ev["t_move_us"]):
+        return (f"target_move event t_move_us {ev['t_move_us']} is before the previous move "
+                f"settled (t_settle_us {json.dumps(last_move['t_settle_us'])})")
+    return None
+
+
+def gaze_target(t_us: np.ndarray, events: Sequence[dict], start) -> tuple[np.ndarray, np.ndarray]:
     """Each frame's gaze and stimulus target, (n, 2) each: the session timeline's rule.
 
     Both start at ``start``. The target takes a move's ``to`` from the first
@@ -358,17 +407,17 @@ class SessionLog:
 
     ``t_us`` and ``raw`` are checked when the log is built
     (``_frame_columns``), so every log has ordered frames and counts in
-    range. ``gaze`` and ``target`` are not arguments: they follow from
-    ``t_us``, the target_move events and the meta's ``start_target``
-    (``gaze_target``), which must be a pair of finite numbers, else
-    ConfigError names it. The events must be scorable
-    (``session._event_fault``).
+    range, and so are the events, kept as a tuple (``_event_fault``, the
+    one check of events: ConfigError names the first unscorable one).
+    ``gaze`` and ``target`` are not arguments: they follow from ``t_us``,
+    the target_move events and the meta's ``start_target`` (``gaze_target``),
+    which must be a pair of finite numbers, else ConfigError names it.
     """
 
     t_us: np.ndarray        # (N,) int64 frame timestamps
     raw: np.ndarray         # (N, M) int ADC counts
     proc: np.ndarray        # (N, M) float regression-ready vectors
-    events: list[dict]
+    events: tuple[dict, ...]  # given as any sequence
     meta: dict
     gaze: np.ndarray = field(init=False)    # (N, 2) ground-truth gaze, px
     target: np.ndarray = field(init=False)  # (N, 2) stimulus target, px
@@ -378,6 +427,10 @@ class SessionLog:
         if not _is_point(start):
             raise ConfigError(f"meta field 'start_target' is not a pair of finite numbers: {start!r}")
         _frame_columns(self.t_us, self.raw)
+        self.events = tuple(self.events)
+        fault = _event_fault(self.events)
+        if fault:
+            raise ConfigError(f"log event {fault[0]} cannot be scored: {fault[1]}")
         self.gaze, self.target = gaze_target(self.t_us, self.events, start)
 
     @property

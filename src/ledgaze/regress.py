@@ -90,8 +90,8 @@ class GprModel(_KernelRegressor):
     """
 
     def __init__(self, calibration: CalibrationSet, measure: MeasureSpec, jitter: float = 1e-8):
-        if jitter <= 0:
-            raise ConfigError("jitter must be positive")
+        if not 0 < jitter < math.inf:  # a NaN would escalate forever, an infinity fail late
+            raise ConfigError(f"jitter must be positive and finite, got {jitter!r}")
         self.calibration = calibration
         self.measure = measure
         self.jitter = jitter

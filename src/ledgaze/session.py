@@ -33,6 +33,7 @@ from .eyesim import (
     SessionLog,
     SimConfig,
     SubjectProfile,
+    _event_fault,
     _is_point,
     frames_spanned,
     run_script,
@@ -417,21 +418,16 @@ def write_session_log(log: SessionLog, path, calibration: CalibrationSet | None 
 
     A log that the reader would refuse, or that the file cannot hold
     faithfully, raises ConfigError before the file is opened: a log of no
-    frames (a ``SessionLog`` checks its columns when it is built,
-    ``eyesim._frame_columns``); a non-finite number in the meta,
-    calibration or an event record, or an event that cannot be scored,
-    naming the record's line; a meta whose capture cycle or chain settings
-    are missing or out of range; and a proc other than the one the reader
-    rebuilds, down to a zero's sign, naming the first frame that differs.
+    frames (a ``SessionLog`` checks its columns and events when it is built,
+    ``eyesim._frame_columns`` and ``_event_fault``); a non-finite number in
+    the meta, calibration or an event record, naming the record's line; a
+    meta whose capture cycle or chain settings are missing or out of range;
+    and a proc other than the one the reader rebuilds, down to a zero's
+    sign, naming the first frame that differs.
     """
     if not log.n_frames:
         raise ConfigError(f"cannot write session log {path}: the log holds no frames")
     lines = [_line(path, n, rec) for n, rec in enumerate(_records(log, calibration), 1)]
-    fault = _event_fault(log.events)
-    if fault:
-        event, problem = fault
-        line = len(lines) - len(log.events) + event  # the frames record follows the events
-        raise ConfigError(f"cannot write session log {path}: line {line}, {problem}")
     _check_proc(path, log)
     data = "".join(lines).encode()
     with open(path, "wb") as fh:
@@ -547,15 +543,16 @@ def read_session_log(path):
     A malformed log raises ConfigError naming the file and line: invalid
     JSON (a truncated write, or a NaN or Infinity token in any record), a
     record with no type, a second meta, calibration or frames record, a
-    frames record that ``_unpacked`` refuses or whose columns
-    ``_frame_columns`` refuses (the message names the frame, its index in
-    the columns), an event that cannot be scored (``_event_problem``), and
-    a meta record whose cycle_us is not a positive integer, whose signal
-    chain settings are missing or out of range, or whose start_target is
-    not a pair of finite numbers. Records of unknown type are skipped. The
-    file is read once. Once every line has passed, a log whose last line is
-    not a digest of the bytes before it raises ConfigError: it was cut
-    short, or changed after it was written.
+    frames record that ``_unpacked`` refuses, and a meta record whose
+    cycle_us is not a positive integer or whose chain settings are missing
+    or out of range. The ``SessionLog`` is built once; if it is refused,
+    the event rule runs again to name the line of an event that cannot be
+    scored (``_event_fault``), else the meta line for a start_target that
+    is not a pair of finite numbers, or the frames line and the frame's
+    index for a column fault (``_frame_columns``). Records of unknown type
+    are skipped. The file is read once. Once every line has passed, a log
+    whose last line is not a digest of the bytes before it raises
+    ConfigError: it was cut short, or changed after it was written.
     """
     data = Path(path).read_bytes()
     once: dict[str, tuple[int, dict]] = {}  # the line and record of each kind a log holds once
@@ -588,9 +585,6 @@ def read_session_log(path):
                     raise _malformed(path, n, f"bad calibration ({exc})") from None
         elif kind is None:
             raise _malformed(path, n, "record has no type")
-    fault = _event_fault(events)
-    if fault:
-        raise _malformed(path, event_lines[fault[0]], fault[1])
     if "frames" not in once:
         raise ConfigError(f"no frames found in session log {path}")
     if "meta" not in once:
@@ -599,13 +593,17 @@ def read_session_log(path):
     n = frames_line  # the line of the record that each check below reads
     try:
         t_us, raw = _unpacked(frames)
-        # A SessionLog checks its start_target, then its frame columns; its proc follows.
+        # A SessionLog checks its start_target, its frame columns, then its events.
         n = frames_line if _is_point(meta.get("start_target")) else meta_line
         log = SessionLog(t_us, raw, None, events, meta)
-        n = meta_line
+    except ConfigError as exc:
+        fault = _event_fault(events)  # an event's fault is named by the event's line
+        line, problem = (event_lines[fault[0]], fault[1]) if fault else (n, str(exc))
+        raise _malformed(path, line, problem) from None
+    try:
         log.proc = _rebuilt_proc(raw, meta)
     except ConfigError as exc:
-        raise _malformed(path, n, str(exc)) from None
+        raise _malformed(path, meta_line, str(exc)) from None
     _check_digest(path, data)
     return log, cal
 
@@ -638,50 +636,3 @@ _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 def _malformed(path, line: int, problem: str) -> ConfigError:
     return ConfigError(f"malformed session log {path}, line {line}: {problem}")
-
-
-# The integer times each event kind must hold; a target_move also holds
-# t_settle_us, never absent: an integer, or null if not settled when the log ends.
-_EVENT_TIMES = {"blink": ("t0_us", "t1_us"), "target_move": ("t_move_us",)}
-
-
-def _event_fault(events: list[dict]) -> tuple[int, str] | None:
-    """The first event that cannot be scored, as (its index, why), or None."""
-    last_move = None
-    for i, ev in enumerate(events):
-        problem = _event_problem(ev, last_move)
-        if problem:
-            return i, problem
-        if ev["kind"] == "target_move":
-            last_move = ev
-    return None
-
-
-def _event_problem(ev: dict, last_move: dict | None) -> str | None:
-    """Why an event record cannot be scored after the target_move ``last_move``, or None.
-
-    A target_move's target and gaze are scoring data (``eyesim.gaze_target``):
-    it must hold ``from`` and ``to`` as screen points, settle at or after it
-    moves, and move at or after the move before it settled.
-    """
-    kind = ev.get("kind")
-    if kind not in _EVENT_TIMES:
-        return f"unknown event kind {kind!r}"
-    missing = [f for f in _EVENT_TIMES[kind] if type(ev.get(f)) is not int]  # rejects bool too
-    if missing:
-        return f"{kind} event has no integer {', '.join(missing)}"
-    if kind == "blink":
-        return None
-    settle = ev.get("t_settle_us", "absent")
-    if type(settle) not in (int, type(None)):
-        return "target_move event t_settle_us is neither an integer nor null"
-    for f in ("from", "to"):
-        if not _is_point(ev.get(f)):
-            return f"target_move event {f!r} is not a pair of finite numbers"
-    if settle is not None and settle < ev["t_move_us"]:
-        return "target_move event t_settle_us is before its t_move_us"
-    if last_move is not None and (last_move["t_settle_us"] is None
-                                  or last_move["t_settle_us"] > ev["t_move_us"]):
-        return (f"target_move event t_move_us {ev['t_move_us']} is before the previous move "
-                f"settled (t_settle_us {json.dumps(last_move['t_settle_us'])})")
-    return None

@@ -459,11 +459,11 @@ def sealed(body: str) -> str:
 def read_session_log_reference(path):
     """Inverse of write_session_log; returns (log columns, calibration-or-None).
 
-    The log's columns, events and meta are attributes of a namespace. The
-    processed vectors come from ``chain_reference`` with the settings in the
-    meta record, the gaze and target from ``gaze_target_reference``. A log
-    whose last line is not the digest of the lines before it raises
-    ConfigError.
+    The log's columns, events (a tuple, as a ``SessionLog`` keeps them) and
+    meta are attributes of a namespace. The processed vectors come from
+    ``chain_reference`` with the settings in the meta record, the gaze and
+    target from ``gaze_target_reference``. A log whose last line is not the
+    digest of the lines before it raises ConfigError.
     """
     with open(path) as fh:
         lines = fh.readlines()
@@ -496,7 +496,7 @@ def read_session_log_reference(path):
     log = SimpleNamespace(
         t_us=np.asarray(t, dtype=np.int64), raw=np.asarray(raw, dtype=np.int64),
         proc=np.asarray(proc, dtype=float), gaze=np.asarray(gaze, dtype=float),
-        target=np.asarray(target, dtype=float), events=events, meta=meta,
+        target=np.asarray(target, dtype=float), events=tuple(events), meta=meta,
     )
     return log, cal
 

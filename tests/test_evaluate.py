@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -22,6 +23,7 @@ from ledgaze.evaluate import (
     trace_rows,
 )
 from ledgaze.core import CalibrationSet, ScreenPoint
+from ledgaze import evaluate, eyesim, session
 from ledgaze.eyesim import GazeScript, ScriptEvent, SessionLog, run_script
 from ledgaze.kernels import MeasureSpec
 from ledgaze.regress import GprModel, SvrModel, grid_search_sigma
@@ -29,6 +31,7 @@ from ledgaze.session import (
     SessionConfig,
     calibration_phase,
     evaluation_phase,
+    read_session_log,
     run_benchmark_session,
     write_session_log,
 )
@@ -148,7 +151,8 @@ def test_histogram_mass_sums_to_one():
 def test_all_frames_excluded_raises():
     cfg = small_config()
     log = eval_log(cfg)
-    log.events.append({"kind": "blink", "t0_us": 0, "t1_us": int(log.t_us[-1])})
+    log = dataclasses.replace(log, events=[*log.events, {"kind": "blink", "t0_us": 0,
+                                                         "t1_us": int(log.t_us[-1])}])
     with pytest.raises(InsufficientDataError):
         evaluate_accuracy(log, ConstantEstimator([0.0, 0.0]), cfg.geometry())
 
@@ -157,21 +161,39 @@ def test_all_frames_excluded_raises():
     ({"kind": "Blink", "t0_us": 0, "t1_us": 100_000}, "unknown event kind 'Blink'"),
     ({"t0_us": 0, "t1_us": 100_000}, "unknown event kind None"),
     ({"kind": "blink", "t0_us": 0, "t1_us": 1e5}, "blink event has no integer t1_us"),
+    ({"kind": "blink", "t0_us": 100_000, "t1_us": 99_999}, "blink event t1_us is before its t0_us"),
+    ({"kind": "target_move", "t_move_us": 100_000, "t_settle_us": None, "from": [1.0, 2.0]},
+     "target_move event 'to' is not a pair of finite numbers"),
+    ({"kind": "target_move", "t_move_us": 100_000, "t_settle_us": 99_999, "from": [1.0, 2.0],
+      "to": [3.0, 4.0]}, "target_move event t_settle_us is before its t_move_us"),
 ])
-def test_scoring_refuses_an_unscorable_event(tmp_path, event, problem):
-    # A misspelt blink would leave its frames scored; scoring refuses the log,
-    # naming the event, as the log writer does.
+def test_scoring_refuses_an_unscorable_event(event, problem):
+    # A misspelt blink would leave its frames scored, and a move without 'to' would
+    # fail inside gaze_target; the log is refused when it is built, naming the event,
+    # so neither scoring nor the log writer sees it.
+    log = eval_log(small_config())
+    message = f"log event {len(log.events)} cannot be scored: {problem}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(log, events=[*log.events, event])
+
+
+def test_a_session_round_trip_checks_its_events_twice(monkeypatch, tmp_path):
+    # Once for the engine's snapshot and once for the log read back: the writer and
+    # scoring take a built SessionLog's events as checked.
+    checked = []
+    for module in (eyesim, session, evaluate):  # each module that holds a name for the rule
+        rule = getattr(module, "_event_fault", None)
+        if rule is not None:
+            monkeypatch.setattr(module, "_event_fault",
+                                lambda events, rule=rule: checked.append(len(events)) or rule(events))
     cfg = small_config()
-    log = eval_log(cfg)
-    log.events.append(event)
-    k = len(log.events) - 1
-    message = f"log event {k} cannot be scored: {problem}"
-    for score in (exclusion_masks, lambda log: evaluate_accuracy(log, ConstantEstimator([0.0, 0.0]),
-                                                                 cfg.geometry())):
-        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-            score(log)
-    with pytest.raises(ConfigError, match=re.escape(problem)):
-        write_session_log(log, tmp_path / "bad.jsonl")
+    log, cal = run_benchmark_session(cfg)
+    path = tmp_path / "session.jsonl"
+    write_session_log(log, path, calibration=cal)
+    back, back_cal = read_session_log(path)
+    evaluate_accuracy(back, cfg.build_estimator(back_cal), cfg.geometry())
+    compare_estimators(back, back_cal, cfg)
+    assert checked == [len(log.events)] * 2
 
 
 class IdentityEstimator:

@@ -232,9 +232,11 @@ def test_gpr_permutation_equivariance():
 
 
 def test_gpr_jitter_must_be_positive():
+    # a NaN jitter never reaches the escalation cap, and an infinite one fails every solve
     cal = CalibrationSet([[0.1, 0.2]], [[0, 0]])
-    with pytest.raises(ConfigError):
-        GprModel(cal, MINK, jitter=0.0)
+    for jitter in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(ConfigError, match=f"^jitter must be positive and finite, got {jitter}$"):
+            GprModel(cal, MINK, jitter=jitter)
 
 
 def test_gpr_unrecoverable_solve_raises_after_escalation():

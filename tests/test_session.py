@@ -29,6 +29,7 @@ from ledgaze.eyesim import (
     ScriptEvent,
     SessionLog,
     SimConfig,
+    gaze_target,
     run_script,
 )
 from ledgaze.kernels import MeasureSpec
@@ -653,6 +654,12 @@ def test_session_log_refuses_a_start_target_that_is_not_a_point(seed5_log, start
         SessionLog(seed5_log.t_us, seed5_log.raw, seed5_log.proc, seed5_log.events, meta)
 
 
+def test_session_log_keeps_its_checked_events_as_a_tuple(seed5_log):
+    assert type(seed5_log.events) is tuple
+    with pytest.raises(AttributeError):
+        seed5_log.events.append({"kind": "Blink", "t0_us": 0, "t1_us": 1})
+
+
 @pytest.fixture(scope="module")
 def seed5_log():
     cfg = small_config()
@@ -700,18 +707,18 @@ def test_write_session_log_refuses_a_log_its_reader_refuses(seed5_log, edit, pro
 
 @pytest.mark.parametrize("field, value", [("gaze", -np.inf), ("target", np.inf),
                                           ("target", np.nan)])
-def test_write_session_log_rejects_non_finite_numbers(seed5_log, field, value, tmp_path):
-    # A gaze or target follows from a move's point, so the move's line is named.
+def test_write_session_log_rejects_non_finite_numbers(seed5_log, field, value):
+    # A gaze or target follows from a move's point, so a non-finite point would reach
+    # the column; the log is refused when it is built, naming the move, so no writer sees it.
     events = [dict(ev) for ev in seed5_log.events]
     i = next(i for i, ev in enumerate(events) if ev["kind"] == "target_move")
     events[i]["to"] = [events[i]["to"][0], value]
-    log = dataclasses.replace(seed5_log, events=events)
-    assert not np.isfinite(getattr(log, field)).all()
-    path = tmp_path / "nonfinite.jsonl"
-    with pytest.raises(ConfigError, match=rf"line {i + 2}, the event record, holds a value JSON "
-                                          "cannot express"):
-        write_session_log(log, path)
-    assert not path.exists()
+    columns = dict(zip(("gaze", "target"),
+                       gaze_target(seed5_log.t_us, events, seed5_log.meta["start_target"])))
+    assert not np.isfinite(columns[field]).all()
+    with pytest.raises(ConfigError, match=f"^log event {i} cannot be scored: target_move event "
+                                          "'to' is not a pair of finite numbers$"):
+        dataclasses.replace(seed5_log, events=events)
 
 
 def _moved_one_ulp(log: SessionLog) -> SessionLog:
@@ -755,13 +762,13 @@ def _moves_swapped(log: SessionLog) -> SessionLog:
 
 
 @pytest.mark.parametrize("edit, problem", [
-    (_moves_swapped, r"line \d+, target_move event t_move_us \d+ is before the previous move settled"),
+    (_moves_swapped, r"log event \d+ cannot be scored: target_move event t_move_us \d+ is before "
+                     "the previous move settled"),
 ], ids=["moves-swapped"])
-def test_write_session_log_rejects_events_it_cannot_rebuild_from(seed5_log, edit, problem, tmp_path):
-    path = tmp_path / "edited.jsonl"
-    with pytest.raises(ConfigError, match=rf"cannot write session log {path}: {problem}"):
-        write_session_log(edit(seed5_log), path)
-    assert not path.exists()
+def test_write_session_log_rejects_events_it_cannot_rebuild_from(seed5_log, edit, problem):
+    # The log is refused when it is built, so no writer sees it.
+    with pytest.raises(ConfigError, match=f"^{problem}"):
+        edit(seed5_log)
 
 
 _A, _B, _C = ScreenPoint(200, 200), ScreenPoint(600, 400), ScreenPoint(300, 450)
@@ -850,9 +857,9 @@ def test_write_session_log_rejects_non_finite_header_records(seed5_log, record, 
         means = cal.means.copy()
         means[2, 1] = np.nan
         cal = CalibrationSet(means, cal.targets)
-    else:  # the second event, on line 4
+    else:  # the second event, on line 4, in a field the event rule does not read
         events = [dict(ev) for ev in log.events]
-        events[1]["to"] = [events[1]["to"][0], float("-inf")]
+        events[1]["note"] = float("-inf")
         log = dataclasses.replace(log, events=events)
     path = tmp_path / "nonfinite.jsonl"
     with pytest.raises(ConfigError, match=rf"line {line}, the {record} record, holds a value JSON cannot"):
@@ -923,6 +930,9 @@ MALFORMED = {
     "blink-t0-not-an-integer": ("event", None, lambda ev: {
         "type": "event", "kind": "blink", "t0_us": float(ev["t_move_us"]),
         "t1_us": ev["t_settle_us"]}),
+    "blink-ends-before-it-starts": ("event", None, lambda ev: {
+        "type": "event", "kind": "blink", "t0_us": ev["t_settle_us"], "t1_us": ev["t_move_us"]},
+        "blink event t1_us is before its t0_us"),
     "move-without-t-move": ("event", "t_move_us", _DELETE),
     "move-t-move-not-an-integer": ("event", "t_move_us", float),
     "move-t-move-boolean": ("event", "t_move_us", lambda t: True),
