@@ -20,7 +20,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -293,8 +294,8 @@ def frames_spanned(duration_us: int, cycle_us: int) -> int:
 
 
 def _is_point(value) -> bool:
-    """Whether a record's value is a screen point: a list of two finite numbers."""
-    return type(value) is list and len(value) == 2 and all(map(_is_finite, value))
+    """Whether a record's value is a screen point: a list or tuple of two finite numbers."""
+    return type(value) in (list, tuple) and len(value) == 2 and all(map(_is_finite, value))
 
 
 # The integer times each event kind must hold; a target_move also holds
@@ -302,7 +303,7 @@ def _is_point(value) -> bool:
 _EVENT_TIMES = {"blink": ("t0_us", "t1_us"), "target_move": ("t_move_us",)}
 
 
-def _event_fault(events: Sequence[dict]) -> tuple[int, str] | None:
+def _event_fault(events: Sequence[Mapping]) -> tuple[int, str] | None:
     """The first event that cannot be scored, as (its index, why), or None."""
     last_move = None
     for i, ev in enumerate(events):
@@ -314,7 +315,7 @@ def _event_fault(events: Sequence[dict]) -> tuple[int, str] | None:
     return None
 
 
-def _event_problem(ev: dict, last_move: dict | None) -> str | None:
+def _event_problem(ev: Mapping, last_move: Mapping | None) -> str | None:
     """Why an event record cannot be scored after the target_move ``last_move``, or None.
 
     A blink must end at or after it starts. A target_move's target and gaze
@@ -345,7 +346,7 @@ def _event_problem(ev: dict, last_move: dict | None) -> str | None:
     return None
 
 
-def gaze_target(t_us: np.ndarray, events: Sequence[dict], start) -> tuple[np.ndarray, np.ndarray]:
+def gaze_target(t_us: np.ndarray, events: Sequence[Mapping], start) -> tuple[np.ndarray, np.ndarray]:
     """Each frame's gaze and stimulus target, (n, 2) each: the session timeline's rule.
 
     Both start at ``start``. The target takes a move's ``to`` from the first
@@ -407,8 +408,11 @@ class SessionLog:
 
     ``t_us`` and ``raw`` are checked when the log is built
     (``_frame_columns``), so every log has ordered frames and counts in
-    range, and so are the events, kept as a tuple (``_event_fault``, the
-    one check of events: ConfigError names the first unscorable one).
+    range, and so are the events (``_event_fault``, the one check of
+    events: ConfigError names the first unscorable one). The checked events
+    are kept as a tuple of read-only copies, a target_move's ``from`` and
+    ``to`` as tuples, so no event is added or changed after the check;
+    ``[dict(e) for e in log.events]`` gives events that build an equal log.
     ``gaze`` and ``target`` are not arguments: they follow from ``t_us``,
     the target_move events and the meta's ``start_target`` (``gaze_target``),
     which must be a pair of finite numbers, else ConfigError names it.
@@ -417,20 +421,27 @@ class SessionLog:
     t_us: np.ndarray        # (N,) int64 frame timestamps
     raw: np.ndarray         # (N, M) int ADC counts
     proc: np.ndarray        # (N, M) float regression-ready vectors
-    events: tuple[dict, ...]  # given as any sequence
+    events: tuple[Mapping, ...]  # given as any sequence of mappings
     meta: dict
     gaze: np.ndarray = field(init=False)    # (N, 2) ground-truth gaze, px
     target: np.ndarray = field(init=False)  # (N, 2) stimulus target, px
 
     def __post_init__(self):
         start = self.meta.get("start_target")
-        if not _is_point(start):
+        if type(start) is not list or not _is_point(start):  # the meta a reader gets back holds a list
             raise ConfigError(f"meta field 'start_target' is not a pair of finite numbers: {start!r}")
         _frame_columns(self.t_us, self.raw)
-        self.events = tuple(self.events)
-        fault = _event_fault(self.events)
+        events = tuple(self.events)
+        fault = _event_fault(events)
         if fault:
             raise ConfigError(f"log event {fault[0]} cannot be scored: {fault[1]}")
+        frozen = []
+        for ev in events:
+            ev = dict(ev)
+            if ev["kind"] == "target_move":
+                ev["from"], ev["to"] = tuple(ev["from"]), tuple(ev["to"])
+            frozen.append(MappingProxyType(ev))
+        self.events = tuple(frozen)
         self.gaze, self.target = gaze_target(self.t_us, self.events, start)
 
     @property
@@ -439,8 +450,8 @@ class SessionLog:
 
     def subset(self, mask: np.ndarray) -> "SessionLog":
         """Log restricted to the masked frames (events kept verbatim)."""
-        return SessionLog(self.t_us[mask], self.raw[mask], self.proc[mask],
-                          [dict(e) for e in self.events], dict(self.meta))
+        return SessionLog(self.t_us[mask], self.raw[mask], self.proc[mask], self.events,
+                          dict(self.meta))
 
 
 class EyeSimulator:
@@ -491,20 +502,23 @@ class EyeSimulator:
         noise grows. The runs are found here, from the gaze rows and the
         blink blend: a clean row is a function of its gaze row, so every row
         of a run shares one clean row and one blend, the precondition of
-        ``expose_block``'s ``starts``. The scales are in Fortran order.
+        ``expose_block``'s ``starts``. So the optics run on each run's first
+        gaze row alone, and ``expose_block`` takes their (R, M) clean rows.
+        The scales are in Fortran order.
         """
         config, optics = self.config, self.config.optics
-        clean = clean_signal(self.layout, self.subject, self.geom, optics, gaze_xy)
+        starts = _run_starts(gaze_xy, blink_blend)
+        clean = clean_signal(self.layout, self.subject, self.geom, optics, gaze_xy[starts])
+        shape = (gaze_xy.shape[0], self.layout.total_channels)
         if self.subject.noise_std > 0:
             # The values normal(0.0, std) draws: it scales the same standard normal stream.
-            noise = self._noise_rng.standard_normal(clean.shape)
+            noise = self._noise_rng.standard_normal(shape)
             noise *= self.subject.noise_std
         else:
-            noise = np.zeros_like(clean)
+            noise = np.zeros(shape)
         raw, scales, self.exposure_us, changes = expose_block(
-            clean, noise, blink_blend, _run_starts(gaze_xy, blink_blend), self.exposure_us,
-            config.exposure_min_us, config.exposure_max_us, optics.reference_exposure_us,
-            optics.eyelid_level)
+            clean, noise, blink_blend, starts, self.exposure_us, config.exposure_min_us,
+            config.exposure_max_us, optics.reference_exposure_us, optics.eyelid_level)
         self.exposure_changes += changes
         return raw, scales
 
@@ -604,7 +618,7 @@ class EyeSimulator:
             # give every later position of both.
             "start_target": [self.start_target.x, self.start_target.y],
         }
-        return SessionLog(t, raw, proc, [dict(e) for e in self.events], meta)
+        return SessionLog(t, raw, proc, self.events, meta)
 
 
 def gaze_directions(geom: DisplayGeometry, gaze_xy: np.ndarray, eye: int) -> np.ndarray:
@@ -655,22 +669,19 @@ def _lobe_sums(layout: LedLayout, subject: SubjectProfile, geom: DisplayGeometry
 
 def clean_signal(layout: LedLayout, subject: SubjectProfile, geom: DisplayGeometry,
                  optics: OpticsModel, gaze_xy: np.ndarray) -> np.ndarray:
-    """Noise-free pre-exposure channel response for each frame, (n, M).
+    """Noise-free pre-exposure channel response for each gaze row, (n, M).
 
-    Gaze holds still between switches, so the optics run once per run of
-    equal consecutive rows and the result is expanded back to every frame.
+    A row's response is a function of its gaze alone, so the engine passes
+    one row per run of frames (``EyeSimulator._sense_block``).
     """
-    new_run = np.ones(gaze_xy.shape[0], dtype=bool)
-    new_run[1:] = _row_changes(gaze_xy)
-    points = gaze_xy[new_run]
     gain = optics.signal_scale * np.asarray(subject.corneal_gain, dtype=float)
     per_eye = layout.channels_per_eye
-    out = np.empty((points.shape[0], layout.total_channels), dtype=float)
+    out = np.empty((gaze_xy.shape[0], layout.total_channels), dtype=float)
     for eye in range(layout.eyes):
         cols = slice(eye * per_eye, (eye + 1) * per_eye)
-        out[:, cols] = gain[cols] * _lobe_sums(layout, subject, geom, points, eye,
+        out[:, cols] = gain[cols] * _lobe_sums(layout, subject, geom, gaze_xy, eye,
                                                layout.steps, optics.lobe_sharpness)
-    return np.repeat(out, np.diff(np.flatnonzero(new_run), append=gaze_xy.shape[0]), axis=0)
+    return out
 
 
 def sense(layout: LedLayout, subject: SubjectProfile, geom: DisplayGeometry,
@@ -739,15 +750,16 @@ def expose_block(clean: np.ndarray, noise: np.ndarray, blend: np.ndarray, starts
                  exp: np.ndarray, emin: float, emax: float, ref: float, eyelid: float):
     """Exposed, noisy, quantized readings of a block under the exposure rule.
 
-    ``clean`` and ``noise`` are (n, M), ``blend`` the (n,) eyelid closure and
-    ``exp`` the (M,) exposures before the first frame. ``starts`` holds the
-    ascending first rows of the block's runs, beginning with 0 when n > 0.
-    The caller vouches that every row of a run has the clean row and the
-    blend of the run's first row; any such partition gives the same result,
-    down to one run per row, and a coarser one is faster. Returns the int64
-    ADC counts and each frame's exposure scale, both (n, M), the scales in
-    Fortran order, the exposures after the last frame and each channel's
-    number of exposure changes, (M,).
+    ``noise`` is (n, M), ``blend`` the (n,) eyelid closure and ``exp`` the
+    (M,) exposures before the first frame. ``starts`` holds the ascending
+    first rows of the block's R runs, beginning with 0 when n > 0, and
+    ``clean`` the (R, M) clean row of each run. The caller vouches that
+    every row of a run has the run's clean row and the blend of its first
+    row; any such partition gives the same result, down to one run per row,
+    and a coarser one is faster. Returns the int64 ADC counts and each
+    frame's exposure scale, both (n, M), the scales in Fortran order, the
+    exposures after the last frame and each channel's number of exposure
+    changes, (M,).
 
     Each channel's exposure depends only on its own readings. Within a run
     at one exposure, a reading ``rint(clip(pre + z, 0, 1) *
@@ -761,18 +773,23 @@ def expose_block(clean: np.ndarray, noise: np.ndarray, blend: np.ndarray, starts
     steps through any other run one trip at a time, until it reaches a
     certified exposure or the run ends, writing each exposure span into the
     channel's contiguous column of the scales as soon as the span ends. The
-    counts are then computed from the scales, slice by slice.
+    counts are then computed from the scales, slice by slice, each slice's
+    clean rows expanded from their runs' rows there.
     """
-    n, m = clean.shape
+    n, m = noise.shape
+    n_runs = starts.size
+    if clean.shape != (n_runs, m):
+        raise ConfigError(f"clean holds {clean.shape} values, not one row of {m} per run "
+                          f"({n_runs} runs)")
     exp = np.asarray(exp, dtype=float)
     if n == 0:
-        return np.empty((0, m), dtype=np.int64), np.empty_like(clean), exp, np.zeros(m, dtype=np.int64)
+        return (np.empty((0, m), dtype=np.int64), np.empty((0, m), order="F"), exp,
+                np.zeros(m, dtype=np.int64))
     bounds = np.append(starts, n).tolist()
-    n_runs = starts.size
     levels, after = _exposure_levels(tuple(np.unique(exp).tolist()), float(emin), float(emax))
     level_scale = levels / ref
     # Each run's signal before noise at every level, (L, R, M).
-    pre = _exposed(clean[starts], level_scale[:, None, None], blend[starts, None], eyelid)
+    pre = _exposed(clean, level_scale[:, None, None], blend[starts, None], eyelid)
     stay = np.arange(levels.size)[:, None, None]
     certified = ((after[stay, _readings(pre, np.minimum.reduceat(noise, starts))] == stay)
                  & (after[stay, _readings(pre, np.maximum.reduceat(noise, starts))] == stay))
@@ -804,10 +821,12 @@ def expose_block(clean: np.ndarray, noise: np.ndarray, blend: np.ndarray, starts
                 changes[c] += 1
         scales[start:, c] = level_scale[e]
         level[c] = e
+    run = np.repeat(np.arange(n_runs), np.diff(bounds))  # each row's run
     raw = np.empty((n, m), dtype=np.int64)
     for a in range(0, n, _READ_ROWS):
         rows = slice(a, a + _READ_ROWS)
-        raw[rows] = _readings(_exposed(clean[rows], scales[rows], blend[rows, None], eyelid), noise[rows])
+        raw[rows] = _readings(_exposed(np.take(clean, run[rows], axis=0), scales[rows],
+                                       blend[rows, None], eyelid), noise[rows])
     return raw, scales, levels[level], changes
 
 

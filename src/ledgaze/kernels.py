@@ -119,8 +119,11 @@ def pairwise(spec: MeasureSpec, A, B) -> np.ndarray:
             raise DimensionError("weights must match channel count")
         return cdist(A, B, "minkowski", p=spec.m, w=spec.weights)
     if spec.kind == "rbf":
+        # exp(-d / (2 sigma^2)), each step in cdist's output
         d = cdist(A, B, "sqeuclidean" if spec.rbf_squared else "euclidean")
-        return np.exp(-d / (2.0 * spec.sigma * spec.sigma))
+        np.negative(d, out=d)
+        d /= 2.0 * spec.sigma * spec.sigma
+        return np.exp(d, out=d)
     if spec.kind == "cosine":
         if not (np.linalg.norm(A, axis=1).all() and np.linalg.norm(B, axis=1).all()):
             raise DegenerateInputError("cosine distance is undefined for zero vectors")

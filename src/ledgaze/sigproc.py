@@ -142,7 +142,10 @@ class IirFilter:
 
         One ``dgtsv`` solve, which rounds as step() does. Its back-substitution would spread a
         non-finite value to earlier rows, so a non-finite block raises ``ConfigError`` naming its
-        first bad row. It may return +0.0 for an exact -0.0; the package filters only values >= 0.
+        first bad row, and leaves ``X`` and the state as they were. It may return +0.0 for an
+        exact -0.0; the package filters only values >= 0. The result is in C order. A writeable
+        Fortran-order float64 ``X`` is consumed: the product ``alpha*X`` and the solve run in it,
+        and a one-row or one-channel result shares its memory. Any other ``X`` is left as it was.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.state is not None and X.shape[1:] != self.state.shape:
@@ -153,8 +156,10 @@ class IirFilter:
         if n == 0:
             return X.copy()
         # alpha*X with the state in row 0, in the Fortran order dgtsv solves in place
-        y = np.multiply(self.alpha, X, out=np.empty(X.shape, order="F"))
-        y[0] = X[0] if self.state is None else y[0] + (1.0 - self.alpha) * self.state
+        first = X[0].copy()
+        in_place = X.flags.f_contiguous and X.flags.writeable
+        y = np.multiply(self.alpha, X, out=X if in_place else np.empty(X.shape, order="F"))
+        y[0] = first if self.state is None else y[0] + (1.0 - self.alpha) * self.state
         if n > 1:  # f2py rejects empty off-diagonals; one row is its own solution
             y, info = dgtsv(np.full(n - 1, self.alpha - 1.0), np.ones(n), np.zeros(n - 1), y,
                             overwrite_b=True)[3:]
@@ -186,9 +191,10 @@ class SignalChain:
         self.reference_exposure_us, self.iir = ref, IirFilter(alpha)
 
     def block(self, raw, scales) -> np.ndarray:
-        """The vectors of (n, M) counts read at ``scales`` (floats, overwritten); IIR state carries on.
+        """The vectors of (n, M) counts read at ``scales`` (floats, consumed); IIR state carries on.
 
-        Divided in Fortran order, the layout of the scales and of the IIR's solve.
+        Divided in Fortran order, the layout of the scales and of the IIR's solve, into the
+        scales, which ``filter_block`` then solves in.
         """
         return self.iir.filter_block(np.divide(np.divide(raw, ADC_MAX, order="F"), scales, out=scales))
 

@@ -459,8 +459,8 @@ def sealed(body: str) -> str:
 def read_session_log_reference(path):
     """Inverse of write_session_log; returns (log columns, calibration-or-None).
 
-    The log's columns, events (a tuple, as a ``SessionLog`` keeps them) and
-    meta are attributes of a namespace. The processed vectors come from
+    The log's columns, events (a tuple, each target_move's points as tuples,
+    as a ``SessionLog`` keeps them) and meta are attributes of a namespace. The processed vectors come from
     ``chain_reference`` with the settings in the meta record, the gaze and
     target from ``gaze_target_reference``. A log whose last line is not the
     digest of the lines before it raises ConfigError.
@@ -484,6 +484,8 @@ def read_session_log_reference(path):
         elif kind == "calibration":
             cal = CalibrationSet.from_dict(rec)
         elif kind == "event":
+            if rec["kind"] == "target_move":
+                rec["from"], rec["to"] = tuple(rec["from"]), tuple(rec["to"])
             events.append(rec)
         elif kind == "frames":
             t, raw = unpack_frames_reference(rec)

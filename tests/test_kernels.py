@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.spatial.distance import cdist
 
 from ledgaze.core import ConfigError, DegenerateInputError, DimensionError
@@ -274,6 +276,28 @@ def test_weighted_pairwise_equals_cdist_on_the_weight_tuple_bit_for_bit(m, sessi
     expected = cdist(X, B, "minkowski", p=m, w=np.asarray(_WEIGHTS, dtype=float))
     assert np.array_equal(pairwise(spec, X, B), expected)
     assert np.array_equal(pairwise(spec, X[:1], B), expected[:1])
+
+
+@st.composite
+def rbf_batches(draw):
+    """(A, B, sigma, squared): two batches of vectors with one channel count, and an rbf spec."""
+    m = draw(st.integers(1, 12))
+    coords = st.floats(-1e3, 1e3, allow_subnormal=False)
+    A = draw(hnp.arrays(float, (draw(st.integers(1, 40)), m), elements=coords))
+    B = draw(hnp.arrays(float, (draw(st.integers(1, 40)), m), elements=coords))
+    sigma = draw(st.floats(1e-3, 1e3))
+    return A, B, sigma, draw(st.booleans())
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(rbf_batches())
+def test_rbf_pairwise_equals_the_textbook_expression_bit_for_bit(batch):
+    # pairwise negates, divides and exponentiates in cdist's output array
+    A, B, sigma, squared = batch
+    d = cdist(A, B, "sqeuclidean" if squared else "euclidean")
+    expected = np.exp(-d / (2.0 * sigma * sigma))
+    got = pairwise(MeasureSpec("rbf", sigma=sigma, rbf_squared=squared), A, B)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 def test_pairwise_cosine_zero_row_inside_batch_raises():

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -352,6 +353,39 @@ def test_dwell_source_needs_two_samples_per_dwell():
     assert x.shape == (2, 12)
 
 
+def test_a_task_block_holds_few_full_size_arrays_at_once():
+    # One block of 50 dwell tasks, as a scenario's task session acquires them:
+    # 17,550 frames of 12 channels. Its traced peak, in units of one (n, M)
+    # float64 array, counts the full-size arrays alive at once: the noise, the
+    # scales (in which the chain divides and filters), the counts and the
+    # filtered vectors, plus less than one unit of smaller arrays. It reads
+    # 3.83; a per-frame copy of the clean signal, or a divide or solve out of
+    # the scales, would add a unit.
+    config = SessionConfig(seed=1)
+    geom, margin = config.geometry(), config.grid_margin
+    rng = np.random.default_rng(5)
+    targets = [ScreenPoint(float(x), float(y)) for x, y in
+               zip(rng.uniform(margin, geom.width - margin, 50),
+                   rng.uniform(margin, geom.height - margin, 50))]
+
+    def task_source(seed):
+        engine = EyeSimulator(config.layout(), config.subject(), config.sim_config(), seed)
+        return engine, SimulatorDwellSource(engine, config.task_dwell_ms)
+
+    task_source(60)[1].acquire(targets)  # tables built on first use are not the block's
+    engine, source = task_source(61)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        source.acquire(targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n, m = engine.frame_index, config.layout().total_channels
+    assert (n, m) == (17_550, 12)
+    assert (peak - before) / (n * m * 8) <= 3.9
+
+
 def test_augmentation_dwell_too_short_to_sample_rejected():
     # a zero-length dwell has no samples, so its mean would be NaN
     with pytest.raises(ConfigError, match="'augment_dwell_ms', 'step_us': a 0.0 ms dwell"):
@@ -660,6 +694,30 @@ def test_session_log_keeps_its_checked_events_as_a_tuple(seed5_log):
         seed5_log.events.append({"kind": "Blink", "t0_us": 0, "t1_us": 1})
 
 
+def test_session_log_keeps_each_checked_event_read_only(seed5_log, tmp_path):
+    events = seed5_log.events
+    i = next(i for i, ev in enumerate(events) if ev["kind"] == "target_move")
+    with pytest.raises(TypeError):
+        events[0]["kind"] = "Blink"
+    with pytest.raises(TypeError):
+        events[i]["to"][0] = 0.0
+    with pytest.raises(TypeError):
+        del events[i]["t_settle_us"]
+    assert all(type(ev[f]) is tuple for ev in events if ev["kind"] == "target_move"
+               for f in ("from", "to"))
+    # the events' copies, points as tuples, rebuild an equal log, which writes the same bytes
+    copies = [dict(ev) for ev in events]
+    rebuilt = dataclasses.replace(seed5_log, events=copies)
+    assert rebuilt.events == events
+    assert np.array_equal(rebuilt.gaze, seed5_log.gaze)
+    assert np.array_equal(rebuilt.target, seed5_log.target)
+    copies[0]["kind"] = "Blink"  # a copy is the caller's own; the log keeps its events
+    assert rebuilt.events == events
+    for name, log in (("given", seed5_log), ("rebuilt", rebuilt)):
+        write_session_log(log, tmp_path / f"{name}.jsonl")
+    assert (tmp_path / "given.jsonl").read_bytes() == (tmp_path / "rebuilt.jsonl").read_bytes()
+
+
 @pytest.fixture(scope="module")
 def seed5_log():
     cfg = small_config()
@@ -786,7 +844,7 @@ def test_session_log_rebuilds_gaze_past_a_superseded_move(events, tmp_path):
     cfg = small_config()
     log = run_script(cfg.layout(), cfg.subject(), GazeScript(events), cfg.sim_config(), seed=3)
     moves = [ev for ev in log.events if ev["kind"] == "target_move"]
-    assert [ev["to"] for ev in moves] == [[_B.x, _B.y], [_C.x, _C.y]]
+    assert [ev["to"] for ev in moves] == [(_B.x, _B.y), (_C.x, _C.y)]
     assert moves[0]["t_settle_us"] == moves[1]["t_move_us"]  # superseded
     assert not (log.gaze == [_B.x, _B.y]).all(axis=1).any()  # the eye never went to B
     path = tmp_path / "superseded.jsonl"

@@ -245,7 +245,7 @@ def test_filter_block_matches_lfilter_reference(block, cut):
     # The solve and lfilter round alike; only the sign of an exact zero may differ.
     alpha, state, X = block
     f = _iir(alpha, state)
-    y = f.filter_block(X)
+    y = f.filter_block(X.copy())  # a one-channel block is in Fortran order too, and consumed
     ref = lfilter_reference(alpha, X, state)
     assert y.flags.c_contiguous
     assert (y + 0.0).tobytes() == (ref + 0.0).tobytes()
@@ -259,7 +259,7 @@ def test_filter_block_matches_lfilter_reference(block, cut):
 def test_filter_block_may_return_positive_zero_for_negative_zero():
     # Back-substitution computes -0.0 - 0.0 * (-0.3) = +0.0 for the first row.
     X = np.array([[-0.0], [-1.0]])
-    y = IirFilter(0.3).filter_block(X)
+    y = IirFilter(0.3).filter_block(X.copy())  # a one-channel block is consumed
     assert y.tolist() == [[0.0], [-0.3]]
     assert not np.signbit(y[0, 0])
     assert np.signbit(lfilter_reference(0.3, X)[0, 0])
@@ -269,11 +269,37 @@ def test_filter_block_may_return_positive_zero_for_negative_zero():
 def test_filter_block_rejects_non_finite_rows(bad):
     f = IirFilter(0.3)
     f.filter_block(np.ones((3, 2)))
-    X = np.ones((4, 2))
+    X = np.ones((4, 2), order="F")  # a block it would solve in
     X[2, 1] = bad
+    given = X.tobytes(order="F")
     with pytest.raises(ConfigError, match="block row 2 is not finite"):
         f.filter_block(X)
-    assert f.state.tolist() == [1.0, 1.0]
+    assert f.state.tolist() == [1.0, 1.0]  # the refused block and the state are left as they were
+    assert X.flags.f_contiguous and X.tobytes(order="F") == given
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("m", [1, 12])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("n", [0, 1, 2, 17_550])
+def test_filter_block_consumes_only_a_writeable_fortran_order_block(n, warm, m, order):
+    rng = np.random.default_rng(48)
+    state = rng.uniform(0.0, 1.0, m) if warm else None
+    X = np.asarray(rng.uniform(0.0, 1.0, (n, m)), order=order)
+    given = X.copy(order="K")
+    frozen = X.copy(order="K")
+    frozen.flags.writeable = False  # read-only, so it is copied
+    w = _iir(0.3, state)
+    want = w.filter_block(frozen)
+    f = _iir(0.3, state)
+    got = f.filter_block(X)
+    assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+    assert (f.state is None) if w.state is None else f.state.tobytes() == w.state.tobytes()
+    if n and X.flags.f_contiguous:  # consumed; a one-row or one-channel C-order block is F-order too
+        assert np.array_equal(X, got)
+        assert np.shares_memory(X, got) == (n == 1 or m == 1)
+    else:  # no row to solve, or not in Fortran order: left as it was
+        assert X.tobytes(order="A") == given.tobytes(order="A") and not np.shares_memory(X, got)
 
 
 @pytest.mark.parametrize("warm", [True, False], ids=["warm", "first-frame"])
